@@ -435,15 +435,16 @@ pub fn infer_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 /// counterpart on the same searched PPG model — the acceptance evidence for
 /// the int8 serving path.
 ///
-/// * `stream_f32/step` — one stateful f32 [`pit_infer::Session`] step (the
-///   serial f32 dot product cannot be reordered, so it stays scalar);
-/// * `stream_i8/step` — one [`pit_infer::QuantizedSession`] step: `i8` ring
-///   buffers, exact `i8·i8→i32` dots that the compiler vectorizes freely;
+/// * `stream_f32/step` — one stateful f32 [`pit_infer::Session`] step;
+/// * `stream_i8/step` — the same engine's [`pit_infer::QuantizedSession`]
+///   step: `i8` ring buffers, seam quantization and exact `i8·i8→i32`
+///   accumulation;
 /// * `sessions32_i8/step` — a 32-stream [`pit_infer::QuantizedSessionPool`]
 ///   flushed as one `i8` GEMM wave per layer (cost per timestep).
 ///
-/// The committed `BENCH_int8.json` baseline pins `stream_i8/step` at ≥ 2x
-/// faster than `stream_f32/step`, and CI gates both against drift.
+/// `stream_f32/step` is the suite's anchor, so CI's gate against the
+/// committed `BENCH_int8.json` catches the int8 paths drifting relative to
+/// the f32 step.
 pub fn quant_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     use pit_infer::{
         compile_temponet, QuantizedPlan, QuantizedSession, QuantizedSessionPool, Session,

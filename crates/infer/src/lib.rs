@@ -17,20 +17,26 @@
 //!   gradient bookkeeping. Plans round-trip their geometry through
 //!   [`pit_models::NetworkDescriptor`] JSON, so a searched architecture can
 //!   be persisted and re-compiled without re-running the search.
+//! * **Quantize** ([`quant`]): [`Calibration`] records max-abs activation
+//!   ranges per layer seam and [`QuantizedPlan`] lowers the plan to int8
+//!   (per-output-channel weight scales, exact `i8×i8→i32` arithmetic),
+//!   provably within [`QuantizedPlan::error_bound`] of the f32 plan.
+//!   Precision is a lowering choice, not a second engine: both plans are one
+//!   plan tree ([`Plan`]) instantiated at a [`Precision`] (`f32` or `i8`),
+//!   which lives only in the ring element type and the layer kernels
+//!   ([`precision`]).
 //! * **Stream** ([`stream`]): a [`Session`] keeps one ring buffer per
 //!   convolution (its receptive field), pool windows and the head state, so
 //!   one new timestep costs `O(C_out · C_in · alive_taps)` — not a full
 //!   window re-forward. Zero state ≡ causal zero padding: streaming a window
-//!   sample-by-sample reproduces the offline forward to `1e-5`.
+//!   sample-by-sample reproduces the offline forward to `1e-5`. The int8
+//!   [`QuantizedSession`] is the same session over `i8` rings, ~4x smaller
+//!   per stream.
 //! * **Serve** ([`session`]): a [`SessionPool`] batches the pending timesteps
-//!   of N concurrent sessions into single GEMM calls per layer — N streams,
-//!   one kernel invocation.
-//! * **Quantize** ([`quant`]): [`Calibration`] records max-abs activation
-//!   ranges per layer seam, [`QuantizedPlan`] lowers the plan to int8
-//!   (per-output-channel weight scales, exact `i8×i8→i32` arithmetic) and
-//!   [`QuantizedSession`] / [`QuantizedSessionPool`] stream it with `i8`
-//!   ring state — ~4x smaller per stream, over 2x faster per step, and
-//!   provably within [`QuantizedPlan::error_bound`] of the f32 engine.
+//!   of N concurrent streams into single GEMM calls per layer — N streams,
+//!   one kernel invocation — in either precision ([`QuantizedSessionPool`]);
+//!   [`StreamPool`] ([`stream_pool`]) is the object-safe seam a server
+//!   holding both precisions drives them through.
 //! * **Persist** ([`artifact`]): plans serialise *with their weights* as
 //!   `pit-arch/2` JSON artifacts ([`InferencePlan::to_artifact`],
 //!   [`QuantizedPlan::to_artifact`], base64 tensor payloads) and load back
@@ -61,6 +67,7 @@
 
 pub mod artifact;
 pub mod plan;
+pub mod precision;
 pub mod quant;
 pub mod session;
 pub mod stream;
@@ -69,9 +76,10 @@ pub mod zoo;
 
 pub use artifact::{PlanArtifact, ARTIFACT_SCHEMA};
 pub use plan::{
-    compile_concrete, compile_generic, compile_restcn, compile_temponet, CompiledConv, Dense,
-    InferencePlan, PlanBlock, PlanHead, PoolSpec,
+    compile_concrete, compile_generic, compile_restcn, compile_temponet, Block, CompiledConv,
+    Dense, Head, InferencePlan, Plan, PlanBlock, PlanHead, PoolSpec,
 };
+pub use precision::{ConvOp, LinearOp, PoolOp, Precision};
 pub use quant::{
     Calibration, QuantBlock, QuantHead, QuantizedConv, QuantizedDense, QuantizedPlan,
     QuantizedSession, QuantizedSessionPool,

@@ -12,7 +12,14 @@
 //! ([`compile_temponet`], [`compile_restcn`], [`compile_generic`],
 //! [`compile_concrete`]) or — geometry only — from a persisted
 //! [`NetworkDescriptor`] via [`InferencePlan::from_descriptor`].
+//!
+//! The plan tree ([`Plan`], [`Block`], [`Head`]) is generic over its
+//! [`Precision`]: [`InferencePlan`] is the f32 instantiation built here, and
+//! [`crate::QuantizedPlan`] the int8 one lowered from it. Walks that only
+//! read geometry (output width, receptive field, descriptor, state size) are
+//! written once for both.
 
+use crate::precision::{ConvOp, LinearOp, PoolOp, Precision};
 use pit_models::{
     ConcreteBlock, ConcreteHead, ConcreteTcn, GenericTcn, LayerDesc, NetworkDescriptor, ResTcn,
     TempoNet,
@@ -29,11 +36,11 @@ pub struct CompiledConv {
     pub(crate) c_out: usize,
     pub(crate) k: usize,
     pub(crate) dilation: usize,
-    /// Weights `[C_out, C_in, K]` (row-major, so row `co` is the flat
-    /// `[C_in · K]` vector used by the per-step kernel).
+    /// Weights `[C_out, C_in, K]`: the offline and serialization layout.
     pub(crate) weight: Tensor,
-    /// The same weights transposed to `[C_in · K, C_out]` for the batched
-    /// session GEMM (`x_rows · wt`).
+    /// Execution pack `[(tap, channel), C_out]` (`j = kk·C_in + ci` rows),
+    /// matching the tap-major gather rows of the streaming rings: both the
+    /// per-step accumulation and the batched wave GEMM read it.
     pub(crate) wt: Vec<f32>,
     /// Bias `[C_out]` (batch-norm shift folded in).
     pub(crate) bias: Tensor,
@@ -114,13 +121,16 @@ impl CompiledConv {
         self.repack();
     }
 
-    /// Rebuilds the transposed `[C_in · K, C_out]` pack after a weight change.
+    /// Rebuilds the tap-major execution pack after a weight change.
     fn repack(&mut self) {
-        let ck = self.c_in * self.k;
-        let mut wt = vec![0.0f32; ck * self.c_out];
-        for co in 0..self.c_out {
-            for j in 0..ck {
-                wt[j * self.c_out + co] = self.weight.data()[co * ck + j];
+        let (c_in, c_out, k) = (self.c_in, self.c_out, self.k);
+        let mut wt = vec![0.0f32; c_in * k * c_out];
+        for co in 0..c_out {
+            for ci in 0..c_in {
+                for kk in 0..k {
+                    wt[(kk * c_in + ci) * c_out + co] =
+                        self.weight.data()[(co * c_in + ci) * k + kk];
+                }
             }
         }
         self.wt = wt;
@@ -144,12 +154,6 @@ impl CompiledConv {
     /// Dilation between stored taps.
     pub fn dilation(&self) -> usize {
         self.dilation
-    }
-
-    /// Receptive field in input samples: `(K − 1) · d + 1`. This is the ring
-    /// length a streaming session keeps for the layer.
-    pub fn receptive_field(&self) -> usize {
-        (self.k - 1) * self.dilation + 1
     }
 
     /// Number of stored weights (bias included).
@@ -244,66 +248,380 @@ pub struct PoolSpec {
     pub stride: usize,
 }
 
-/// One block of a compiled plan. ReLU activations are implicit: every
-/// convolution inside a block is followed by one (matching the seed
-/// networks); heads are linear.
+/// One block of a plan. ReLU activations are implicit: every convolution
+/// inside a block is followed by one (matching the seed networks); heads are
+/// linear. Generic over the [`Precision`] of its layers: [`PlanBlock`] is
+/// the f32 block, [`crate::QuantBlock`] the int8 one.
 // The variant size gap (Residual inlines three convs, Plain a Vec) is fine:
 // blocks are built once per compile and held in a short Vec, never moved on
 // a hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum PlanBlock {
+pub enum Block<P: Precision> {
     /// Two convolutions with a skip connection (ResTCN-style); the skip adds
-    /// before the block's final ReLU.
+    /// in f32 before the block's final ReLU.
     Residual {
         /// First convolution.
-        conv1: CompiledConv,
+        conv1: P::Conv,
         /// Second convolution.
-        conv2: CompiledConv,
+        conv2: P::Conv,
         /// Optional 1×1 projection when channel counts differ on the skip.
-        downsample: Option<CompiledConv>,
+        downsample: Option<P::Conv>,
     },
     /// A feed-forward chain of convolutions (TEMPONet-style), optionally
     /// closed by average pooling over time.
     Plain {
         /// Convolutions, each followed by an implicit ReLU.
-        convs: Vec<CompiledConv>,
+        convs: Vec<P::Conv>,
         /// Optional pooling stage closing the block.
-        pool: Option<PoolSpec>,
+        pool: Option<P::Pool>,
     },
 }
 
-/// The output head of a compiled plan.
+/// A block of an f32 plan.
+pub type PlanBlock = Block<f32>;
+
+/// The output head of a plan, generic like [`Block`]: [`PlanHead`] is the
+/// f32 head, [`crate::QuantHead`] the int8 one.
 #[derive(Debug, Clone)]
-pub enum PlanHead {
+pub enum Head<P: Precision> {
     /// Per-time-step convolution producing one logit column per step.
-    PerStep(CompiledConv),
+    PerStep(P::Conv),
     /// Flatten the last `window` steps of the final `channels`-wide feature
     /// map and run a two-layer MLP (TEMPONet-style regression head).
     Fc {
         /// Hidden dense layer (ReLU after it).
-        hidden: Dense,
+        hidden: P::Dense,
         /// Output dense layer (linear).
-        output: Dense,
+        output: P::Dense,
         /// Channels of the feature map feeding the head.
         channels: usize,
         /// Time steps flattened into the head input.
         window: usize,
     },
     /// Global average pooling over time followed by one dense layer
-    /// (GenericTcn-style head). Streaming keeps a running mean.
-    GlobalPoolFc(Dense),
+    /// (GenericTcn-style head). Streaming keeps an f32 running mean.
+    GlobalPoolFc(P::Dense),
 }
 
+/// The head of an f32 plan.
+pub type PlanHead = Head<f32>;
+
 /// A compiled, tape-free inference plan: the deployable form of a searched
-/// TCN, executable offline over whole windows ([`InferencePlan::forward`]) or
-/// per-timestep through [`crate::Session`] / [`crate::SessionPool`].
+/// TCN, streamed per timestep through [`crate::Session`] /
+/// [`crate::SessionPool`] in its [`Precision`].
 #[derive(Debug, Clone)]
-pub struct InferencePlan {
+pub struct Plan<P: Precision> {
     pub(crate) name: String,
     pub(crate) input_channels: usize,
-    pub(crate) blocks: Vec<PlanBlock>,
-    pub(crate) head: PlanHead,
+    pub(crate) blocks: Vec<Block<P>>,
+    pub(crate) head: Head<P>,
+}
+
+/// The f32 plan, executable offline over whole windows
+/// ([`InferencePlan::forward`]) as well as per timestep.
+pub type InferencePlan = Plan<f32>;
+
+impl<P: Precision> Plan<P> {
+    /// Assembles a plan from parts of either precision, panicking unless
+    /// they chain (the invariants listed on [`InferencePlan::new`]).
+    pub(crate) fn assemble(
+        name: String,
+        input_channels: usize,
+        blocks: Vec<Block<P>>,
+        head: Head<P>,
+    ) -> Self {
+        let mut width = input_channels;
+        for (i, block) in blocks.iter().enumerate() {
+            match block {
+                Block::Residual {
+                    conv1,
+                    conv2,
+                    downsample,
+                } => {
+                    assert_eq!(
+                        conv1.in_channels(),
+                        width,
+                        "block {i}: conv1 input channels"
+                    );
+                    assert_eq!(
+                        conv2.in_channels(),
+                        conv1.outputs(),
+                        "block {i}: conv2 input channels"
+                    );
+                    match downsample {
+                        Some(ds) => {
+                            assert_eq!(
+                                ds.in_channels(),
+                                width,
+                                "block {i}: downsample input channels"
+                            );
+                            assert_eq!(
+                                ds.outputs(),
+                                conv2.outputs(),
+                                "block {i}: downsample output channels"
+                            );
+                        }
+                        None => assert_eq!(
+                            width,
+                            conv2.outputs(),
+                            "block {i}: residual skip needs a downsample when channels change"
+                        ),
+                    }
+                    width = conv2.outputs();
+                }
+                Block::Plain { convs, pool } => {
+                    for (j, conv) in convs.iter().enumerate() {
+                        assert_eq!(
+                            conv.in_channels(),
+                            width,
+                            "block {i} conv {j}: input channels"
+                        );
+                        width = conv.outputs();
+                    }
+                    if let Some(pool) = pool {
+                        // The streaming pool clocks count in units of these;
+                        // zero would underflow the emission countdown.
+                        let spec = pool.spec();
+                        assert!(
+                            spec.kernel >= 1 && spec.stride >= 1,
+                            "block {i}: pooling kernel and stride must be >= 1"
+                        );
+                    }
+                }
+            }
+        }
+        match &head {
+            Head::PerStep(conv) => {
+                assert_eq!(conv.in_channels(), width, "per-step head input channels");
+            }
+            Head::Fc {
+                hidden,
+                output,
+                channels,
+                window,
+            } => {
+                assert_eq!(*channels, width, "fc head channels");
+                assert_eq!(
+                    hidden.inputs(),
+                    channels * window,
+                    "fc head window flatten size"
+                );
+                assert_eq!(output.inputs(), hidden.outputs(), "fc head stack");
+            }
+            Head::GlobalPoolFc(dense) => {
+                assert_eq!(dense.inputs(), width, "global-pool head features");
+            }
+        }
+        Self {
+            name,
+            input_channels,
+            blocks,
+            head,
+        }
+    }
+
+    /// The plan name (carried over from the compiled network; quantized
+    /// plans append `-int8`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Returns the plan under a new name. Model-zoo builders use this to
+    /// give each searched point a unique registry name before writing its
+    /// artifact (quantizing afterwards derives `<name>-int8`).
+    #[must_use]
+    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
+        self
+    }
+
+    /// Channels of the input stream.
+    pub fn input_channels(&self) -> usize {
+        self.input_channels
+    }
+
+    /// The blocks in execution order.
+    pub fn blocks(&self) -> &[Block<P>] {
+        &self.blocks
+    }
+
+    /// The head.
+    pub fn head(&self) -> &Head<P> {
+        &self.head
+    }
+
+    /// Width of one emitted output vector.
+    pub fn output_dim(&self) -> usize {
+        match &self.head {
+            Head::PerStep(conv) => conv.outputs(),
+            Head::Fc { output, .. } => output.outputs(),
+            Head::GlobalPoolFc(dense) => dense.outputs(),
+        }
+    }
+
+    /// Every convolution of the plan in execution order: per block `conv1`,
+    /// `conv2`, then the `downsample` (or the plain chain), and a per-step
+    /// head last. A stream keeps one ring per entry, in this order.
+    pub(crate) fn convs(&self) -> Vec<&P::Conv> {
+        let mut out = Vec::new();
+        for block in &self.blocks {
+            match block {
+                Block::Residual {
+                    conv1,
+                    conv2,
+                    downsample,
+                } => {
+                    out.push(conv1);
+                    out.push(conv2);
+                    out.extend(downsample.iter());
+                }
+                Block::Plain { convs, .. } => out.extend(convs.iter()),
+            }
+        }
+        if let Head::PerStep(conv) = &self.head {
+            out.push(conv);
+        }
+        out
+    }
+
+    /// Bytes one streaming session keeps as state: the conv rings (each
+    /// layer's receptive field), pool windows and the Fc flatten window, one
+    /// ring element each, plus the f32 running mean of a global-pool head.
+    /// This is the per-stream serving memory footprint; the int8 plan's is
+    /// close to a quarter of the f32 plan's.
+    pub fn session_state_bytes(&self) -> usize {
+        let mut slots: usize = self
+            .convs()
+            .iter()
+            .map(|c| c.in_channels() * c.receptive_field())
+            .sum();
+        for block in &self.blocks {
+            if let Block::Plain {
+                convs,
+                pool: Some(pool),
+            } = block
+            {
+                slots += convs.last().map_or(0, |c| c.outputs()) * pool.spec().kernel;
+            }
+        }
+        let mean_bytes = match &self.head {
+            Head::PerStep(_) => 0,
+            Head::Fc {
+                channels, window, ..
+            } => {
+                slots += channels * window;
+                0
+            }
+            Head::GlobalPoolFc(dense) => 4 * dense.inputs(),
+        };
+        slots * std::mem::size_of::<P>() + mean_bytes
+    }
+
+    /// Receptive field of the conv/pool stack in input samples: how much
+    /// history influences one head input column (standard jump/receptive-field
+    /// composition; the Fc head window extends it further at the pooled rate).
+    pub fn receptive_field(&self) -> usize {
+        let mut rf = 1usize;
+        let mut jump = 1usize;
+        let mut grow = |k: usize, d: usize, j: usize| {
+            rf += (k - 1) * d * j;
+        };
+        for block in &self.blocks {
+            match block {
+                Block::Residual { conv1, conv2, .. } => {
+                    grow(conv1.kernel(), conv1.dilation(), jump);
+                    grow(conv2.kernel(), conv2.dilation(), jump);
+                }
+                Block::Plain { convs, pool } => {
+                    for conv in convs {
+                        grow(conv.kernel(), conv.dilation(), jump);
+                    }
+                    if let Some(pool) = pool {
+                        let spec = pool.spec();
+                        grow(spec.kernel, 1, jump);
+                        jump *= spec.stride;
+                    }
+                }
+            }
+        }
+        if let Head::PerStep(conv) = &self.head {
+            grow(conv.kernel(), conv.dilation(), jump);
+        }
+        rf
+    }
+
+    /// Exports the plan geometry as a [`NetworkDescriptor`] for an input of
+    /// length `t_in` — the persistence seam: render it with
+    /// [`NetworkDescriptor::to_json_string`] and, for sequential plans,
+    /// rebuild the structure later with [`InferencePlan::from_descriptor`].
+    /// Both precisions export the same geometry (weight/MAC accounting
+    /// counts layers; the byte width is not the descriptor's concern).
+    ///
+    /// Descriptors are a flat layer list (the `pit-arch/1` schema carries no
+    /// skip edges), so a plan whose residual block uses a `downsample`
+    /// projection exports a descriptor that is still correct for weight/MAC
+    /// accounting and `pit-hw` deployment modelling, but that
+    /// `from_descriptor` will *reject* rather than rebuild with broken
+    /// channel chaining.
+    pub fn descriptor(&self, t_in: usize) -> NetworkDescriptor {
+        let mut d = NetworkDescriptor::new(self.name.clone());
+        let mut t = t_in;
+        let conv_desc = |conv: &P::Conv, t: usize| LayerDesc::Conv1d {
+            c_in: conv.in_channels(),
+            c_out: conv.outputs(),
+            kernel: conv.kernel(),
+            dilation: conv.dilation(),
+            t_in: t,
+            t_out: t,
+        };
+        let linear = |dense: &P::Dense| LayerDesc::Linear {
+            in_features: dense.inputs(),
+            out_features: dense.outputs(),
+        };
+        for block in &self.blocks {
+            match block {
+                Block::Residual {
+                    conv1,
+                    conv2,
+                    downsample,
+                } => {
+                    d.push(conv_desc(conv1, t));
+                    d.push(conv_desc(conv2, t));
+                    if let Some(ds) = downsample {
+                        d.push(conv_desc(ds, t));
+                    }
+                }
+                Block::Plain { convs, pool } => {
+                    for conv in convs {
+                        d.push(conv_desc(conv, t));
+                    }
+                    if let Some(pool) = pool {
+                        let spec = pool.spec();
+                        let t_out = (t.saturating_sub(spec.kernel)) / spec.stride + 1;
+                        let channels = convs.last().map(|c| c.outputs()).unwrap_or(0);
+                        d.push(LayerDesc::AvgPool {
+                            channels,
+                            kernel: spec.kernel,
+                            stride: spec.stride,
+                            t_in: t,
+                            t_out,
+                        });
+                        t = t_out;
+                    }
+                }
+            }
+        }
+        match &self.head {
+            Head::PerStep(conv) => d.push(conv_desc(conv, t)),
+            Head::Fc { hidden, output, .. } => {
+                d.push(linear(hidden));
+                d.push(linear(output));
+            }
+            Head::GlobalPoolFc(dense) => d.push(linear(dense)),
+        }
+        d
+    }
 }
 
 impl InferencePlan {
@@ -325,138 +643,7 @@ impl InferencePlan {
         blocks: Vec<PlanBlock>,
         head: PlanHead,
     ) -> Self {
-        let mut width = input_channels;
-        for (i, block) in blocks.iter().enumerate() {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    assert_eq!(conv1.c_in, width, "block {i}: conv1 input channels");
-                    assert_eq!(conv2.c_in, conv1.c_out, "block {i}: conv2 input channels");
-                    match downsample {
-                        Some(ds) => {
-                            assert_eq!(ds.c_in, width, "block {i}: downsample input channels");
-                            assert_eq!(
-                                ds.c_out, conv2.c_out,
-                                "block {i}: downsample output channels"
-                            );
-                        }
-                        None => assert_eq!(
-                            width, conv2.c_out,
-                            "block {i}: residual skip needs a downsample when channels change"
-                        ),
-                    }
-                    width = conv2.c_out;
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    for (j, conv) in convs.iter().enumerate() {
-                        assert_eq!(conv.c_in, width, "block {i} conv {j}: input channels");
-                        width = conv.c_out;
-                    }
-                    if let Some(spec) = pool {
-                        // The streaming pool clocks count in units of these;
-                        // zero would underflow the emission countdown.
-                        assert!(
-                            spec.kernel >= 1 && spec.stride >= 1,
-                            "block {i}: pooling kernel and stride must be >= 1"
-                        );
-                    }
-                }
-            }
-        }
-        match &head {
-            PlanHead::PerStep(conv) => {
-                assert_eq!(conv.c_in, width, "per-step head input channels");
-            }
-            PlanHead::Fc {
-                hidden,
-                output,
-                channels,
-                window,
-            } => {
-                assert_eq!(*channels, width, "fc head channels");
-                assert_eq!(
-                    hidden.in_features,
-                    channels * window,
-                    "fc head window flatten size"
-                );
-                assert_eq!(output.in_features, hidden.out_features, "fc head stack");
-            }
-            PlanHead::GlobalPoolFc(dense) => {
-                assert_eq!(dense.in_features, width, "global-pool head features");
-            }
-        }
-        Self {
-            name: name.into(),
-            input_channels,
-            blocks,
-            head,
-        }
-    }
-
-    /// The plan name (carried over from the compiled network).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Returns the plan under a new name. Model-zoo builders use this to
-    /// give each searched point a unique registry name before writing its
-    /// artifact (quantizing afterwards derives `<name>-int8`).
-    #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Channels of the input stream.
-    pub fn input_channels(&self) -> usize {
-        self.input_channels
-    }
-
-    /// The compiled blocks in execution order.
-    pub fn blocks(&self) -> &[PlanBlock] {
-        &self.blocks
-    }
-
-    /// The compiled head.
-    pub fn head(&self) -> &PlanHead {
-        &self.head
-    }
-
-    /// Width of one emitted output vector.
-    pub fn output_dim(&self) -> usize {
-        match &self.head {
-            PlanHead::PerStep(conv) => conv.c_out,
-            PlanHead::Fc { output, .. } => output.out_features,
-            PlanHead::GlobalPoolFc(dense) => dense.out_features,
-        }
-    }
-
-    /// Every convolution of the plan, blocks first then a per-step head.
-    fn convs(&self) -> Vec<&CompiledConv> {
-        let mut out = Vec::new();
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    out.push(conv1);
-                    out.push(conv2);
-                    if let Some(ds) = downsample {
-                        out.push(ds);
-                    }
-                }
-                PlanBlock::Plain { convs, .. } => out.extend(convs.iter()),
-            }
-        }
-        if let PlanHead::PerStep(conv) = &self.head {
-            out.push(conv);
-        }
-        out
+        Self::assemble(name.into(), input_channels, blocks, head)
     }
 
     /// Total stored weights of the plan (what deployment ships).
@@ -468,77 +655,6 @@ impl InferencePlan {
             PlanHead::GlobalPoolFc(dense) => dense.num_weights(),
         };
         conv_w + head_w
-    }
-
-    /// `f32` slots one streaming [`crate::Session`] keeps as state: the conv
-    /// ring buffers (each layer's receptive field), pool windows and the head
-    /// window/running mean. This is the per-stream serving memory footprint.
-    pub fn session_state_floats(&self) -> usize {
-        let mut total = 0usize;
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    total += conv1.c_in * conv1.receptive_field();
-                    total += conv2.c_in * conv2.receptive_field();
-                    if let Some(ds) = downsample {
-                        total += ds.c_in * ds.receptive_field();
-                    }
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    total += convs
-                        .iter()
-                        .map(|c| c.c_in * c.receptive_field())
-                        .sum::<usize>();
-                    if let (Some(spec), Some(last)) = (pool, convs.last()) {
-                        total += last.c_out * spec.kernel;
-                    }
-                }
-            }
-        }
-        total += match &self.head {
-            PlanHead::PerStep(conv) => conv.c_in * conv.receptive_field(),
-            PlanHead::Fc {
-                channels, window, ..
-            } => channels * window,
-            PlanHead::GlobalPoolFc(dense) => dense.in_features,
-        };
-        total
-    }
-
-    /// Receptive field of the conv/pool stack in input samples: how much
-    /// history influences one head input column (standard jump/receptive-field
-    /// composition; the Fc head window extends it further at the pooled rate).
-    pub fn receptive_field(&self) -> usize {
-        let mut rf = 1usize;
-        let mut jump = 1usize;
-        let mut grow = |k: usize, d: usize, j: usize| {
-            rf += (k - 1) * d * j;
-        };
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual { conv1, conv2, .. } => {
-                    grow(conv1.k, conv1.dilation, jump);
-                    grow(conv2.k, conv2.dilation, jump);
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    for conv in convs {
-                        grow(conv.k, conv.dilation, jump);
-                    }
-                    if let Some(spec) = pool {
-                        grow(spec.kernel, 1, jump);
-                        jump *= spec.stride;
-                    }
-                }
-            }
-        }
-        if let PlanHead::PerStep(conv) = &self.head {
-            grow(conv.k, conv.dilation, jump);
-        }
-        rf
     }
 
     /// Offline forward over a whole `[N, C_in, T]` window, tape-free.
@@ -674,80 +790,6 @@ impl InferencePlan {
                 dense.forward_offline(&pooled)
             }
         }
-    }
-
-    /// Exports the plan geometry as a [`NetworkDescriptor`] for an input of
-    /// length `t_in` — the persistence seam: render it with
-    /// [`NetworkDescriptor::to_json_string`] and, for sequential plans,
-    /// rebuild the structure later with [`InferencePlan::from_descriptor`].
-    ///
-    /// Descriptors are a flat layer list (the `pit-arch/1` schema carries no
-    /// skip edges), so a plan whose residual block uses a `downsample`
-    /// projection exports a descriptor that is still correct for weight/MAC
-    /// accounting and `pit-hw` deployment modelling, but that
-    /// `from_descriptor` will *reject* rather than rebuild with broken
-    /// channel chaining.
-    pub fn descriptor(&self, t_in: usize) -> NetworkDescriptor {
-        let mut d = NetworkDescriptor::new(self.name.clone());
-        let mut t = t_in;
-        let conv_desc = |conv: &CompiledConv, t: usize| LayerDesc::Conv1d {
-            c_in: conv.c_in,
-            c_out: conv.c_out,
-            kernel: conv.k,
-            dilation: conv.dilation,
-            t_in: t,
-            t_out: t,
-        };
-        for block in &self.blocks {
-            match block {
-                PlanBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    d.push(conv_desc(conv1, t));
-                    d.push(conv_desc(conv2, t));
-                    if let Some(ds) = downsample {
-                        d.push(conv_desc(ds, t));
-                    }
-                }
-                PlanBlock::Plain { convs, pool } => {
-                    for conv in convs {
-                        d.push(conv_desc(conv, t));
-                    }
-                    if let Some(spec) = pool {
-                        let t_out = (t.saturating_sub(spec.kernel)) / spec.stride + 1;
-                        let channels = convs.last().map(|c| c.c_out).unwrap_or(0);
-                        d.push(LayerDesc::AvgPool {
-                            channels,
-                            kernel: spec.kernel,
-                            stride: spec.stride,
-                            t_in: t,
-                            t_out,
-                        });
-                        t = t_out;
-                    }
-                }
-            }
-        }
-        match &self.head {
-            PlanHead::PerStep(conv) => d.push(conv_desc(conv, t)),
-            PlanHead::Fc { hidden, output, .. } => {
-                d.push(LayerDesc::Linear {
-                    in_features: hidden.in_features,
-                    out_features: hidden.out_features,
-                });
-                d.push(LayerDesc::Linear {
-                    in_features: output.in_features,
-                    out_features: output.out_features,
-                });
-            }
-            PlanHead::GlobalPoolFc(dense) => d.push(LayerDesc::Linear {
-                in_features: dense.in_features,
-                out_features: dense.out_features,
-            }),
-        }
-        d
     }
 
     /// Rebuilds a plan's *geometry* from a persisted descriptor: convolutions
@@ -1307,7 +1349,7 @@ mod tests {
     }
 
     #[test]
-    fn state_floats_and_receptive_field_are_plausible() {
+    fn state_bytes_and_receptive_field_are_plausible() {
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = TempoNetConfig::scaled(8, 64);
         let net = TempoNet::new(&mut rng, &cfg);
@@ -1315,8 +1357,8 @@ mod tests {
         let plan = compile_temponet(&net);
         // State is bounded by (weights are the dominant cost, state is
         // per-stream and small).
-        assert!(plan.session_state_floats() > 0);
-        assert!(plan.session_state_floats() < plan.num_weights());
+        assert!(plan.session_state_bytes() > 0);
+        assert!(plan.session_state_bytes() < 4 * plan.num_weights());
         assert!(plan.receptive_field() > 1);
     }
 }

@@ -2,14 +2,12 @@
 //!
 //! This module is the deployment contract of the PIT story (Risso et al.,
 //! DAC 2021 target int8 execution on GAP8-class edge devices): it lowers a
-//! compiled f32 [`InferencePlan`] into an int8 [`QuantizedPlan`] and executes
-//! it statefully with the same streaming semantics as the f32 engine —
+//! compiled f32 [`InferencePlan`] into an int8 [`QuantizedPlan`] — the same
+//! plan tree instantiated at [`i8`](crate::Precision) — which then streams
+//! through the one engine of [`crate::Session`] / [`crate::SessionPool`]:
 //! identical emission schedule, `i8` ring buffers (4x smaller per-stream
 //! state) and exact `i8×i8→i32` arithmetic (input-major accumulation per
-//! step, [`pit_tensor::kernels::gemm_i8`] per batched wave). Integer
-//! accumulators carry no ordering constraint, so the hot loops vectorize
-//! where the f32 engine's serial dot products cannot — that, not just the
-//! 4x data width, is where the step-time win comes from.
+//! step, [`pit_tensor::kernels::gemm_i8`] per batched wave).
 //!
 //! **Scheme.** Weights are quantized symmetrically *per output channel*
 //! ([`pit_hw::quant::quantize_per_channel`]); activations are quantized *per
@@ -18,8 +16,8 @@
 //! Execution keeps f32 columns *between* layers: each layer quantizes its
 //! input column at the seam, accumulates exactly in `i32`, and dequantizes
 //! through `in_scale · w_scale[co]` plus the f32 bias (batch norm was already
-//! folded by the f32 compile). Biases, pooling windows and the global-pool
-//! running mean stay f32 — they are tiny next to the conv rings.
+//! folded by the f32 compile). Biases and the global-pool running mean stay
+//! f32 — they are tiny next to the conv rings.
 //!
 //! **Parity bound.** Integer accumulation is exact, so the only error
 //! sources are the rounding at the seams (≤ `in_scale/2` per element, also
@@ -33,13 +31,13 @@
 //! calibration inputs themselves). The property tests in
 //! `tests/quant_parity.rs` hold the streamed int8 outputs to this bound.
 
-use crate::plan::{CompiledConv, Dense, InferencePlan, PlanBlock, PlanHead, PoolSpec};
-use crate::stream::{relu_in_place, PoolClock};
-use pit_hw::quant::{quantize_per_channel, quantize_value_inv, symmetric_scale, MaxAbsObserver};
-use pit_tensor::kernels::gemm_i8;
+use crate::plan::{
+    Block, CompiledConv, Dense, Head, InferencePlan, Plan, PlanBlock, PlanHead, PoolSpec,
+};
+use crate::session::SessionPool;
+use crate::stream::Session;
+use pit_hw::quant::{quantize_per_channel, symmetric_scale, MaxAbsObserver};
 use pit_tensor::{Result, Tensor};
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Calibration
@@ -173,9 +171,8 @@ pub struct QuantizedConv {
     pub(crate) c_out: usize,
     pub(crate) k: usize,
     pub(crate) dilation: usize,
-    /// Execution pack `[(tap, channel), C_out]` (`j = kk·C_in + ci` rows):
-    /// both the per-step input-major accumulation and the batched wave GEMM
-    /// read this, matching the tap-major gather rows.
+    /// Execution pack `[(tap, channel), C_out]` (`j = kk·C_in + ci` rows),
+    /// the layout of the f32 [`CompiledConv`] pack.
     pub(crate) wt_q: Vec<i8>,
     /// Input activation scale (from calibration).
     pub(crate) in_scale: f32,
@@ -256,7 +253,7 @@ impl QuantizedConv {
         let in_scale = symmetric_scale(in_max);
         // Transposed pack in *(tap, channel)* order: gather row `j` is
         // `(kk, ci)` with `j = kk·C_in + ci`, so a streaming gather is one
-        // contiguous column copy per tap (see `QConvState`).
+        // contiguous column copy per tap.
         let mut wt_q = vec![0i8; ck * c_out];
         for co in 0..c_out {
             for ci in 0..c_in {
@@ -325,11 +322,6 @@ impl QuantizedConv {
         self.dilation
     }
 
-    /// Receptive field in input samples — the `i8` ring length per stream.
-    pub fn receptive_field(&self) -> usize {
-        (self.k - 1) * self.dilation + 1
-    }
-
     /// One step of the error-bound recursion: the worst-case output error
     /// when the layer's input carries error at most `e_in` against an f32
     /// reference whose activations stay within the calibrated range.
@@ -356,9 +348,8 @@ fn rounding_bound(l1q: &[f32], dw_l1: &[f32], in_scale: f32, in_max: f32, e_in: 
 pub struct QuantizedDense {
     pub(crate) in_features: usize,
     pub(crate) out_features: usize,
-    /// Quantized weights `[in, out]` (the wave-GEMM operand, matching the
-    /// f32 [`Dense`] layout; also the per-step operand — the solo path
-    /// accumulates input-major so ReLU zeros skip whole rows).
+    /// Quantized weights `[in, out]`: the execution pack of both the
+    /// per-step accumulation and the wave GEMM (the f32 [`Dense`] layout).
     pub(crate) wq_cols: Vec<i8>,
     pub(crate) in_scale: f32,
     pub(crate) inv_in_scale: f32,
@@ -486,80 +477,6 @@ impl QuantizedDense {
     fn bound(&self, e_in: f32) -> f32 {
         rounding_bound(&self.l1q, &self.dw_l1, self.in_scale, self.in_max, e_in)
     }
-
-    /// Quantizes `input` at the seam and applies the layer per step,
-    /// input-major over the `[in, out]` pack: integer accumulation in `acc`,
-    /// dequantize + bias (+ ReLU) into `out`.
-    fn forward_q(
-        &self,
-        input: &[f32],
-        qbuf: &mut [i8],
-        acc: &mut [i32],
-        out: &mut [f32],
-        relu: bool,
-    ) {
-        let (in_f, out_f) = (self.in_features, self.out_features);
-        for (q, &v) in qbuf.iter_mut().take(in_f).zip(input.iter()) {
-            *q = quantize_value_inv(v, self.inv_in_scale);
-        }
-        accumulate_rows(&self.wq_cols, &qbuf[..in_f], out_f, acc);
-        for o in 0..out_f {
-            out[o] = acc[o] as f32 * self.deq[o] + self.bias[o];
-        }
-        if relu {
-            relu_in_place(&mut out[..out_f]);
-        }
-    }
-}
-
-/// `acc[o] = Σ_j x[j] · w[j·out_f + o]` — the input-major `i8·i8→i32`
-/// microkernel of the solo streaming path. Integer accumulators carry no
-/// ordering constraint (the f32 twin's serial dot cannot be reordered), so
-/// register-blocking the output lane into fixed-width accumulator arrays
-/// lets the whole reduction vectorize with no per-row loop-bound checks —
-/// the runtime-width form of this loop measured *slower* than the f32 dot.
-fn accumulate_rows(wq: &[i8], x: &[i8], out_f: usize, acc: &mut [i32]) {
-    let mut col = 0;
-    while col + 16 <= out_f {
-        accumulate_block::<16>(wq, x, out_f, col, acc);
-        col += 16;
-    }
-    if col + 8 <= out_f {
-        accumulate_block::<8>(wq, x, out_f, col, acc);
-        col += 8;
-    }
-    if col + 4 <= out_f {
-        accumulate_block::<4>(wq, x, out_f, col, acc);
-        col += 4;
-    }
-    while col < out_f {
-        accumulate_block::<1>(wq, x, out_f, col, acc);
-        col += 1;
-    }
-}
-
-/// Computes output lanes `col..col + R` across every input row, holding the
-/// `R` partial sums in a fixed-size (register-resident) array. Lane blocks
-/// cover disjoint column ranges, so the writeback assigns — no pre-zeroing
-/// pass over `acc`.
-fn accumulate_block<const R: usize>(
-    wq: &[i8],
-    x: &[i8],
-    out_f: usize,
-    col: usize,
-    acc: &mut [i32],
-) {
-    let mut a = [0i32; R];
-    for (j, &xq) in x.iter().enumerate() {
-        let xv = i32::from(xq);
-        let wrow: &[i8; R] = wq[j * out_f + col..j * out_f + col + R]
-            .try_into()
-            .expect("lane block");
-        for l in 0..R {
-            a[l] += xv * i32::from(wrow[l]);
-        }
-    }
-    acc[col..col + R].copy_from_slice(&a);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,71 +515,34 @@ impl QuantPool {
     }
 }
 
-/// One block of a quantized plan, mirroring [`PlanBlock`].
-// Mirrors the f32 plan's variant size trade-off (see `PlanBlock`): built
-// once per quantization, never moved on a hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum QuantBlock {
-    /// Two int8 convolutions with a skip connection; the skip adds in f32
-    /// before the block's final ReLU.
-    Residual {
-        /// First convolution.
-        conv1: QuantizedConv,
-        /// Second convolution.
-        conv2: QuantizedConv,
-        /// Optional 1×1 projection on the skip path.
-        downsample: Option<QuantizedConv>,
-    },
-    /// A feed-forward chain of int8 convolutions, optionally closed by
-    /// int8-windowed average pooling over time.
-    Plain {
-        /// Convolutions, each followed by an implicit ReLU.
-        convs: Vec<QuantizedConv>,
-        /// Optional pooling stage closing the block.
-        pool: Option<QuantPool>,
-    },
-}
+/// A block of an int8 plan: int8 convolutions, and pooling over an
+/// int8-windowed ring; the residual skip adds in f32.
+pub type QuantBlock = Block<i8>;
 
-/// The output head of a quantized plan, mirroring [`PlanHead`].
-#[derive(Debug, Clone)]
-pub enum QuantHead {
-    /// Per-time-step int8 output convolution.
-    PerStep(QuantizedConv),
-    /// Flatten window + two int8 dense layers (TEMPONet-style).
-    Fc {
-        /// Hidden dense layer (ReLU after it).
-        hidden: QuantizedDense,
-        /// Output dense layer (linear).
-        output: QuantizedDense,
-        /// Channels of the feature map feeding the head.
-        channels: usize,
-        /// Time steps flattened into the head input.
-        window: usize,
-    },
-    /// Global average pooling (f32 running mean) + one int8 dense layer.
-    GlobalPoolFc(QuantizedDense),
-}
+/// The head of an int8 plan. A global-pool head keeps its running mean in
+/// f32 and quantizes the mean at the dense seam.
+pub type QuantHead = Head<i8>;
 
 /// The int8 form of an [`InferencePlan`]: same structure, same streaming
 /// semantics, `i8` weights and ring buffers, and an analytic parity bound
 /// against the f32 plan it was lowered from.
-#[derive(Debug, Clone)]
-pub struct QuantizedPlan {
-    pub(crate) name: String,
-    pub(crate) input_channels: usize,
-    pub(crate) blocks: Vec<QuantBlock>,
-    pub(crate) head: QuantHead,
-    pub(crate) output_dim: usize,
-    pub(crate) error_bound: f32,
-}
+pub type QuantizedPlan = Plan<i8>;
+
+/// One stream's int8 execution of a [`QuantizedPlan`]: the engine's
+/// [`Session`] over `i8` rings, with the f32 session's emission schedule and
+/// outputs within [`QuantizedPlan::error_bound`] of it.
+pub type QuantizedSession = Session<i8>;
+
+/// A pool of int8 streams executed in batched waves, each layer one
+/// `i8×i8→i32` GEMM: the engine's [`SessionPool`] over a [`QuantizedPlan`].
+pub type QuantizedSessionPool = SessionPool<i8>;
 
 /// Composes the analytic error bound of a quantized plan from its layers —
 /// the recursion described in the module docs: each conv/dense layer maps an
 /// incoming error `e` through [`rounding_bound`], residual branches add,
 /// average pooling is 1-Lipschitz plus half a step of its own seam scale.
-/// One function serves both [`QuantizedPlan::new`] and the artifact loader,
-/// so a plan and its deserialized twin carry the same bound.
+/// Derived from the layers alone, so a plan and its deserialized twin carry
+/// the same bound.
 fn compose_error_bound(blocks: &[QuantBlock], head: &QuantHead) -> f32 {
     let mut e = 0.0f32;
     for block in blocks {
@@ -698,32 +578,6 @@ fn compose_error_bound(blocks: &[QuantBlock], head: &QuantHead) -> f32 {
 }
 
 impl QuantizedPlan {
-    /// Assembles a quantized plan from already-built parts, deriving the
-    /// output width and the composed error bound. Geometry invariants
-    /// (channel chaining) are the caller's responsibility — the public
-    /// constructors ([`QuantizedPlan::new`], the artifact loader) establish
-    /// them before calling this.
-    pub(crate) fn assemble(
-        name: String,
-        input_channels: usize,
-        blocks: Vec<QuantBlock>,
-        head: QuantHead,
-    ) -> Self {
-        let output_dim = match &head {
-            QuantHead::PerStep(conv) => conv.c_out,
-            QuantHead::Fc { output, .. } => output.out_features,
-            QuantHead::GlobalPoolFc(dense) => dense.out_features,
-        };
-        let error_bound = compose_error_bound(&blocks, &head);
-        Self {
-            name,
-            input_channels,
-            blocks,
-            head,
-            output_dim,
-            error_bound,
-        }
-    }
     /// Lowers an f32 plan into int8 using a previously collected
     /// [`Calibration`].
     ///
@@ -814,31 +668,6 @@ impl QuantizedPlan {
         Self::new(plan, &cal)
     }
 
-    /// The plan name (`<f32 name>-int8`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Channels of the input stream.
-    pub fn input_channels(&self) -> usize {
-        self.input_channels
-    }
-
-    /// The quantized blocks in execution order.
-    pub fn blocks(&self) -> &[QuantBlock] {
-        &self.blocks
-    }
-
-    /// The quantized head.
-    pub fn head(&self) -> &QuantHead {
-        &self.head
-    }
-
-    /// Width of one emitted output vector.
-    pub fn output_dim(&self) -> usize {
-        self.output_dim
-    }
-
     /// Analytic worst-case `|int8 − f32|` per output value, for inputs whose
     /// seam activations stay inside the calibrated ranges. Integer
     /// accumulation is exact, so this composes only the seam rounding
@@ -846,7 +675,7 @@ impl QuantizedPlan {
     /// layer's `Σ|ŵ|` Lipschitz factor (see the module docs for the
     /// derivation).
     pub fn error_bound(&self) -> f32 {
-        self.error_bound
+        compose_error_bound(&self.blocks, &self.head)
     }
 
     /// Bytes of weight payload the int8 plan ships: one byte per weight plus
@@ -854,995 +683,12 @@ impl QuantizedPlan {
     pub fn weight_bytes(&self) -> usize {
         let conv = |c: &QuantizedConv| c.wt_q.len() + 4 * (c.deq.len() + c.bias.len());
         let dense = |d: &QuantizedDense| d.wq_cols.len() + 4 * (d.deq.len() + d.bias.len());
-        let mut total = 0usize;
-        for block in &self.blocks {
-            match block {
-                QuantBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    total += conv(conv1) + conv(conv2);
-                    if let Some(ds) = downsample {
-                        total += conv(ds);
-                    }
-                }
-                QuantBlock::Plain { convs, .. } => total += convs.iter().map(&conv).sum::<usize>(),
-            }
-        }
-        total
+        let convs: usize = self.convs().into_iter().map(conv).sum();
+        convs
             + match &self.head {
-                QuantHead::PerStep(c) => conv(c),
+                QuantHead::PerStep(_) => 0, // counted through convs()
                 QuantHead::Fc { hidden, output, .. } => dense(hidden) + dense(output),
                 QuantHead::GlobalPoolFc(d) => dense(d),
             }
-    }
-
-    /// Bytes one streaming [`QuantizedSession`] keeps as state: `i8` conv
-    /// rings, pooling windows and flatten windows (one byte per slot); only
-    /// the global-pool running mean stays f32 (four bytes per slot). Compare
-    /// with `4 · InferencePlan::session_state_floats()` for the f32 engine —
-    /// the ratio approaches 4x.
-    pub fn session_state_bytes(&self) -> usize {
-        let ring = |c: &QuantizedConv| c.c_in * c.receptive_field();
-        let mut total = 0usize;
-        for block in &self.blocks {
-            match block {
-                QuantBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    total += ring(conv1) + ring(conv2);
-                    if let Some(ds) = downsample {
-                        total += ring(ds);
-                    }
-                }
-                QuantBlock::Plain { convs, pool } => {
-                    total += convs.iter().map(&ring).sum::<usize>();
-                    if let (Some(qp), Some(last)) = (pool, convs.last()) {
-                        total += last.c_out * qp.spec.kernel;
-                    }
-                }
-            }
-        }
-        total
-            + match &self.head {
-                QuantHead::PerStep(c) => ring(c),
-                QuantHead::Fc {
-                    channels, window, ..
-                } => channels * window,
-                QuantHead::GlobalPoolFc(d) => 4 * d.in_features,
-            }
-    }
-}
-
-/// Widest column / gather row / quantize buffer any layer of the plan needs.
-fn scratch_widths_q(plan: &QuantizedPlan) -> (usize, usize) {
-    let mut width = plan.input_channels.max(plan.output_dim);
-    let mut row = 1;
-    let mut visit = |c: &QuantizedConv| {
-        width = width.max(c.c_in).max(c.c_out);
-        row = row.max(c.c_in * c.k);
-    };
-    for block in &plan.blocks {
-        match block {
-            QuantBlock::Residual {
-                conv1,
-                conv2,
-                downsample,
-            } => {
-                visit(conv1);
-                visit(conv2);
-                if let Some(ds) = downsample {
-                    visit(ds);
-                }
-            }
-            QuantBlock::Plain { convs, .. } => convs.iter().for_each(&mut visit),
-        }
-    }
-    if let QuantHead::PerStep(conv) = &plan.head {
-        visit(conv);
-    }
-    (width, row)
-}
-
-// ---------------------------------------------------------------------------
-// Streaming state
-// ---------------------------------------------------------------------------
-
-/// Ring buffer holding one quantized convolution's receptive field of `i8`
-/// input history — four times smaller than the f32 ring it replaces.
-///
-/// Laid out *time-major* (`[rf, C_in]`, one contiguous column per row),
-/// unlike the f32 engine's channel-major ring: a push is then one
-/// unit-stride quantize pass and a gather is one `memcpy` per alive tap —
-/// no strided element loops anywhere on the step path.
-#[derive(Debug, Clone)]
-struct QConvState {
-    /// `[rf, C_in]` ring; row `pos` is the next write slot.
-    hist: Vec<i8>,
-    rf: usize,
-    pos: usize,
-}
-
-/// Over-allocation past the live ring/row bytes, letting gathers run as
-/// fixed 16-byte copies (compiled to plain loads/stores) instead of
-/// variable-length `memcpy` calls for the narrow columns PIT networks have.
-const COPY_PAD: usize = 16;
-
-impl QConvState {
-    fn new(conv: &QuantizedConv) -> Self {
-        let rf = conv.receptive_field();
-        Self {
-            hist: vec![0; conv.c_in * rf + COPY_PAD],
-            rf,
-            pos: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.hist.fill(0);
-        self.pos = 0;
-    }
-
-    /// Quantizes one f32 column at the layer seam straight into the ring —
-    /// one unit-stride multiply-round pass, no intermediate buffer.
-    fn push_quantized(&mut self, input: &[f32], inv_scale: f32, c_in: usize) {
-        let base = self.pos * c_in;
-        for (h, &v) in self.hist[base..base + c_in].iter_mut().zip(input.iter()) {
-            *h = quantize_value_inv(v, inv_scale);
-        }
-        self.pos += 1;
-        if self.pos == self.rf {
-            self.pos = 0;
-        }
-    }
-
-    /// Gathers the current tap window into `row` (`[K, C_in]` — tap-major,
-    /// matching the `wt_q` pack): one contiguous column copy per alive tap.
-    /// Tap shifts never exceed `rf − 1`, so a single conditional wrap
-    /// replaces any modulo arithmetic; narrow columns copy as one fixed
-    /// 16-byte block into the padded scratch (no `memcpy` call).
-    fn gather(&self, conv: &QuantizedConv, row: &mut [i8]) {
-        let rf = self.rf;
-        let c_in = conv.c_in;
-        let newest = if self.pos == 0 { rf - 1 } else { self.pos - 1 };
-        for kk in 0..conv.k {
-            let shift = kk * conv.dilation; // ≤ (K−1)·d = rf − 1
-            let idx = if newest >= shift {
-                newest - shift
-            } else {
-                newest + rf - shift
-            };
-            let (src, dst) = (idx * c_in, kk * c_in);
-            if c_in <= COPY_PAD {
-                // Both buffers carry COPY_PAD slack; later taps overwrite
-                // the spill and `accumulate_rows` reads only `C_in · K`.
-                let chunk: &[i8; COPY_PAD] = self.hist[src..src + COPY_PAD]
-                    .try_into()
-                    .expect("padded ring");
-                row[dst..dst + COPY_PAD].copy_from_slice(chunk);
-            } else {
-                row[dst..dst + c_in].copy_from_slice(&self.hist[src..src + c_in]);
-            }
-        }
-    }
-
-    /// One streaming step: fused quantize-push, gather, input-major exact
-    /// `i32` accumulation, dequantize + bias (+ fused ReLU) into the f32
-    /// output column.
-    fn step(
-        &mut self,
-        conv: &QuantizedConv,
-        input: &[f32],
-        row: &mut [i8],
-        acc: &mut [i32],
-        out: &mut [f32],
-        relu: bool,
-    ) {
-        self.push_quantized(&input[..conv.c_in], conv.inv_in_scale, conv.c_in);
-        if conv.k == 1 {
-            // Single-tap convolution (rf = 1): the ring is the gathered row.
-            accumulate_rows(&conv.wt_q, &self.hist[..conv.c_in], conv.c_out, acc);
-        } else {
-            let ck = conv.c_in * conv.k;
-            self.gather(conv, row);
-            accumulate_rows(&conv.wt_q, &row[..ck], conv.c_out, acc);
-        }
-        let deq = out
-            .iter_mut()
-            .zip(acc.iter())
-            .zip(conv.deq.iter().zip(conv.bias.iter()));
-        if relu {
-            for ((slot, &a), (&d, &b)) in deq {
-                *slot = (a as f32 * d + b).max(0.0);
-            }
-        } else {
-            for ((slot, &a), (&d, &b)) in deq {
-                *slot = a as f32 * d + b;
-            }
-        }
-    }
-}
-
-/// State of a quantized strided average-pooling stage: an `i8` window ring
-/// at the pool's seam scale, driven by the same [`PoolClock`] as the f32
-/// engine so the emission grids cannot drift apart.
-#[derive(Debug, Clone)]
-struct QPoolState {
-    /// `[kernel, C]` ring of quantized columns; row `slot` is next.
-    buf: Vec<i8>,
-    channels: usize,
-    clock: PoolClock,
-}
-
-impl QPoolState {
-    fn new(channels: usize, qp: &QuantPool) -> Self {
-        Self {
-            buf: vec![0; qp.spec.kernel * channels],
-            channels,
-            clock: PoolClock::default(),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.buf.fill(0);
-        self.clock.reset();
-    }
-
-    /// Quantizes one f32 column into the ring; returns `true` (with the
-    /// dequantized window mean in `out`) when the stage emits. Sums of at
-    /// most `kernel` i8 codes are exact in f32, so pooled and solo waves
-    /// stay bit-identical.
-    fn step(&mut self, qp: &QuantPool, input: &[f32], out: &mut [f32]) -> bool {
-        let k = qp.spec.kernel;
-        let c = self.channels;
-        let (slot, emits) = self.clock.tick(&qp.spec);
-        let base = slot * c;
-        for (q, &v) in self.buf[base..base + c].iter_mut().zip(input.iter()) {
-            *q = quantize_value_inv(v, qp.inv_in_scale);
-        }
-        if !emits {
-            return false;
-        }
-        out[..c].fill(0.0);
-        for r in 0..k {
-            let row = &self.buf[r * c..(r + 1) * c];
-            for (o, &q) in out[..c].iter_mut().zip(row.iter()) {
-                *o += f32::from(q);
-            }
-        }
-        for o in &mut out[..c] {
-            *o *= qp.deq;
-        }
-        true
-    }
-}
-
-/// Per-block streaming state of a quantized session.
-#[derive(Debug, Clone)]
-enum QBlockState {
-    Residual {
-        s1: QConvState,
-        s2: QConvState,
-        ds: Option<QConvState>,
-    },
-    Plain {
-        convs: Vec<QConvState>,
-        pool: Option<QPoolState>,
-    },
-}
-
-impl QBlockState {
-    fn new(block: &QuantBlock) -> Self {
-        match block {
-            QuantBlock::Residual {
-                conv1,
-                conv2,
-                downsample,
-            } => QBlockState::Residual {
-                s1: QConvState::new(conv1),
-                s2: QConvState::new(conv2),
-                ds: downsample.as_ref().map(QConvState::new),
-            },
-            QuantBlock::Plain { convs, pool } => QBlockState::Plain {
-                convs: convs.iter().map(QConvState::new).collect(),
-                pool: pool
-                    .as_ref()
-                    .map(|qp| QPoolState::new(convs.last().map(|c| c.c_out).unwrap_or(0), qp)),
-            },
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            QBlockState::Residual { s1, s2, ds } => {
-                s1.reset();
-                s2.reset();
-                if let Some(ds) = ds {
-                    ds.reset();
-                }
-            }
-            QBlockState::Plain { convs, pool } => {
-                for c in convs {
-                    c.reset();
-                }
-                if let Some(p) = pool {
-                    p.reset();
-                }
-            }
-        }
-    }
-}
-
-/// Streaming head state of a quantized session.
-#[derive(Debug, Clone)]
-enum QHeadState {
-    PerStep(QConvState),
-    /// `[channels, window]` `i8` flatten ring, quantized at the hidden
-    /// layer's seam scale; `pos` is the next (oldest) slot.
-    Fc {
-        buf: Vec<i8>,
-        pos: usize,
-    },
-    /// f32 running mean over time per channel.
-    GlobalPool {
-        sum: Vec<f32>,
-        count: usize,
-    },
-}
-
-impl QHeadState {
-    fn new(head: &QuantHead) -> Self {
-        match head {
-            QuantHead::PerStep(conv) => QHeadState::PerStep(QConvState::new(conv)),
-            QuantHead::Fc {
-                channels, window, ..
-            } => QHeadState::Fc {
-                buf: vec![0; channels * window],
-                pos: 0,
-            },
-            QuantHead::GlobalPoolFc(dense) => QHeadState::GlobalPool {
-                sum: vec![0.0; dense.in_features],
-                count: 0,
-            },
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            QHeadState::PerStep(s) => s.reset(),
-            QHeadState::Fc { buf, pos } => {
-                buf.fill(0);
-                *pos = 0;
-            }
-            QHeadState::GlobalPool { sum, count } => {
-                sum.fill(0.0);
-                *count = 0;
-            }
-        }
-    }
-}
-
-/// One stream's stateful int8 execution of a quantized plan: the same
-/// emission schedule as the f32 [`crate::Session`], `i8` ring state, and
-/// outputs within [`QuantizedPlan::error_bound`] of the f32 engine.
-pub struct QuantizedSession {
-    plan: Arc<QuantizedPlan>,
-    blocks: Vec<QBlockState>,
-    head: QHeadState,
-    /// Ping-pong f32 column scratch (each sized to the widest layer).
-    buf_a: Vec<f32>,
-    buf_b: Vec<f32>,
-    /// Residual skip column scratch.
-    buf_skip: Vec<f32>,
-    /// `i8` gather / seam scratch (widest `C_in · K` or dense input).
-    row: Vec<i8>,
-    /// `i32` accumulator scratch (widest output column).
-    acc: Vec<i32>,
-    /// Hidden activations of an Fc head.
-    hidden: Vec<f32>,
-}
-
-impl QuantizedSession {
-    /// Creates a fresh (all-zero state) int8 session for `plan`.
-    pub fn new(plan: Arc<QuantizedPlan>) -> Self {
-        let blocks = plan.blocks.iter().map(QBlockState::new).collect();
-        let head = QHeadState::new(&plan.head);
-        let (width, row) = scratch_widths_q(&plan);
-        let (feat_len, hidden_len) = match &plan.head {
-            QuantHead::Fc { hidden, .. } => (hidden.in_features, hidden.out_features),
-            QuantHead::GlobalPoolFc(dense) => (dense.in_features, 0),
-            QuantHead::PerStep(_) => (0, 0),
-        };
-        Self {
-            blocks,
-            head,
-            buf_a: vec![0.0; width],
-            buf_b: vec![0.0; width],
-            buf_skip: vec![0.0; width],
-            row: vec![0; row.max(width).max(feat_len).max(hidden_len) + COPY_PAD],
-            acc: vec![0; width.max(hidden_len).max(plan.output_dim)],
-            hidden: vec![0.0; hidden_len],
-            plan,
-        }
-    }
-
-    /// The plan this session executes.
-    pub fn plan(&self) -> &Arc<QuantizedPlan> {
-        &self.plan
-    }
-
-    /// Clears all stream state back to the zero (causal-padding) state.
-    pub fn reset(&mut self) {
-        for b in &mut self.blocks {
-            b.reset();
-        }
-        self.head.reset();
-    }
-
-    /// Pushes one input sample (length `input_channels`); returns the head
-    /// output when this step made it emit.
-    pub fn push(&mut self, sample: &[f32]) -> Option<Vec<f32>> {
-        let mut out = vec![0.0; self.plan.output_dim];
-        self.push_into(sample, &mut out).then_some(out)
-    }
-
-    /// Allocation-free variant of [`QuantizedSession::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` is shorter than the plan's input channels or `out`
-    /// shorter than the output dimension.
-    pub fn push_into(&mut self, sample: &[f32], out: &mut [f32]) -> bool {
-        // Destructuring splits the borrows without touching the Arc's
-        // reference count — an atomic pair per timestep is measurable at
-        // sub-microsecond step times.
-        let Self {
-            plan,
-            blocks,
-            head,
-            buf_a,
-            buf_b,
-            buf_skip,
-            row,
-            acc,
-            hidden: hidden_buf,
-        } = self;
-        let plan: &QuantizedPlan = plan;
-        assert!(
-            sample.len() >= plan.input_channels,
-            "sample has {} channels, plan needs {}",
-            sample.len(),
-            plan.input_channels
-        );
-        assert!(
-            out.len() >= plan.output_dim,
-            "output buffer has {} slots, plan emits {}",
-            out.len(),
-            plan.output_dim
-        );
-        buf_a[..plan.input_channels].copy_from_slice(&sample[..plan.input_channels]);
-        let mut width = plan.input_channels;
-        for (block, state) in plan.blocks.iter().zip(blocks.iter_mut()) {
-            match (block, state) {
-                (
-                    QuantBlock::Residual {
-                        conv1,
-                        conv2,
-                        downsample,
-                    },
-                    QBlockState::Residual { s1, s2, ds },
-                ) => {
-                    buf_skip[..width].copy_from_slice(&buf_a[..width]);
-                    s1.step(conv1, &buf_a[..width], row, acc, buf_b, true);
-                    s2.step(conv2, &buf_b[..conv1.c_out], row, acc, buf_a, true);
-                    match (downsample, ds) {
-                        (Some(proj), Some(pstate)) => {
-                            pstate.step(proj, &buf_skip[..width], row, acc, buf_b, false);
-                        }
-                        _ => buf_b[..width].copy_from_slice(&buf_skip[..width]),
-                    }
-                    width = conv2.c_out;
-                    for (a, b) in buf_a[..width].iter_mut().zip(buf_b.iter()) {
-                        *a = (*a + b).max(0.0);
-                    }
-                }
-                (
-                    QuantBlock::Plain { convs, pool },
-                    QBlockState::Plain {
-                        convs: cs,
-                        pool: ps,
-                    },
-                ) => {
-                    for (conv, cstate) in convs.iter().zip(cs.iter_mut()) {
-                        cstate.step(conv, &buf_a[..width], row, acc, buf_b, true);
-                        width = conv.c_out;
-                        std::mem::swap(buf_a, buf_b);
-                    }
-                    if let (Some(qp), Some(pstate)) = (pool, ps) {
-                        let emitted = pstate.step(qp, &buf_a[..width], &mut buf_b[..width]);
-                        if !emitted {
-                            return false;
-                        }
-                        std::mem::swap(buf_a, buf_b);
-                    }
-                }
-                _ => unreachable!("block/state shape mismatch"),
-            }
-        }
-        match (&plan.head, head) {
-            (QuantHead::PerStep(conv), QHeadState::PerStep(state)) => {
-                state.step(conv, &buf_a[..width], row, acc, out, false);
-                true
-            }
-            (
-                QuantHead::Fc {
-                    hidden,
-                    output,
-                    channels,
-                    window,
-                },
-                QHeadState::Fc { buf, pos },
-            ) => {
-                // The flatten ring is quantized at the hidden layer's seam.
-                push_fc_window_quantize(
-                    buf,
-                    pos,
-                    *window,
-                    &buf_a[..*channels],
-                    hidden.inv_in_scale,
-                );
-                gather_fc_window_q(buf, *pos, *channels, *window, row);
-                let in_f = hidden.in_features;
-                accumulate_rows(&hidden.wq_cols, &row[..in_f], hidden.out_features, acc);
-                for (o, slot) in hidden_buf.iter_mut().enumerate() {
-                    *slot = (acc[o] as f32 * hidden.deq[o] + hidden.bias[o]).max(0.0);
-                }
-                // The feats in `row` are spent; reuse it as the output
-                // layer's seam buffer.
-                output.forward_q(hidden_buf, row, acc, out, false);
-                true
-            }
-            (QuantHead::GlobalPoolFc(dense), QHeadState::GlobalPool { sum, count }) => {
-                for (s, &v) in sum.iter_mut().zip(buf_a.iter()) {
-                    *s += v;
-                }
-                *count += 1;
-                let inv = 1.0 / *count as f32;
-                for (b, &s) in buf_b.iter_mut().zip(sum.iter()) {
-                    *b = s * inv;
-                }
-                dense.forward_q(buf_b, row, acc, out, false);
-                true
-            }
-            _ => unreachable!("head/state shape mismatch"),
-        }
-    }
-}
-
-/// Quantizes one f32 column at the hidden seam straight into an Fc head
-/// window ring.
-fn push_fc_window_quantize(
-    buf: &mut [i8],
-    pos: &mut usize,
-    window: usize,
-    input: &[f32],
-    inv_scale: f32,
-) {
-    for (ci, &v) in input.iter().enumerate() {
-        buf[ci * window + *pos] = quantize_value_inv(v, inv_scale);
-    }
-    *pos = (*pos + 1) % window;
-}
-
-/// Gathers the flatten window of a quantized Fc head into `feat`
-/// (`[channels · window]`, oldest step first — the offline flatten order).
-/// Two contiguous copies per channel instead of a modulo per element.
-fn gather_fc_window_q(buf: &[i8], pos: usize, channels: usize, window: usize, feat: &mut [i8]) {
-    let head = window - pos;
-    for ci in 0..channels {
-        let base = ci * window;
-        feat[base..base + head].copy_from_slice(&buf[base + pos..base + window]);
-        feat[base + head..base + window].copy_from_slice(&buf[base..base + pos]);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched quantized sessions
-// ---------------------------------------------------------------------------
-
-/// A pool of concurrent int8 streaming sessions executed in batched waves:
-/// the int8 counterpart of [`crate::SessionPool`], with each layer's wave
-/// running as one `i8×i8→i32` GEMM ([`pit_tensor::kernels::gemm_i8`]).
-pub struct QuantizedSessionPool {
-    plan: Arc<QuantizedPlan>,
-    sessions: Vec<QuantizedSession>,
-    /// Pending samples per session, flattened (`input_channels` floats each).
-    queues: Vec<VecDeque<f32>>,
-    /// Whether each slot currently belongs to a live stream.
-    open: Vec<bool>,
-    /// Closed slots available for reuse by
-    /// [`QuantizedSessionPool::open_stream`].
-    free: Vec<usize>,
-    // Per-session scratch widths, kept so open_stream can grow the wave
-    // buffers past the initial session count.
-    col_w: usize,
-    row_w: usize,
-    // Wave scratch, reused across flushes.
-    active: Vec<usize>,
-    cur: Vec<f32>,
-    nxt: Vec<f32>,
-    skip: Vec<f32>,
-    xrows_q: Vec<i8>,
-    acc: Vec<i32>,
-}
-
-impl QuantizedSessionPool {
-    /// Creates a pool of `sessions` fresh (already open) int8 streams over
-    /// one shared plan. Pass `0` to start empty and open streams on demand.
-    pub fn new(plan: Arc<QuantizedPlan>, sessions: usize) -> Self {
-        let (width, row) = scratch_widths_q(&plan);
-        let width = width.max(plan.output_dim());
-        let (feat_len, hid_len) = match plan.head() {
-            QuantHead::Fc { hidden, .. } => (hidden.in_features(), hidden.out_features()),
-            QuantHead::GlobalPoolFc(dense) => (dense.in_features(), 0),
-            QuantHead::PerStep(_) => (0, 0),
-        };
-        let row = row.max(feat_len).max(hid_len);
-        // The f32 column/accumulator scratch must also hold the dense head's
-        // hidden activations, which can be wider than any convolution.
-        let width = width.max(hid_len);
-        Self {
-            sessions: (0..sessions)
-                .map(|_| QuantizedSession::new(Arc::clone(&plan)))
-                .collect(),
-            queues: (0..sessions).map(|_| VecDeque::new()).collect(),
-            open: vec![true; sessions],
-            free: Vec::new(),
-            col_w: width.max(1),
-            row_w: row.max(1),
-            active: Vec::with_capacity(sessions),
-            cur: vec![0.0; sessions * width.max(1)],
-            nxt: vec![0.0; sessions * width.max(1)],
-            skip: vec![0.0; sessions * width.max(1)],
-            xrows_q: vec![0; sessions * row.max(1) + COPY_PAD],
-            acc: vec![0; sessions * width.max(1)],
-            plan,
-        }
-    }
-
-    /// The shared plan.
-    pub fn plan(&self) -> &Arc<QuantizedPlan> {
-        &self.plan
-    }
-
-    /// Number of session slots in the pool (open or recycled).
-    pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Number of currently open streams.
-    pub fn open_streams(&self) -> usize {
-        self.open.iter().filter(|&&o| o).count()
-    }
-
-    /// Whether slot `sid` currently belongs to a live stream.
-    pub fn is_open(&self, sid: usize) -> bool {
-        self.open.get(sid).copied().unwrap_or(false)
-    }
-
-    /// Opens a stream with fresh (zero) state, reusing a closed slot when
-    /// one exists and growing the pool otherwise. Returns the stream id.
-    pub fn open_stream(&mut self) -> usize {
-        if let Some(sid) = self.free.pop() {
-            self.open[sid] = true;
-            return sid;
-        }
-        let sid = self.sessions.len();
-        self.sessions
-            .push(QuantizedSession::new(Arc::clone(&self.plan)));
-        self.queues.push(VecDeque::new());
-        self.open.push(true);
-        let n = self.sessions.len();
-        self.cur.resize(n * self.col_w, 0.0);
-        self.nxt.resize(n * self.col_w, 0.0);
-        self.skip.resize(n * self.col_w, 0.0);
-        self.xrows_q.resize(n * self.row_w + COPY_PAD, 0);
-        self.acc.resize(n * self.col_w, 0);
-        sid
-    }
-
-    /// Closes stream `sid`: drops its queued samples, resets its state and
-    /// recycles the slot — the int8 twin of
-    /// [`crate::SessionPool::close_stream`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sid` is out of range or already closed.
-    pub fn close_stream(&mut self, sid: usize) {
-        assert!(self.open[sid], "stream {sid} is not open");
-        self.sessions[sid].reset();
-        self.queues[sid].clear();
-        self.open[sid] = false;
-        self.free.push(sid);
-    }
-
-    /// Pending (queued, not yet flushed) timesteps across all sessions.
-    pub fn pending_steps(&self) -> usize {
-        let c = self.plan.input_channels().max(1);
-        self.queues.iter().map(|q| q.len() / c).sum()
-    }
-
-    /// Pending (queued, not yet flushed) timesteps of one session — what a
-    /// serving front end checks against its backpressure cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sid` is out of range.
-    pub fn pending_for(&self, sid: usize) -> usize {
-        self.queues[sid].len() / self.plan.input_channels().max(1)
-    }
-
-    /// Resets one session's stream state and drops its queued samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sid` is out of range.
-    pub fn reset_session(&mut self, sid: usize) {
-        self.sessions[sid].reset();
-        self.queues[sid].clear();
-    }
-
-    /// Queues one input sample for session `sid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sid` is out of range, the stream is closed, or the sample
-    /// length differs from the plan's input channels.
-    pub fn push(&mut self, sid: usize, sample: &[f32]) {
-        assert_eq!(
-            sample.len(),
-            self.plan.input_channels(),
-            "sample length must equal the plan's input channels"
-        );
-        assert!(self.open[sid], "stream {sid} is not open");
-        self.queues[sid].extend(sample.iter().copied());
-    }
-
-    /// Drains every queue in waves and returns the emitted head outputs as
-    /// `(session_id, output)` in emission order (per session:
-    /// chronological) — the int8 counterpart of
-    /// [`crate::SessionPool::flush`].
-    pub fn flush(&mut self) -> Vec<(usize, Vec<f32>)> {
-        let plan = Arc::clone(&self.plan);
-        let c_in = plan.input_channels();
-        let mut results = Vec::new();
-        loop {
-            self.active.clear();
-            for (sid, q) in self.queues.iter().enumerate() {
-                if q.len() >= c_in {
-                    self.active.push(sid);
-                }
-            }
-            if self.active.is_empty() {
-                return results;
-            }
-            for (r, &sid) in self.active.iter().enumerate() {
-                for ci in 0..c_in {
-                    self.cur[r * c_in + ci] = self.queues[sid].pop_front().expect("queued sample");
-                }
-            }
-            self.run_wave(&plan, c_in, &mut results);
-        }
-    }
-
-    /// Executes one wave currently held in `self.cur` over `self.active`.
-    fn run_wave(
-        &mut self,
-        plan: &QuantizedPlan,
-        c_in: usize,
-        results: &mut Vec<(usize, Vec<f32>)>,
-    ) {
-        let mut width = c_in;
-        for (bi, block) in plan.blocks().iter().enumerate() {
-            match block {
-                QuantBlock::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    let n = self.active.len();
-                    self.skip[..n * width].copy_from_slice(&self.cur[..n * width]);
-                    self.conv_wave(bi, 0, conv1, width, true);
-                    self.conv_wave(bi, 1, conv2, conv1.out_channels(), true);
-                    let c_out = conv2.out_channels();
-                    if let Some(proj) = downsample {
-                        std::mem::swap(&mut self.cur, &mut self.skip);
-                        self.conv_wave(bi, 2, proj, width, false);
-                        std::mem::swap(&mut self.cur, &mut self.skip);
-                    }
-                    width = c_out;
-                    for (a, b) in self.cur[..n * width].iter_mut().zip(self.skip.iter()) {
-                        *a = (*a + b).max(0.0);
-                    }
-                }
-                QuantBlock::Plain { convs, pool } => {
-                    for (cj, conv) in convs.iter().enumerate() {
-                        self.conv_wave(bi, cj, conv, width, true);
-                        width = conv.out_channels();
-                    }
-                    if let Some(qp) = pool {
-                        let mut kept = 0usize;
-                        for r in 0..self.active.len() {
-                            let sid = self.active[r];
-                            let QBlockState::Plain { pool: Some(ps), .. } =
-                                &mut self.sessions[sid].blocks[bi]
-                            else {
-                                unreachable!("pool state missing")
-                            };
-                            let (src, dst) = (r * width, kept * width);
-                            let emitted = ps.step(
-                                qp,
-                                &self.cur[src..src + width],
-                                &mut self.nxt[dst..dst + width],
-                            );
-                            if emitted {
-                                self.active[kept] = sid;
-                                kept += 1;
-                            }
-                        }
-                        self.active.truncate(kept);
-                        if self.active.is_empty() {
-                            return;
-                        }
-                        std::mem::swap(&mut self.cur, &mut self.nxt);
-                    }
-                }
-            }
-        }
-        let n = self.active.len();
-        match plan.head() {
-            QuantHead::PerStep(conv) => {
-                let ck = conv.c_in * conv.k;
-                for (r, &sid) in self.active.iter().enumerate() {
-                    let QHeadState::PerStep(state) = &mut self.sessions[sid].head else {
-                        unreachable!("per-step head state missing")
-                    };
-                    state.push_quantized(
-                        &self.cur[r * width..r * width + conv.c_in],
-                        conv.inv_in_scale,
-                        conv.c_in,
-                    );
-                    state.gather(conv, &mut self.xrows_q[r * ck..]);
-                }
-                self.i8_wave(&conv.wt_q, ck, &conv.deq, &conv.bias, false);
-                let c_out = conv.c_out;
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.cur[r * c_out..(r + 1) * c_out].to_vec()));
-                }
-            }
-            QuantHead::Fc {
-                hidden,
-                output,
-                channels,
-                window,
-            } => {
-                let in_f = hidden.in_features;
-                for (r, &sid) in self.active.iter().enumerate() {
-                    let QHeadState::Fc { buf, pos } = &mut self.sessions[sid].head else {
-                        unreachable!("fc head state missing")
-                    };
-                    push_fc_window_quantize(
-                        buf,
-                        pos,
-                        *window,
-                        &self.cur[r * width..r * width + *channels],
-                        hidden.inv_in_scale,
-                    );
-                    gather_fc_window_q(
-                        buf,
-                        *pos,
-                        *channels,
-                        *window,
-                        &mut self.xrows_q[r * in_f..(r + 1) * in_f],
-                    );
-                }
-                let hid_f = hidden.out_features;
-                self.i8_wave(&hidden.wq_cols, in_f, &hidden.deq, &hidden.bias, true);
-                // Requantize the hidden activations (now in `cur`) at the
-                // output layer's seam, then run the output dense as a second
-                // i8 wave.
-                for r in 0..n {
-                    for (q, &v) in self.xrows_q[r * hid_f..(r + 1) * hid_f]
-                        .iter_mut()
-                        .zip(&self.cur[r * hid_f..(r + 1) * hid_f])
-                    {
-                        *q = quantize_value_inv(v, output.inv_in_scale);
-                    }
-                }
-                self.i8_wave(&output.wq_cols, hid_f, &output.deq, &output.bias, false);
-                let out_f = output.out_features;
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.cur[r * out_f..(r + 1) * out_f].to_vec()));
-                }
-            }
-            QuantHead::GlobalPoolFc(dense) => {
-                let in_f = dense.in_features;
-                for (r, &sid) in self.active.iter().enumerate() {
-                    let QHeadState::GlobalPool { sum, count } = &mut self.sessions[sid].head else {
-                        unreachable!("global-pool head state missing")
-                    };
-                    for (s, &v) in sum.iter_mut().zip(&self.cur[r * width..(r + 1) * width]) {
-                        *s += v;
-                    }
-                    *count += 1;
-                    let inv = 1.0 / *count as f32;
-                    // Same expression shape as the solo session (mean first,
-                    // then the seam multiply) so pooled and solo emissions
-                    // stay bit-identical.
-                    for (q, &s) in self.xrows_q[r * in_f..(r + 1) * in_f]
-                        .iter_mut()
-                        .zip(sum.iter())
-                    {
-                        let mean = s * inv;
-                        *q = quantize_value_inv(mean, dense.inv_in_scale);
-                    }
-                }
-                self.i8_wave(&dense.wq_cols, in_f, &dense.deq, &dense.bias, false);
-                let out_f = dense.out_features;
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.cur[r * out_f..(r + 1) * out_f].to_vec()));
-                }
-            }
-        }
-    }
-
-    /// Batched int8 step of one block convolution over the active wave:
-    /// quantizes each session's column at the seam, pushes its `i8` ring,
-    /// gathers the rows and runs one `i8` GEMM. Reads from `cur`, leaves the
-    /// dequantized f32 output columns in `cur`.
-    fn conv_wave(&mut self, bi: usize, cj: usize, conv: &QuantizedConv, width: usize, relu: bool) {
-        let ck = conv.c_in * conv.k;
-        for (r, &sid) in self.active.iter().enumerate() {
-            let session = &mut self.sessions[sid];
-            let state = match &mut session.blocks[bi] {
-                QBlockState::Residual { s1, s2, ds } => match cj {
-                    0 => s1,
-                    1 => s2,
-                    _ => ds.as_mut().expect("downsample state"),
-                },
-                QBlockState::Plain { convs, .. } => &mut convs[cj],
-            };
-            state.push_quantized(
-                &self.cur[r * width..r * width + conv.c_in],
-                conv.inv_in_scale,
-                conv.c_in,
-            );
-            state.gather(conv, &mut self.xrows_q[r * ck..]);
-        }
-        self.i8_wave(&conv.wt_q, ck, &conv.deq, &conv.bias, relu);
-    }
-
-    /// The shared tail of every conv and dense wave: one `i8` GEMM over the
-    /// quantized rows in `xrows_q` (`[n, kd]`) against the `[kd, out]` pack,
-    /// dequantize + bias (+ ReLU), leaving the f32 results in `cur`. Using
-    /// one finisher for both layer kinds keeps the solo-vs-pool
-    /// bit-exactness property a single piece of arithmetic.
-    fn i8_wave(&mut self, wq: &[i8], kd: usize, deq: &[f32], bias: &[f32], relu: bool) {
-        let n = self.active.len();
-        let out_f = deq.len();
-        self.acc[..n * out_f].fill(0);
-        gemm_i8(n, kd, out_f, &self.xrows_q, wq, &mut self.acc);
-        for r in 0..n {
-            for o in 0..out_f {
-                self.nxt[r * out_f + o] = self.acc[r * out_f + o] as f32 * deq[o] + bias[o];
-            }
-        }
-        if relu {
-            relu_in_place(&mut self.nxt[..n * out_f]);
-        }
-        std::mem::swap(&mut self.cur, &mut self.nxt);
     }
 }

@@ -1,24 +1,29 @@
 //! Batch-of-sessions serving: many concurrent streams, one kernel call.
 //!
-//! A [`SessionPool`] owns N independent [`Session`]s plus per-session queues
-//! of pending samples. [`SessionPool::flush`] drains the queues in *waves*:
-//! every session with a pending sample contributes one timestep, and the
-//! whole wave moves through the plan layer by layer — each convolution is a
-//! single `[N, C_in·K] × [C_in·K, C_out]` GEMM through
-//! [`pit_tensor::kernels::gemm`] instead of N tiny per-session dot-product
-//! loops. Strided pooling gates sessions independently (each keeps its own
-//! phase), so a wave simply narrows as it descends past a pool that did not
-//! fire for some streams.
+//! A [`SessionPool`] owns the stream state of N independent streams plus
+//! per-stream queues of pending samples. [`SessionPool::flush`] drains the
+//! queues in *waves*: every stream with a pending sample contributes one
+//! timestep, and the whole wave moves through the plan layer by layer —
+//! each convolution is a single `[N, C_in·K] × [C_in·K, C_out]` GEMM
+//! ([`crate::Precision::gemm`]) instead of N tiny per-stream loops.
+//! Strided pooling gates streams independently (each keeps its own phase),
+//! so a wave simply narrows as it descends past a pool that did not fire for
+//! some streams.
+//!
+//! Like [`crate::Session`], the pool is written once for both precisions:
+//! `SessionPool<f32>` (the default) serves an [`crate::InferencePlan`],
+//! `SessionPool<i8>` ([`crate::QuantizedSessionPool`]) a
+//! [`crate::QuantizedPlan`]. Each stream's rings, pool windows and head
+//! state are the solo session's, updated by the same code, and every layer
+//! ends in the same tail as the per-step path.
 //!
 //! This is the serving story of the crate: N live streams (PPG wearables,
 //! audio channels, …) → one batched kernel invocation per layer per wave,
 //! with all scratch owned by the pool and reused across flushes.
 
-use crate::plan::{CompiledConv, Dense, InferencePlan, PlanBlock, PlanHead};
-use crate::stream::{
-    gather_fc_window, push_fc_window, relu_in_place, scratch_widths, BlockState, HeadState, Session,
-};
-use pit_tensor::kernels::gemm;
+use crate::plan::{Block, Head, Plan};
+use crate::precision::{wave, ConvOp, LinearOp, Precision};
+use crate::stream::{check_width, residual_add, scratch_widths, StreamState, COPY_PAD};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -29,72 +34,60 @@ use std::sync::Arc;
 /// [`SessionPool::open_stream`] / [`SessionPool::close_stream`] — closing
 /// resets the slot and recycles it, so a long-running server's pool does not
 /// grow with connection churn.
-pub struct SessionPool {
-    plan: Arc<InferencePlan>,
-    sessions: Vec<Session>,
-    /// Pending samples per session, flattened (`input_channels` floats each).
+pub struct SessionPool<P: Precision = f32> {
+    plan: Arc<Plan<P>>,
+    /// Stream state per slot (open or recycled).
+    states: Vec<StreamState<P>>,
+    /// Pending samples per slot, flattened (`input_channels` floats each).
     queues: Vec<VecDeque<f32>>,
     /// Whether each slot currently belongs to a live stream.
     open: Vec<bool>,
     /// Closed slots available for reuse by [`SessionPool::open_stream`].
     free: Vec<usize>,
-    // Per-session scratch widths, kept so open_stream can grow the wave
-    // buffers past the initial session count.
+    // Per-stream scratch widths (f32 column, gathered row), kept so
+    // open_stream can grow the wave buffers.
     col_w: usize,
     row_w: usize,
-    feat_w: usize,
-    hid_w: usize,
-    // Wave scratch, reused across flushes.
+    // Wave scratch, reused across flushes: the active slots, the f32
+    // columns, the residual skip columns, the gathered rows and the GEMM
+    // accumulators.
     active: Vec<usize>,
     cur: Vec<f32>,
     nxt: Vec<f32>,
     skip: Vec<f32>,
-    xrows: Vec<f32>,
-    feats: Vec<f32>,
-    hid: Vec<f32>,
+    xrows: Vec<P>,
+    acc: Vec<P::Acc>,
 }
 
-impl SessionPool {
+impl<P: Precision> SessionPool<P> {
     /// Creates a pool of `sessions` fresh (already open) streams over one
     /// shared plan. Pass `0` to start empty and open streams on demand.
-    pub fn new(plan: Arc<InferencePlan>, sessions: usize) -> Self {
-        let (width, row) = scratch_widths(&plan);
-        let width = width.max(plan.output_dim());
-        let (feat_len, hid_len) = match plan.head() {
-            PlanHead::Fc { hidden, .. } => (hidden.in_features(), hidden.out_features()),
-            PlanHead::GlobalPoolFc(dense) => (dense.in_features(), 0),
-            PlanHead::PerStep(_) => (0, 0),
-        };
-        Self {
-            sessions: (0..sessions)
-                .map(|_| Session::new(Arc::clone(&plan)))
-                .collect(),
-            queues: (0..sessions).map(|_| VecDeque::new()).collect(),
-            open: vec![true; sessions],
-            free: Vec::new(),
+    pub fn new(plan: Arc<Plan<P>>, sessions: usize) -> Self {
+        let (col_w, row_w) = scratch_widths(&plan);
+        let mut pool = Self {
             plan,
-            col_w: width.max(1),
-            row_w: row.max(1),
-            feat_w: feat_len.max(1),
-            hid_w: hid_len.max(1),
+            states: Vec::new(),
+            queues: Vec::new(),
+            open: Vec::new(),
+            free: Vec::new(),
+            col_w,
+            row_w,
             active: Vec::with_capacity(sessions),
-            cur: vec![0.0; sessions * width.max(1)],
-            nxt: vec![0.0; sessions * width.max(1)],
-            skip: vec![0.0; sessions * width.max(1)],
-            xrows: vec![0.0; sessions * row.max(1)],
-            feats: vec![0.0; sessions * feat_len.max(1)],
-            hid: vec![0.0; sessions * hid_len.max(1)],
+            cur: Vec::new(),
+            nxt: Vec::new(),
+            skip: Vec::new(),
+            xrows: Vec::new(),
+            acc: Vec::new(),
+        };
+        for _ in 0..sessions {
+            pool.open_stream();
         }
+        pool
     }
 
     /// The shared plan.
-    pub fn plan(&self) -> &Arc<InferencePlan> {
+    pub fn plan(&self) -> &Arc<Plan<P>> {
         &self.plan
-    }
-
-    /// Number of session slots in the pool (open or recycled).
-    pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Number of currently open streams.
@@ -114,17 +107,16 @@ impl SessionPool {
             self.open[sid] = true;
             return sid;
         }
-        let sid = self.sessions.len();
-        self.sessions.push(Session::new(Arc::clone(&self.plan)));
+        let sid = self.states.len();
+        self.states.push(StreamState::new(&self.plan));
         self.queues.push(VecDeque::new());
         self.open.push(true);
-        let n = self.sessions.len();
-        self.cur.resize(n * self.col_w, 0.0);
-        self.nxt.resize(n * self.col_w, 0.0);
-        self.skip.resize(n * self.col_w, 0.0);
-        self.xrows.resize(n * self.row_w, 0.0);
-        self.feats.resize(n * self.feat_w, 0.0);
-        self.hid.resize(n * self.hid_w, 0.0);
+        let n = sid + 1;
+        for buf in [&mut self.cur, &mut self.nxt, &mut self.skip] {
+            buf.resize(n * self.col_w, 0.0);
+        }
+        self.xrows.resize(n * self.row_w + COPY_PAD, P::default());
+        self.acc.resize(n * self.col_w, P::Acc::default());
         sid
     }
 
@@ -138,19 +130,19 @@ impl SessionPool {
     /// Panics if `sid` is out of range or already closed.
     pub fn close_stream(&mut self, sid: usize) {
         assert!(self.open[sid], "stream {sid} is not open");
-        self.sessions[sid].reset();
+        self.states[sid].reset();
         self.queues[sid].clear();
         self.open[sid] = false;
         self.free.push(sid);
     }
 
-    /// Pending (queued, not yet flushed) timesteps across all sessions.
+    /// Pending (queued, not yet flushed) timesteps across all streams.
     pub fn pending_steps(&self) -> usize {
         let c = self.plan.input_channels().max(1);
         self.queues.iter().map(|q| q.len() / c).sum()
     }
 
-    /// Pending (queued, not yet flushed) timesteps of one session — what a
+    /// Pending (queued, not yet flushed) timesteps of one stream — what a
     /// serving front end checks against its backpressure cap.
     ///
     /// # Panics
@@ -160,35 +152,21 @@ impl SessionPool {
         self.queues[sid].len() / self.plan.input_channels().max(1)
     }
 
-    /// Resets one session's stream state and drops its queued samples.
+    /// Queues one input sample for stream `sid`.
     ///
     /// # Panics
     ///
-    /// Panics if `sid` is out of range.
-    pub fn reset_session(&mut self, sid: usize) {
-        self.sessions[sid].reset();
-        self.queues[sid].clear();
-    }
-
-    /// Queues one input sample for session `sid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sid` is out of range, the stream is closed, or the sample
-    /// length differs from the plan's input channels.
+    /// Panics if the sample does not carry exactly the plan's input
+    /// channels, or `sid` is out of range or not open.
     pub fn push(&mut self, sid: usize, sample: &[f32]) {
-        assert_eq!(
-            sample.len(),
-            self.plan.input_channels(),
-            "sample length must equal the plan's input channels"
-        );
+        check_width(&self.plan, sample);
         assert!(self.open[sid], "stream {sid} is not open");
-        self.queues[sid].extend(sample.iter().copied());
+        self.queues[sid].extend(sample);
     }
 
-    /// Drains every queue, one wave (= one timestep per session with pending
+    /// Drains every queue, one wave (= one timestep per stream with pending
     /// input) at a time, and returns the head outputs that were emitted, as
-    /// `(session_id, output)` in emission order (per session: chronological).
+    /// `(stream_id, output)` in emission order (per stream: chronological).
     pub fn flush(&mut self) -> Vec<(usize, Vec<f32>)> {
         let plan = Arc::clone(&self.plan);
         let c_in = plan.input_channels();
@@ -203,75 +181,69 @@ impl SessionPool {
             if self.active.is_empty() {
                 return results;
             }
-            // Dequeue one sample per active session into the wave matrix.
+            // Dequeue one sample per active stream into the wave matrix.
             for (r, &sid) in self.active.iter().enumerate() {
-                for ci in 0..c_in {
-                    self.cur[r * c_in + ci] = self.queues[sid].pop_front().expect("queued sample");
+                let row = &mut self.cur[r * c_in..(r + 1) * c_in];
+                for (dst, v) in row.iter_mut().zip(self.queues[sid].drain(..c_in)) {
+                    *dst = v;
                 }
             }
-            self.run_wave(&plan, c_in, &mut results);
+            self.run_wave(&plan, &mut results);
         }
     }
 
-    /// Executes one wave currently held in `self.cur` over `self.active`.
-    fn run_wave(
-        &mut self,
-        plan: &InferencePlan,
-        c_in: usize,
-        results: &mut Vec<(usize, Vec<f32>)>,
-    ) {
-        let mut width = c_in;
-        for (bi, block) in plan.blocks().iter().enumerate() {
+    /// Executes one wave currently held in `self.cur` over `self.active`,
+    /// walking the plan in the solo step's order (rings and pool windows
+    /// indexed as in [`StreamState`]).
+    fn run_wave(&mut self, plan: &Plan<P>, results: &mut Vec<(usize, Vec<f32>)>) {
+        let mut width = plan.input_channels();
+        let (mut ring, mut pool_idx) = (0, 0);
+        for block in &plan.blocks {
             match block {
-                PlanBlock::Residual {
+                Block::Residual {
                     conv1,
                     conv2,
                     downsample,
                 } => {
                     let n = self.active.len();
                     self.skip[..n * width].copy_from_slice(&self.cur[..n * width]);
-                    self.conv_wave(bi, 0, conv1, width, true);
-                    self.conv_wave(bi, 1, conv2, conv1.out_channels(), true);
-                    let c_out = conv2.out_channels();
+                    self.conv_wave(ring, conv1, width, true);
+                    self.conv_wave(ring + 1, conv2, conv1.outputs(), true);
+                    ring += 2;
                     if let Some(proj) = downsample {
                         // Swap the saved input into `cur` so the conv helper
                         // can read it (the residual branch parks in `skip`),
                         // then swap back: `cur` = branch, `skip` = projection.
                         std::mem::swap(&mut self.cur, &mut self.skip);
-                        self.conv_wave(bi, 2, proj, width, false);
+                        self.conv_wave(ring, proj, width, false);
                         std::mem::swap(&mut self.cur, &mut self.skip);
+                        ring += 1;
                     }
-                    width = c_out;
-                    for (a, b) in self.cur[..n * width].iter_mut().zip(self.skip.iter()) {
-                        *a = (*a + b).max(0.0);
-                    }
+                    width = conv2.outputs();
+                    residual_add(&mut self.cur[..n * width], &self.skip[..n * width]);
                 }
-                PlanBlock::Plain { convs, pool } => {
-                    for (cj, conv) in convs.iter().enumerate() {
-                        self.conv_wave(bi, cj, conv, width, true);
-                        width = conv.out_channels();
+                Block::Plain { convs, pool } => {
+                    for conv in convs {
+                        self.conv_wave(ring, conv, width, true);
+                        ring += 1;
+                        width = conv.outputs();
                     }
-                    if let Some(spec) = pool {
-                        // Per-session pool phase: keep only emitting rows.
+                    if let Some(pool) = pool {
+                        // Per-stream pool phase: keep only emitting rows.
                         let mut kept = 0usize;
                         for r in 0..self.active.len() {
                             let sid = self.active[r];
-                            let BlockState::Plain { pool: Some(ps), .. } =
-                                &mut self.sessions[sid].blocks[bi]
-                            else {
-                                unreachable!("pool state missing")
-                            };
                             let (src, dst) = (r * width, kept * width);
-                            let emitted = ps.step(
-                                spec,
+                            if self.states[sid].pools[pool_idx].step(
+                                pool,
                                 &self.cur[src..src + width],
                                 &mut self.nxt[dst..dst + width],
-                            );
-                            if emitted {
+                            ) {
                                 self.active[kept] = sid;
                                 kept += 1;
                             }
                         }
+                        pool_idx += 1;
                         self.active.truncate(kept);
                         if self.active.is_empty() {
                             return;
@@ -282,257 +254,72 @@ impl SessionPool {
             }
         }
         let n = self.active.len();
-        match plan.head() {
-            PlanHead::PerStep(conv) => {
-                self.head_conv_wave(conv, width);
-                let c_out = conv.out_channels();
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.cur[r * c_out..(r + 1) * c_out].to_vec()));
-                }
+        let out_dim = match &plan.head {
+            Head::PerStep(conv) => {
+                self.conv_wave(ring, conv, width, false);
+                conv.outputs()
             }
-            PlanHead::Fc {
+            Head::Fc {
                 hidden,
                 output,
-                channels,
                 window,
+                ..
             } => {
-                let in_f = hidden.in_features();
+                let in_f = hidden.inputs();
                 for (r, &sid) in self.active.iter().enumerate() {
-                    let HeadState::Fc { buf, pos } = &mut self.sessions[sid].head else {
-                        unreachable!("fc head state missing")
-                    };
-                    push_fc_window(
-                        buf,
-                        pos,
+                    self.states[sid].fc_window(
+                        hidden,
                         *window,
-                        &self.cur[r * width..r * width + *channels],
-                    );
-                    gather_fc_window(
-                        buf,
-                        *pos,
-                        *channels,
-                        *window,
-                        &mut self.feats[r * in_f..(r + 1) * in_f],
+                        &self.cur[r * width..(r + 1) * width],
+                        &mut self.xrows[r * in_f..(r + 1) * in_f],
                     );
                 }
-                let hid_f = hidden.out_features();
-                dense_wave(hidden, n, &self.feats, &mut self.hid, true);
-                let out_f = output.out_features();
-                dense_wave(output, n, &self.hid[..n * hid_f], &mut self.nxt, false);
+                self.layer_wave(hidden, true);
+                // The hidden activations (now in `cur`) cross the output
+                // layer's seam, then the output dense runs as a second wave.
+                let hid = hidden.outputs();
+                for (q, &v) in self.xrows[..n * hid].iter_mut().zip(&self.cur[..n * hid]) {
+                    *q = output.seam(v);
+                }
+                self.layer_wave(output, false);
+                output.outputs()
+            }
+            Head::GlobalPoolFc(dense) => {
+                let in_f = dense.inputs();
                 for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.nxt[r * out_f..(r + 1) * out_f].to_vec()));
+                    self.states[sid].global_mean(
+                        dense,
+                        &self.cur[r * width..(r + 1) * width],
+                        &mut self.xrows[r * in_f..(r + 1) * in_f],
+                    );
                 }
+                self.layer_wave(dense, false);
+                dense.outputs()
             }
-            PlanHead::GlobalPoolFc(dense) => {
-                let in_f = dense.in_features();
-                for (r, &sid) in self.active.iter().enumerate() {
-                    let HeadState::GlobalPool { sum, count } = &mut self.sessions[sid].head else {
-                        unreachable!("global-pool head state missing")
-                    };
-                    for (s, &v) in sum.iter_mut().zip(&self.cur[r * width..(r + 1) * width]) {
-                        *s += v;
-                    }
-                    *count += 1;
-                    let inv = 1.0 / *count as f32;
-                    for (f, &s) in self.feats[r * in_f..(r + 1) * in_f]
-                        .iter_mut()
-                        .zip(sum.iter())
-                    {
-                        *f = s * inv;
-                    }
-                }
-                let out_f = dense.out_features();
-                dense_wave(dense, n, &self.feats, &mut self.nxt, false);
-                for (r, &sid) in self.active.iter().enumerate() {
-                    results.push((sid, self.nxt[r * out_f..(r + 1) * out_f].to_vec()));
-                }
-            }
-        }
-    }
-
-    /// Batched step of one block convolution over the active wave: pushes
-    /// each session's ring, gathers the im2col rows and runs one GEMM.
-    /// Reads columns from `cur`, leaves the output columns in `cur`.
-    fn conv_wave(&mut self, bi: usize, cj: usize, conv: &CompiledConv, width: usize, relu: bool) {
-        let ck = conv.in_channels() * conv.kernel();
-        for (r, &sid) in self.active.iter().enumerate() {
-            let state = match &mut self.sessions[sid].blocks[bi] {
-                BlockState::Residual { s1, s2, ds } => match cj {
-                    0 => s1,
-                    1 => s2,
-                    _ => ds.as_mut().expect("downsample state"),
-                },
-                BlockState::Plain { convs, .. } => &mut convs[cj],
-            };
-            state.push(&self.cur[r * width..r * width + conv.in_channels()]);
-            state.gather(conv, &mut self.xrows[r * ck..(r + 1) * ck]);
-        }
-        self.finish_conv_wave(conv, relu);
-    }
-
-    /// Like [`SessionPool::conv_wave`] but against the per-step head state.
-    fn head_conv_wave(&mut self, conv: &CompiledConv, width: usize) {
-        let ck = conv.in_channels() * conv.kernel();
-        for (r, &sid) in self.active.iter().enumerate() {
-            let HeadState::PerStep(state) = &mut self.sessions[sid].head else {
-                unreachable!("per-step head state missing")
-            };
-            state.push(&self.cur[r * width..r * width + conv.in_channels()]);
-            state.gather(conv, &mut self.xrows[r * ck..(r + 1) * ck]);
-        }
-        self.finish_conv_wave(conv, false);
-    }
-
-    /// GEMM + bias (+ ReLU) over the gathered rows, leaving results in `cur`.
-    fn finish_conv_wave(&mut self, conv: &CompiledConv, relu: bool) {
-        let n = self.active.len();
-        let ck = conv.in_channels() * conv.kernel();
-        let c_out = conv.out_channels();
-        for r in 0..n {
-            self.nxt[r * c_out..(r + 1) * c_out].copy_from_slice(conv.bias.data());
-        }
-        gemm(n, ck, c_out, &self.xrows, &conv.wt, &mut self.nxt);
-        if relu {
-            relu_in_place(&mut self.nxt[..n * c_out]);
-        }
-        std::mem::swap(&mut self.cur, &mut self.nxt);
-    }
-}
-
-/// Batched dense layer over `n` rows: one GEMM with the `[in, out]` weight
-/// matrix, bias pre-filled, optional ReLU.
-fn dense_wave(dense: &Dense, n: usize, input: &[f32], out: &mut [f32], relu: bool) {
-    let (in_f, out_f) = (dense.in_features(), dense.out_features());
-    for r in 0..n {
-        out[r * out_f..(r + 1) * out_f].copy_from_slice(dense.bias.data());
-    }
-    gemm(n, in_f, out_f, input, dense.weight.data(), out);
-    if relu {
-        relu_in_place(&mut out[..n * out_f]);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plan::{compile_generic, compile_restcn, compile_temponet};
-    use pit_models::{
-        GenericTcn, GenericTcnConfig, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig,
-    };
-    use pit_nas::SearchableNetwork;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Feeds `steps` samples of `streams` independent random streams through
-    /// a pool and through individual sessions; both must agree exactly.
-    fn pool_matches_individual(plan: Arc<InferencePlan>, streams: usize, steps: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let c = plan.input_channels();
-        let inputs: Vec<Vec<f32>> = (0..streams)
-            .map(|_| (0..steps * c).map(|_| rng.gen::<f32>() - 0.5).collect())
-            .collect();
-
-        let mut pool = SessionPool::new(Arc::clone(&plan), streams);
-        let mut pooled: Vec<Vec<Vec<f32>>> = vec![Vec::new(); streams];
-        for t in 0..steps {
-            for (sid, stream) in inputs.iter().enumerate() {
-                pool.push(sid, &stream[t * c..(t + 1) * c]);
-            }
-            for (sid, out) in pool.flush() {
-                pooled[sid].push(out);
-            }
-        }
-
-        for (sid, stream) in inputs.iter().enumerate() {
-            let mut session = Session::new(Arc::clone(&plan));
-            let mut solo = Vec::new();
-            for t in 0..steps {
-                if let Some(out) = session.push(&stream[t * c..(t + 1) * c]) {
-                    solo.push(out);
-                }
-            }
-            assert_eq!(solo.len(), pooled[sid].len(), "stream {sid} emission count");
-            for (a, b) in solo.iter().zip(pooled[sid].iter()) {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert!((x - y).abs() < 1e-5, "stream {sid}: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_temponet_matches_individual_sessions() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let cfg = TempoNetConfig::scaled(8, 64);
-        let net = TempoNet::new(&mut rng, &cfg);
-        net.set_dilations(&cfg.hand_tuned_dilations());
-        pool_matches_individual(Arc::new(compile_temponet(&net)), 5, 40, 21);
-    }
-
-    #[test]
-    fn pooled_restcn_matches_individual_sessions() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let cfg = ResTcnConfig {
-            hidden_channels: 6,
-            input_channels: 3,
-            output_channels: 3,
-            dropout: 0.0,
-            ..ResTcnConfig::paper()
         };
-        let net = ResTcn::new(&mut rng, &cfg);
-        net.set_dilations(&cfg.hand_tuned_dilations());
-        pool_matches_individual(Arc::new(compile_restcn(&net)), 4, 25, 23);
-    }
-
-    #[test]
-    fn pooled_generic_matches_individual_sessions() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-        net.set_dilations(&[4, 8]);
-        pool_matches_individual(Arc::new(compile_generic(&net)), 7, 30, 25);
-    }
-
-    #[test]
-    fn ragged_queues_flush_in_waves() {
-        let mut rng = StdRng::seed_from_u64(26);
-        let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-        let plan = Arc::new(compile_generic(&net));
-        let mut pool = SessionPool::new(Arc::clone(&plan), 2);
-        // Session 0 gets 3 samples, session 1 gets 1: flush must emit 3 + 1
-        // outputs and keep per-session chronology.
-        for i in 0..3 {
-            pool.push(0, &[i as f32]);
+        for (r, &sid) in self.active.iter().enumerate() {
+            results.push((sid, self.cur[r * out_dim..(r + 1) * out_dim].to_vec()));
         }
-        pool.push(1, &[9.0]);
-        assert_eq!(pool.pending_steps(), 4);
-        let results = pool.flush();
-        assert_eq!(pool.pending_steps(), 0);
-        assert_eq!(results.iter().filter(|(sid, _)| *sid == 0).count(), 3);
-        assert_eq!(results.iter().filter(|(sid, _)| *sid == 1).count(), 1);
-
-        // The same three samples through a fresh solo session agree.
-        let mut solo = Session::new(plan);
-        let solo_outs: Vec<_> = (0..3).filter_map(|i| solo.push(&[i as f32])).collect();
-        let pooled0: Vec<_> = results
-            .iter()
-            .filter(|(sid, _)| *sid == 0)
-            .map(|(_, v)| v.clone())
-            .collect();
-        assert_eq!(solo_outs, pooled0);
     }
 
-    #[test]
-    fn reset_session_clears_state_and_queue() {
-        let mut rng = StdRng::seed_from_u64(27);
-        let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-        let plan = Arc::new(compile_generic(&net));
-        let mut pool = SessionPool::new(Arc::clone(&plan), 1);
-        pool.push(0, &[1.0]);
-        let first = pool.flush();
-        pool.push(0, &[0.5]);
-        pool.reset_session(0);
-        pool.push(0, &[1.0]);
-        let second = pool.flush();
-        assert_eq!(first, second);
+    /// Batched step of one convolution (ring `ring` of every active stream):
+    /// seam-pushes each stream's column, gathers the rows and runs one wave.
+    /// Reads columns from `cur`, leaves the output columns in `cur`.
+    fn conv_wave(&mut self, ring: usize, conv: &P::Conv, width: usize, relu: bool) {
+        let (c_in, ck) = (conv.in_channels(), conv.inputs());
+        for (r, &sid) in self.active.iter().enumerate() {
+            let state = &mut self.states[sid].rings[ring];
+            state.push(conv, &self.cur[r * width..r * width + c_in]);
+            state.gather(conv, &mut self.xrows[r * ck..]);
+        }
+        self.layer_wave(conv, relu);
+    }
+
+    /// One wave of a linear layer over the rows gathered in `xrows`, leaving
+    /// the f32 results in `cur`.
+    fn layer_wave<L: LinearOp<P>>(&mut self, layer: &L, relu: bool) {
+        let n = self.active.len();
+        wave(layer, n, &self.xrows, &mut self.acc, &mut self.nxt, relu);
+        std::mem::swap(&mut self.cur, &mut self.nxt);
     }
 }

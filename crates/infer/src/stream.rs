@@ -1,7 +1,7 @@
-//! Stateful per-timestep execution of a compiled plan.
+//! Stateful per-timestep execution of a plan, in either precision.
 //!
-//! A [`Session`] holds, for every layer of an [`InferencePlan`], exactly the
-//! state a causal network needs to continue from where it stopped:
+//! A [`Session`] holds, for every layer of a [`Plan`], exactly the state a
+//! causal network needs to continue from where it stopped:
 //!
 //! * each convolution keeps a **ring buffer of its receptive field** — one
 //!   new timestep then costs `O(C_out · C_in · alive_taps)` instead of
@@ -11,91 +11,102 @@
 //! * the head keeps its flatten window (TEMPONet-style `Fc`) or running mean
 //!   (`GlobalPoolFc`).
 //!
-//! Feeding a fresh session the samples `x[0..T]` one at a time reproduces the
-//! offline forward on `[1, C, T]` exactly (zero initial state ≡ causal zero
-//! padding); the parity tests in `tests/parity.rs` pin this to `1e-5`.
+//! The session is generic over the plan's [`Precision`]: an f32
+//! [`crate::InferencePlan`] streams through `Session<f32>` (the default,
+//! [`Session`]), an int8 [`crate::QuantizedPlan`] through `Session<i8>`
+//! ([`crate::QuantizedSession`]) with one-byte ring state. Rings are
+//! *time-major* (`[rf, C_in]`, one contiguous column per slot), so a push is
+//! one unit-stride seam pass, a gather one copy per alive tap, and the step
+//! path has no modulo anywhere.
+//!
+//! Feeding a fresh f32 session the samples `x[0..T]` one at a time
+//! reproduces the offline forward on `[1, C, T]` (zero initial state ≡
+//! causal zero padding); the parity tests in `tests/parity.rs` pin this to
+//! `1e-5`. This per-step path is also the reference the batched
+//! [`crate::SessionPool`] is tested against.
 //!
 //! The per-step hot path is allocation-free: scratch buffers are owned by the
 //! session and reused ([`Session::push_into`]); [`Session::push`] is the
 //! allocating convenience wrapper.
 
-use crate::plan::{CompiledConv, Dense, InferencePlan, PlanBlock, PlanHead, PoolSpec};
+use crate::plan::{Block, Head, Plan, PoolSpec};
+use crate::precision::{accumulate, ConvOp, LinearOp, PoolOp, Precision};
 use std::sync::Arc;
 
-/// Ring buffer holding one convolution's receptive field of input history.
+/// Over-allocation past the live ring/row elements, letting gathers run as
+/// fixed 16-element copies (plain vector loads/stores) instead of
+/// variable-length `memcpy` calls for the narrow columns PIT networks have.
+pub(crate) const COPY_PAD: usize = 16;
+
+/// Ring buffer holding one convolution's receptive field of input history,
+/// time-major: `[rf, C_in]`, slot `pos` is the next write.
 #[derive(Debug, Clone)]
-pub(crate) struct ConvState {
-    /// `[C_in, rf]` ring; column `pos` is the next write slot.
-    hist: Vec<f32>,
+pub(crate) struct ConvRing<P> {
+    hist: Vec<P>,
     rf: usize,
     pos: usize,
 }
 
-impl ConvState {
-    pub(crate) fn new(conv: &CompiledConv) -> Self {
+impl<P: Precision> ConvRing<P> {
+    fn new(conv: &P::Conv) -> Self {
         let rf = conv.receptive_field();
         Self {
-            hist: vec![0.0; conv.c_in * rf],
+            hist: vec![P::default(); conv.in_channels() * rf + COPY_PAD],
             rf,
             pos: 0,
         }
     }
 
-    fn reset(&mut self) {
-        self.hist.fill(0.0);
-        self.pos = 0;
-    }
-
-    /// Writes one input column (length `C_in`) into the ring.
-    pub(crate) fn push(&mut self, input: &[f32]) {
-        let rf = self.rf;
-        for (ci, &v) in input.iter().enumerate() {
-            self.hist[ci * rf + self.pos] = v;
+    /// Converts one f32 column at the layer's input seam straight into the
+    /// ring — one unit-stride pass, no intermediate buffer.
+    pub(crate) fn push(&mut self, conv: &P::Conv, input: &[f32]) {
+        let c_in = conv.in_channels();
+        let base = self.pos * c_in;
+        for (h, &v) in self.hist[base..base + c_in].iter_mut().zip(input) {
+            *h = conv.seam(v);
         }
-        self.pos = (self.pos + 1) % rf;
-    }
-
-    /// Gathers the current tap window into `row` (`[C_in · K]`, tap-major per
-    /// channel, newest sample at tap 0) — the im2col row of this timestep.
-    pub(crate) fn gather(&self, conv: &CompiledConv, row: &mut [f32]) {
-        let rf = self.rf;
-        // Newest sample sits just before the write cursor.
-        let newest = (self.pos + rf - 1) % rf;
-        for ci in 0..conv.c_in {
-            let base = ci * rf;
-            for kk in 0..conv.k {
-                let idx = (newest + rf - (kk * conv.dilation) % rf) % rf;
-                row[ci * conv.k + kk] = self.hist[base + idx];
-            }
+        self.pos += 1;
+        if self.pos == self.rf {
+            self.pos = 0;
         }
     }
 
-    /// Pushes one column and computes the layer's output column into `out`
-    /// (length `C_out`), using `row` as `[C_in · K]` gather scratch.
-    fn step(&mut self, conv: &CompiledConv, input: &[f32], row: &mut [f32], out: &mut [f32]) {
-        self.push(input);
-        let ck = conv.c_in * conv.k;
-        self.gather(conv, &mut row[..ck]);
-        let w = conv.weight.data();
-        for (co, slot) in out.iter_mut().take(conv.c_out).enumerate() {
-            let wrow = &w[co * ck..(co + 1) * ck];
-            let mut acc = conv.bias.data()[co];
-            for (a, b) in wrow.iter().zip(row.iter()) {
-                acc += a * b;
+    /// Gathers the current tap window into `row` (`[K, C_in]`, tap-major like
+    /// the weight pack, newest sample at tap 0): one contiguous column copy
+    /// per alive tap. Tap shifts never exceed `rf − 1`, so a single
+    /// conditional wrap replaces any modulo; columns of at most
+    /// [`COPY_PAD`] values copy as one fixed block into the padded `row`
+    /// (later taps overwrite the spill, and readers take only `C_in · K`).
+    pub(crate) fn gather(&self, conv: &P::Conv, row: &mut [P]) {
+        let (rf, c_in) = (self.rf, conv.in_channels());
+        let newest = if self.pos == 0 { rf - 1 } else { self.pos - 1 };
+        for kk in 0..conv.kernel() {
+            let shift = kk * conv.dilation(); // ≤ (K−1)·d = rf − 1
+            let idx = if newest >= shift {
+                newest - shift
+            } else {
+                newest + rf - shift
+            };
+            let (src, dst) = (idx * c_in, kk * c_in);
+            if c_in <= COPY_PAD {
+                let chunk: &[P; COPY_PAD] = self.hist[src..src + COPY_PAD]
+                    .try_into()
+                    .expect("padded ring");
+                row[dst..dst + COPY_PAD].copy_from_slice(chunk);
+            } else {
+                row[dst..dst + c_in].copy_from_slice(&self.hist[src..src + c_in]);
             }
-            *slot = acc;
         }
     }
 }
 
-/// Emission schedule of a strided pooling stage, shared by the f32 and int8
-/// engines so "identical emission schedule" is a single piece of code, not
-/// an invariant across copies. Counter-based: no modulo on the step path.
+/// Emission schedule of a strided pooling stage. Counter-based: no modulo on
+/// the step path.
 ///
 /// Plan construction guarantees `kernel ≥ 1` and `stride ≥ 1` (see
 /// [`crate::InferencePlan::new`]), which the countdown arithmetic relies on.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PoolClock {
+struct PoolClock {
     /// Next write slot (`seen mod kernel`, kept as a counter).
     slot: usize,
     /// Columns seen until the first full window (saturates at `kernel`).
@@ -105,15 +116,11 @@ pub(crate) struct PoolClock {
 }
 
 impl PoolClock {
-    pub(crate) fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// Advances one step; returns the ring slot the incoming column must be
     /// written to and whether the stage emits this step — the offline grid
     /// `t_out = (t − kernel)/stride + 1` (first emission once the window
     /// fills, then every `stride` steps).
-    pub(crate) fn tick(&mut self, spec: &PoolSpec) -> (usize, bool) {
+    fn tick(&mut self, spec: &PoolSpec) -> (usize, bool) {
         let slot = self.slot;
         self.slot += 1;
         if self.slot == spec.kernel {
@@ -135,417 +142,363 @@ impl PoolClock {
     }
 }
 
-/// State of a strided average-pooling stage.
+/// State of a strided average-pooling stage: a time-major `[kernel, C]`
+/// window ring at the stage's seam, and its clock.
 #[derive(Debug, Clone)]
-pub(crate) struct PoolState {
-    /// `[C, kernel]` ring of the most recent columns.
-    buf: Vec<f32>,
+pub(crate) struct PoolWindow<P> {
+    buf: Vec<P>,
     channels: usize,
     clock: PoolClock,
 }
 
-impl PoolState {
-    pub(crate) fn new(channels: usize, spec: &PoolSpec) -> Self {
+impl<P: Precision> PoolWindow<P> {
+    fn new(channels: usize, pool: &P::Pool) -> Self {
         Self {
-            buf: vec![0.0; channels * spec.kernel],
+            buf: vec![P::default(); pool.spec().kernel * channels],
             channels,
             clock: PoolClock::default(),
         }
     }
 
-    pub(crate) fn reset(&mut self) {
-        self.buf.fill(0.0);
-        self.clock.reset();
-    }
-
-    /// Pushes one column; returns `true` (with the pooled column in `out`)
-    /// when the stage emits (see [`PoolClock::tick`]).
-    pub(crate) fn step(&mut self, spec: &PoolSpec, input: &[f32], out: &mut [f32]) -> bool {
-        let k = spec.kernel;
-        let (slot, emits) = self.clock.tick(spec);
-        for (ci, &v) in input.iter().enumerate() {
-            self.buf[ci * k + slot] = v;
+    /// Pushes one column; returns `true` (with the window mean in `out`)
+    /// when the stage emits (see [`PoolClock::tick`]). Int8 window sums of at
+    /// most `kernel` codes are exact in f32.
+    pub(crate) fn step(&mut self, pool: &P::Pool, input: &[f32], out: &mut [f32]) -> bool {
+        let c = self.channels;
+        let (slot, emits) = self.clock.tick(&pool.spec());
+        for (q, &v) in self.buf[slot * c..(slot + 1) * c].iter_mut().zip(input) {
+            *q = pool.seam(v);
         }
         if !emits {
             return false;
         }
-        let inv = 1.0 / k as f32;
-        for ci in 0..self.channels {
-            out[ci] = self.buf[ci * k..(ci + 1) * k].iter().sum::<f32>() * inv;
+        let out = &mut out[..c];
+        out.fill(0.0);
+        for column in self.buf.chunks_exact(c) {
+            for (o, &q) in out.iter_mut().zip(column) {
+                *o += q.widen();
+            }
+        }
+        let scale = pool.mean_scale();
+        for o in out.iter_mut() {
+            *o *= scale;
         }
         true
     }
 }
 
-/// Per-block streaming state.
+/// Everything one stream carries between timesteps, in plan order: one ring
+/// per convolution (the order of [`Plan::convs`]), one window per pooling
+/// stage, and the head's flatten ring or running mean.
 #[derive(Debug, Clone)]
-pub(crate) enum BlockState {
-    /// States for [`PlanBlock::Residual`].
-    Residual {
-        s1: ConvState,
-        s2: ConvState,
-        ds: Option<ConvState>,
-    },
-    /// States for [`PlanBlock::Plain`].
-    Plain {
-        convs: Vec<ConvState>,
-        pool: Option<PoolState>,
-    },
-}
-
-impl BlockState {
-    pub(crate) fn new(block: &PlanBlock) -> Self {
-        match block {
-            PlanBlock::Residual {
-                conv1,
-                conv2,
-                downsample,
-            } => BlockState::Residual {
-                s1: ConvState::new(conv1),
-                s2: ConvState::new(conv2),
-                ds: downsample.as_ref().map(ConvState::new),
-            },
-            PlanBlock::Plain { convs, pool } => BlockState::Plain {
-                convs: convs.iter().map(ConvState::new).collect(),
-                pool: pool
-                    .as_ref()
-                    .map(|spec| PoolState::new(convs.last().map(|c| c.c_out).unwrap_or(0), spec)),
-            },
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            BlockState::Residual { s1, s2, ds } => {
-                s1.reset();
-                s2.reset();
-                if let Some(ds) = ds {
-                    ds.reset();
-                }
-            }
-            BlockState::Plain { convs, pool } => {
-                for c in convs {
-                    c.reset();
-                }
-                if let Some(p) = pool {
-                    p.reset();
-                }
-            }
-        }
-    }
-}
-
-/// Streaming head state.
-#[derive(Debug, Clone)]
-pub(crate) enum HeadState {
-    /// Ring for the per-step output convolution.
-    PerStep(ConvState),
-    /// `[channels, window]` flatten ring for the MLP head; `pos` is the next
-    /// (oldest) slot. Unwritten slots are zero, matching the causal pad.
-    Fc { buf: Vec<f32>, pos: usize },
-    /// Running mean over time per channel.
-    GlobalPool { sum: Vec<f32>, count: usize },
-}
-
-impl HeadState {
-    pub(crate) fn new(head: &PlanHead) -> Self {
-        match head {
-            PlanHead::PerStep(conv) => HeadState::PerStep(ConvState::new(conv)),
-            PlanHead::Fc {
-                channels, window, ..
-            } => HeadState::Fc {
-                buf: vec![0.0; channels * window],
-                pos: 0,
-            },
-            PlanHead::GlobalPoolFc(dense) => HeadState::GlobalPool {
-                sum: vec![0.0; dense.in_features],
-                count: 0,
-            },
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            HeadState::PerStep(s) => s.reset(),
-            HeadState::Fc { buf, pos } => {
-                buf.fill(0.0);
-                *pos = 0;
-            }
-            HeadState::GlobalPool { sum, count } => {
-                sum.fill(0.0);
-                *count = 0;
-            }
-        }
-    }
-}
-
-/// Applies a compiled dense layer to `input`, writing to `out`; `relu`
-/// applies the activation in place afterwards.
-pub(crate) fn dense_forward(dense: &Dense, input: &[f32], out: &mut [f32], relu: bool) {
-    let (nin, nout) = (dense.in_features, dense.out_features);
-    out[..nout].copy_from_slice(dense.bias.data());
-    let w = dense.weight.data();
-    for (i, &x) in input.iter().take(nin).enumerate() {
-        if x == 0.0 {
-            continue;
-        }
-        let wrow = &w[i * nout..(i + 1) * nout];
-        for (o, wv) in out.iter_mut().take(nout).zip(wrow.iter()) {
-            *o += x * wv;
-        }
-    }
-    if relu {
-        relu_in_place(&mut out[..nout]);
-    }
-}
-
-/// Gathers the flatten window of an Fc head state into `feat`
-/// (`[channels · window]`, oldest step first — the offline flatten order).
-pub(crate) fn gather_fc_window(
-    buf: &[f32],
+pub(crate) struct StreamState<P: Precision> {
+    pub(crate) rings: Vec<ConvRing<P>>,
+    pub(crate) pools: Vec<PoolWindow<P>>,
+    /// Fc head: `[channels, window]` flatten ring at the hidden layer's
+    /// seam; `pos` is the next (oldest) slot. Unwritten slots are zero,
+    /// matching the causal pad.
+    window: Vec<P>,
     pos: usize,
-    channels: usize,
-    window: usize,
-    feat: &mut [f32],
-) {
-    for ci in 0..channels {
-        let base = ci * window;
-        for j in 0..window {
-            feat[base + j] = buf[base + (pos + j) % window];
+    /// Global-pool head: f32 running sum per channel and the steps it holds.
+    sum: Vec<f32>,
+    count: usize,
+}
+
+impl<P: Precision> StreamState<P> {
+    /// The all-zero (causal-padding) state of a stream over `plan`.
+    pub(crate) fn new(plan: &Plan<P>) -> Self {
+        let mut pools = Vec::new();
+        let mut width = plan.input_channels;
+        for block in &plan.blocks {
+            match block {
+                Block::Residual { conv2, .. } => width = conv2.outputs(),
+                Block::Plain { convs, pool } => {
+                    width = convs.last().map_or(width, |c| c.outputs());
+                    pools.extend(pool.iter().map(|p| PoolWindow::new(width, p)));
+                }
+            }
+        }
+        let (window, sum) = match &plan.head {
+            Head::Fc {
+                channels, window, ..
+            } => (vec![P::default(); channels * window], Vec::new()),
+            Head::GlobalPoolFc(dense) => (Vec::new(), vec![0.0; dense.inputs()]),
+            Head::PerStep(_) => (Vec::new(), Vec::new()),
+        };
+        Self {
+            rings: plan.convs().into_iter().map(ConvRing::new).collect(),
+            pools,
+            window,
+            pos: 0,
+            sum,
+            count: 0,
+        }
+    }
+
+    /// Clears the state back to the zero (causal-padding) state.
+    pub(crate) fn reset(&mut self) {
+        for ring in &mut self.rings {
+            ring.hist.fill(P::default());
+            ring.pos = 0;
+        }
+        for pool in &mut self.pools {
+            pool.buf.fill(P::default());
+            pool.clock = PoolClock::default();
+        }
+        self.window.fill(P::default());
+        self.pos = 0;
+        self.sum.fill(0.0);
+        self.count = 0;
+    }
+
+    /// Pushes one column into the Fc flatten ring (at the hidden layer's
+    /// seam) and gathers the window into `row`: `[channels · window]`,
+    /// oldest step first — the offline flatten order — as two contiguous
+    /// copies per channel.
+    pub(crate) fn fc_window(
+        &mut self,
+        hidden: &P::Dense,
+        window: usize,
+        input: &[f32],
+        row: &mut [P],
+    ) {
+        for (ci, &v) in input.iter().enumerate() {
+            self.window[ci * window + self.pos] = hidden.seam(v);
+        }
+        self.pos = if self.pos + 1 == window {
+            0
+        } else {
+            self.pos + 1
+        };
+        let (pos, head) = (self.pos, window - self.pos);
+        for (dst, src) in row
+            .chunks_exact_mut(window)
+            .zip(self.window.chunks_exact(window))
+        {
+            dst[..head].copy_from_slice(&src[pos..]);
+            dst[head..].copy_from_slice(&src[..pos]);
+        }
+    }
+
+    /// Adds one column to the global-pool running sum and writes the running
+    /// mean, converted at the dense layer's seam, into `row`.
+    pub(crate) fn global_mean(&mut self, dense: &P::Dense, input: &[f32], row: &mut [P]) {
+        for (s, &v) in self.sum.iter_mut().zip(input) {
+            *s += v;
+        }
+        self.count += 1;
+        let inv = 1.0 / self.count as f32;
+        for (q, &s) in row.iter_mut().zip(&self.sum) {
+            *q = dense.seam(s * inv);
         }
     }
 }
 
-/// Pushes one column into an Fc head window ring.
-pub(crate) fn push_fc_window(buf: &mut [f32], pos: &mut usize, window: usize, input: &[f32]) {
-    for (ci, &v) in input.iter().enumerate() {
-        buf[ci * window + *pos] = v;
+/// Widest f32 column and widest gathered row any layer of `plan` needs —
+/// the per-stream scratch of both execution paths.
+pub(crate) fn scratch_widths<P: Precision>(plan: &Plan<P>) -> (usize, usize) {
+    let mut col = plan.input_channels.max(plan.output_dim());
+    let mut row = 1;
+    for conv in plan.convs() {
+        col = col.max(conv.in_channels()).max(conv.outputs());
+        row = row.max(conv.inputs());
     }
-    *pos = (*pos + 1) % window;
+    match &plan.head {
+        Head::Fc { hidden, .. } => {
+            col = col.max(hidden.outputs());
+            row = row.max(hidden.inputs()).max(hidden.outputs());
+        }
+        Head::GlobalPoolFc(dense) => row = row.max(dense.inputs()),
+        Head::PerStep(_) => {}
+    }
+    (col, row)
 }
 
-/// One stream's stateful execution of a compiled plan.
+/// The one input-width contract of both execution paths: a sample carries
+/// exactly the plan's input channels.
+pub(crate) fn check_width<P: Precision>(plan: &Plan<P>, sample: &[f32]) {
+    assert_eq!(
+        sample.len(),
+        plan.input_channels,
+        "sample has {} channels, plan needs {}",
+        sample.len(),
+        plan.input_channels
+    );
+}
+
+/// The residual join: `a = relu(a + b)`, shared by both execution paths.
+pub(crate) fn residual_add(a: &mut [f32], b: &[f32]) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = (*x + y).max(0.0);
+    }
+}
+
+/// One convolution step: seam-push `input` into the ring, gather the tap
+/// window and accumulate the output column into `out`.
+fn conv_step<P: Precision>(
+    conv: &P::Conv,
+    ring: &mut ConvRing<P>,
+    input: &[f32],
+    row: &mut [P],
+    out: &mut [f32],
+    relu: bool,
+) {
+    ring.push(conv, input);
+    if conv.kernel() == 1 {
+        // Single-tap convolution (rf = 1): the ring is the gathered row.
+        accumulate(conv, &ring.hist[..conv.in_channels()], out, relu);
+    } else {
+        ring.gather(conv, row);
+        accumulate(conv, &row[..conv.inputs()], out, relu);
+    }
+}
+
+/// One stream's stateful execution of a plan, in the plan's precision.
 ///
 /// Feed samples with [`Session::push`]/[`Session::push_into`]; the session
 /// emits an output whenever the head advances (every step for per-step and
 /// un-pooled heads, every `Π strideᵢ` steps behind strided pooling).
-pub struct Session {
-    plan: Arc<InferencePlan>,
-    pub(crate) blocks: Vec<BlockState>,
-    pub(crate) head: HeadState,
-    /// Ping-pong column scratch (each sized to the widest layer).
+pub struct Session<P: Precision = f32> {
+    plan: Arc<Plan<P>>,
+    state: StreamState<P>,
+    /// Ping-pong column scratch and the residual skip column (each sized to
+    /// the widest column).
     buf_a: Vec<f32>,
     buf_b: Vec<f32>,
-    /// Residual skip column scratch.
     buf_skip: Vec<f32>,
-    /// Im2col gather scratch (widest `C_in · K`).
-    row: Vec<f32>,
-    /// Head scratch: flatten features and hidden activations.
-    feat: Vec<f32>,
-    hidden: Vec<f32>,
+    /// Gathered-row scratch (widest row, plus the copy pad).
+    row: Vec<P>,
 }
 
-/// Widest column / gather row any layer of the plan needs.
-pub(crate) fn scratch_widths(plan: &InferencePlan) -> (usize, usize) {
-    let mut width = plan.input_channels;
-    let mut row = 1;
-    let mut visit = |c: &CompiledConv| {
-        width = width.max(c.c_in).max(c.c_out);
-        row = row.max(c.c_in * c.k);
-    };
-    for block in &plan.blocks {
-        match block {
-            PlanBlock::Residual {
-                conv1,
-                conv2,
-                downsample,
-            } => {
-                visit(conv1);
-                visit(conv2);
-                if let Some(ds) = downsample {
-                    visit(ds);
-                }
-            }
-            PlanBlock::Plain { convs, .. } => convs.iter().for_each(&mut visit),
-        }
-    }
-    if let PlanHead::PerStep(conv) = &plan.head {
-        visit(conv);
-    }
-    (width, row)
-}
-
-impl Session {
+impl<P: Precision> Session<P> {
     /// Creates a fresh (all-zero state) session for `plan`.
-    pub fn new(plan: Arc<InferencePlan>) -> Self {
-        let blocks = plan.blocks.iter().map(BlockState::new).collect();
-        let head = HeadState::new(&plan.head);
-        let (width, row) = scratch_widths(&plan);
-        let (feat_len, hidden_len) = match &plan.head {
-            PlanHead::Fc { hidden, .. } => (hidden.in_features, hidden.out_features),
-            PlanHead::GlobalPoolFc(dense) => (dense.in_features, 0),
-            PlanHead::PerStep(_) => (0, 0),
-        };
+    pub fn new(plan: Arc<Plan<P>>) -> Self {
+        let (col, row) = scratch_widths(&plan);
         Self {
+            state: StreamState::new(&plan),
+            buf_a: vec![0.0; col],
+            buf_b: vec![0.0; col],
+            buf_skip: vec![0.0; col],
+            row: vec![P::default(); row + COPY_PAD],
             plan,
-            blocks,
-            head,
-            buf_a: vec![0.0; width],
-            buf_b: vec![0.0; width],
-            buf_skip: vec![0.0; width],
-            row: vec![0.0; row],
-            feat: vec![0.0; feat_len],
-            hidden: vec![0.0; hidden_len],
         }
     }
 
     /// The plan this session executes.
-    pub fn plan(&self) -> &Arc<InferencePlan> {
+    pub fn plan(&self) -> &Arc<Plan<P>> {
         &self.plan
     }
 
     /// Clears all stream state back to the zero (causal-padding) state.
     pub fn reset(&mut self) {
-        for b in &mut self.blocks {
-            b.reset();
-        }
-        self.head.reset();
+        self.state.reset();
     }
 
     /// Pushes one input sample (length `input_channels`); returns the head
     /// output when this step made it emit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Session::push_into`].
     pub fn push(&mut self, sample: &[f32]) -> Option<Vec<f32>> {
         let mut out = vec![0.0; self.plan.output_dim()];
         self.push_into(sample, &mut out).then_some(out)
     }
 
     /// Allocation-free variant of [`Session::push`]: writes the head output
-    /// into `out` (length [`InferencePlan::output_dim`]) and returns whether
-    /// it emitted this step.
+    /// into `out` (length [`Plan::output_dim`]) and returns whether it
+    /// emitted this step.
     ///
     /// # Panics
     ///
-    /// Panics if `sample` is shorter than the plan's input channels or `out`
-    /// shorter than the output dimension.
+    /// Panics if `sample` does not carry exactly the plan's input channels,
+    /// or `out` is shorter than the output dimension.
     pub fn push_into(&mut self, sample: &[f32], out: &mut [f32]) -> bool {
-        let plan = Arc::clone(&self.plan);
-        assert!(
-            sample.len() >= plan.input_channels,
-            "sample has {} channels, plan needs {}",
-            sample.len(),
-            plan.input_channels
-        );
+        // Destructuring splits the borrows without touching the Arc's
+        // reference count — an atomic pair per timestep is measurable at
+        // sub-microsecond step times.
+        let Self {
+            plan,
+            state,
+            buf_a: a,
+            buf_b: b,
+            buf_skip: skip,
+            row,
+        } = self;
+        let plan: &Plan<P> = plan;
+        check_width(plan, sample);
         assert!(
             out.len() >= plan.output_dim(),
             "output buffer has {} slots, plan emits {}",
             out.len(),
             plan.output_dim()
         );
-        self.buf_a[..plan.input_channels].copy_from_slice(&sample[..plan.input_channels]);
-        let mut width = plan.input_channels;
-        for (block, state) in plan.blocks.iter().zip(self.blocks.iter_mut()) {
-            match (block, state) {
-                (
-                    PlanBlock::Residual {
-                        conv1,
-                        conv2,
-                        downsample,
-                    },
-                    BlockState::Residual { s1, s2, ds },
-                ) => {
-                    self.buf_skip[..width].copy_from_slice(&self.buf_a[..width]);
-                    s1.step(conv1, &self.buf_a[..width], &mut self.row, &mut self.buf_b);
-                    relu_in_place(&mut self.buf_b[..conv1.c_out]);
-                    s2.step(
-                        conv2,
-                        &self.buf_b[..conv1.c_out],
-                        &mut self.row,
-                        &mut self.buf_a,
-                    );
-                    relu_in_place(&mut self.buf_a[..conv2.c_out]);
-                    match (downsample, ds) {
-                        (Some(proj), Some(pstate)) => {
-                            pstate.step(
-                                proj,
-                                &self.buf_skip[..width],
-                                &mut self.row,
-                                &mut self.buf_b,
-                            );
+        a[..sample.len()].copy_from_slice(sample);
+        let mut width = sample.len();
+        let (mut ring, mut pool_idx) = (0, 0);
+        for block in &plan.blocks {
+            match block {
+                Block::Residual {
+                    conv1,
+                    conv2,
+                    downsample,
+                } => {
+                    skip[..width].copy_from_slice(&a[..width]);
+                    conv_step(conv1, &mut state.rings[ring], &a[..width], row, b, true);
+                    let mid = conv1.outputs();
+                    conv_step(conv2, &mut state.rings[ring + 1], &b[..mid], row, a, true);
+                    ring += 2;
+                    match downsample {
+                        Some(proj) => {
+                            conv_step(proj, &mut state.rings[ring], &skip[..width], row, b, false);
+                            ring += 1;
                         }
-                        _ => self.buf_b[..width].copy_from_slice(&self.buf_skip[..width]),
+                        None => b[..width].copy_from_slice(&skip[..width]),
                     }
-                    width = conv2.c_out;
-                    for (a, b) in self.buf_a[..width].iter_mut().zip(self.buf_b.iter()) {
-                        *a = (*a + b).max(0.0);
-                    }
+                    width = conv2.outputs();
+                    residual_add(&mut a[..width], &b[..width]);
                 }
-                (
-                    PlanBlock::Plain { convs, pool },
-                    BlockState::Plain {
-                        convs: cs,
-                        pool: ps,
-                    },
-                ) => {
-                    for (conv, cstate) in convs.iter().zip(cs.iter_mut()) {
-                        cstate.step(conv, &self.buf_a[..width], &mut self.row, &mut self.buf_b);
-                        width = conv.c_out;
-                        relu_in_place(&mut self.buf_b[..width]);
-                        std::mem::swap(&mut self.buf_a, &mut self.buf_b);
+                Block::Plain { convs, pool } => {
+                    for conv in convs {
+                        conv_step(conv, &mut state.rings[ring], &a[..width], row, b, true);
+                        ring += 1;
+                        width = conv.outputs();
+                        std::mem::swap(a, b);
                     }
-                    if let (Some(spec), Some(pstate)) = (pool, ps) {
-                        let emitted =
-                            pstate.step(spec, &self.buf_a[..width], &mut self.buf_b[..width]);
-                        if !emitted {
+                    if let Some(pool) = pool {
+                        let window = &mut state.pools[pool_idx];
+                        pool_idx += 1;
+                        if !window.step(pool, &a[..width], &mut b[..width]) {
                             return false;
                         }
-                        std::mem::swap(&mut self.buf_a, &mut self.buf_b);
+                        std::mem::swap(a, b);
                     }
                 }
-                _ => unreachable!("block/state shape mismatch"),
             }
         }
-        match (&plan.head, &mut self.head) {
-            (PlanHead::PerStep(conv), HeadState::PerStep(state)) => {
-                state.step(conv, &self.buf_a[..width], &mut self.row, out);
-                true
+        match &plan.head {
+            Head::PerStep(conv) => {
+                conv_step(conv, &mut state.rings[ring], &a[..width], row, out, false);
             }
-            (
-                PlanHead::Fc {
-                    hidden,
-                    output,
-                    channels,
-                    window,
-                },
-                HeadState::Fc { buf, pos },
-            ) => {
-                push_fc_window(buf, pos, *window, &self.buf_a[..*channels]);
-                gather_fc_window(buf, *pos, *channels, *window, &mut self.feat);
-                dense_forward(hidden, &self.feat, &mut self.hidden, true);
-                dense_forward(output, &self.hidden, out, false);
-                true
-            }
-            (PlanHead::GlobalPoolFc(dense), HeadState::GlobalPool { sum, count }) => {
-                for (s, &v) in sum.iter_mut().zip(self.buf_a.iter()) {
-                    *s += v;
+            Head::Fc {
+                hidden,
+                output,
+                window,
+                ..
+            } => {
+                state.fc_window(hidden, *window, &a[..width], row);
+                accumulate(hidden, &row[..hidden.inputs()], b, true);
+                for (q, &v) in row.iter_mut().zip(&b[..hidden.outputs()]) {
+                    *q = output.seam(v);
                 }
-                *count += 1;
-                let inv = 1.0 / *count as f32;
-                for (f, &s) in self.feat.iter_mut().zip(sum.iter()) {
-                    *f = s * inv;
-                }
-                dense_forward(dense, &self.feat, out, false);
-                true
+                accumulate(output, &row[..output.inputs()], out, false);
             }
-            _ => unreachable!("head/state shape mismatch"),
+            Head::GlobalPoolFc(dense) => {
+                state.global_mean(dense, &a[..width], row);
+                accumulate(dense, &row[..dense.inputs()], out, false);
+            }
         }
-    }
-}
-
-pub(crate) fn relu_in_place(buf: &mut [f32]) {
-    for v in buf {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        true
     }
 }
 

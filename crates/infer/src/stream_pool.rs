@@ -1,13 +1,12 @@
 //! The precision-independent serving interface over batched session pools.
 //!
-//! [`SessionPool`] (f32) and [`QuantizedSessionPool`] (int8) expose the same
-//! stream lifecycle — open, push, flush in batched waves, close — but as two
-//! unrelated inherent APIs. A serving front end that supports both precisions
-//! would otherwise have to duplicate every call site behind a hand-written
-//! enum dispatch (the `pit-serve` daemon once carried 24 such match arms).
-//! [`StreamPool`] is that seam as a trait: one generic batcher implementation
-//! drives either engine through `Box<dyn StreamPool>`, and a new precision
-//! (f16, sparse, …) plugs in by implementing seven methods.
+//! [`SessionPool`] is generic over its [`Precision`], so `SessionPool<f32>`
+//! and `SessionPool<i8>` ([`crate::QuantizedSessionPool`]) are two types.
+//! A serving front end that holds pools of both precisions side by side
+//! needs one type for them: [`StreamPool`] is that seam as an object-safe
+//! trait, so one batcher implementation drives either precision through
+//! `Box<dyn StreamPool>` (the `pit-serve` daemon once carried 24 enum match
+//! arms instead). A new [`Precision`] gets the impl for free.
 //!
 //! The contract every implementation upholds (and the pools' own test suites
 //! pin):
@@ -21,14 +20,14 @@
 //! * a freshly opened stream starts from the all-zero (causal padding)
 //!   state, regardless of what the recycled slot computed before.
 
-use crate::quant::QuantizedSessionPool;
+use crate::precision::Precision;
 use crate::session::SessionPool;
 
 /// Precision-independent interface to a pool of batched streaming sessions.
 ///
 /// See the [module docs](self) for the behavioural contract. All methods map
-/// one-to-one onto the inherent APIs of [`SessionPool`] and
-/// [`QuantizedSessionPool`]; the trait adds no behaviour of its own.
+/// one-to-one onto the inherent API of [`SessionPool`]; the trait adds no
+/// behaviour of its own.
 pub trait StreamPool: Send {
     /// Opens a stream with fresh (zero) state; returns its slot id.
     fn open_stream(&mut self) -> usize;
@@ -75,7 +74,7 @@ pub trait StreamPool: Send {
     fn output_dim(&self) -> usize;
 }
 
-impl StreamPool for SessionPool {
+impl<P: Precision> StreamPool for SessionPool<P> {
     fn open_stream(&mut self) -> usize {
         SessionPool::open_stream(self)
     }
@@ -117,48 +116,6 @@ impl StreamPool for SessionPool {
     }
 }
 
-impl StreamPool for QuantizedSessionPool {
-    fn open_stream(&mut self) -> usize {
-        QuantizedSessionPool::open_stream(self)
-    }
-
-    fn close_stream(&mut self, sid: usize) {
-        QuantizedSessionPool::close_stream(self, sid);
-    }
-
-    fn push(&mut self, sid: usize, sample: &[f32]) {
-        QuantizedSessionPool::push(self, sid, sample);
-    }
-
-    fn flush(&mut self) -> Vec<(usize, Vec<f32>)> {
-        QuantizedSessionPool::flush(self)
-    }
-
-    fn pending_steps(&self) -> usize {
-        QuantizedSessionPool::pending_steps(self)
-    }
-
-    fn pending_for(&self, sid: usize) -> usize {
-        QuantizedSessionPool::pending_for(self, sid)
-    }
-
-    fn open_streams(&self) -> usize {
-        QuantizedSessionPool::open_streams(self)
-    }
-
-    fn is_open(&self, sid: usize) -> bool {
-        QuantizedSessionPool::is_open(self, sid)
-    }
-
-    fn input_channels(&self) -> usize {
-        self.plan().input_channels()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.plan().output_dim()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,7 +128,7 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    /// One generic driver, two engines: the point of the trait.
+    /// One generic driver, both precisions: the point of the trait.
     fn lifecycle_through_trait(mut pool: Box<dyn StreamPool>) {
         assert_eq!(pool.input_channels(), 1);
         assert_eq!(pool.output_dim(), 1);
@@ -202,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_serve_through_the_trait_object() {
+    fn both_precisions_serve_through_the_trait_object() {
         let mut rng = StdRng::seed_from_u64(40);
         let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
         net.set_dilations(&[2, 4]);
@@ -212,6 +169,6 @@ mod tests {
             QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("plan quantizes"),
         );
         lifecycle_through_trait(Box::new(SessionPool::new(Arc::clone(&plan), 0)));
-        lifecycle_through_trait(Box::new(QuantizedSessionPool::new(qplan, 0)));
+        lifecycle_through_trait(Box::new(SessionPool::new(qplan, 0)));
     }
 }

@@ -1,10 +1,14 @@
 //! Parity tests: streaming one-timestep-at-a-time must match the offline
 //! masked forward and the compiled plan's offline forward within `1e-5`,
 //! including on odd geometries (K = 1, dilation beyond the sequence, single
-//! channels, lengths that don't divide the kernel tiling).
+//! channels, lengths that don't divide the kernel tiling, columns wider than
+//! the ring gather's fixed-copy pad).
 
-use pit_infer::{CompiledConv, InferencePlan, PlanHead, Session, SessionPool};
-use pit_nas::PitConv1d;
+use pit_infer::{
+    compile_restcn, compile_temponet, CompiledConv, InferencePlan, PlanHead, Session, SessionPool,
+};
+use pit_models::{ResTcn, ResTcnConfig, TempoNet, TempoNetConfig};
+use pit_nas::{PitConv1d, SearchableNetwork};
 use pit_nn::{Layer, Mode};
 use pit_tensor::ops::mask::gamma_len;
 use pit_tensor::{init, Tape, Tensor};
@@ -13,26 +17,36 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Wraps a single compiled convolution as a head-only plan and streams `x`
-/// (`[1, C, T]`) one sample at a time, returning the `[C_out, T]` outputs.
-fn stream_conv(conv: &CompiledConv, x: &Tensor) -> Vec<Vec<f32>> {
-    let plan = Arc::new(InferencePlan::new(
+/// Wraps a single compiled convolution as a head-only plan.
+fn conv_plan(conv: &CompiledConv) -> Arc<InferencePlan> {
+    Arc::new(InferencePlan::new(
         "conv-parity",
         conv.in_channels(),
         Vec::new(),
         PlanHead::PerStep(conv.clone()),
-    ));
+    ))
+}
+
+/// Streams `x` (`[1, C, T]`) through a fresh session one sample at a time,
+/// returning every emission.
+fn stream_plan(plan: &Arc<InferencePlan>, x: &Tensor) -> Vec<Vec<f32>> {
     let (c, t) = (x.dims()[1], x.dims()[2]);
-    let mut session = Session::new(plan);
+    let mut session = Session::new(Arc::clone(plan));
     let mut sample = vec![0.0f32; c];
     let mut outputs = Vec::with_capacity(t);
     for tt in 0..t {
         for ci in 0..c {
             sample[ci] = x.data()[ci * t + tt];
         }
-        outputs.push(session.push(&sample).expect("per-step head emits"));
+        outputs.extend(session.push(&sample));
     }
     outputs
+}
+
+/// Streams `x` through a head-only plan around `conv`, returning the
+/// `[C_out, T]` outputs.
+fn stream_conv(conv: &CompiledConv, x: &Tensor) -> Vec<Vec<f32>> {
+    stream_plan(&conv_plan(conv), x)
 }
 
 fn assert_columns_match(offline: &Tensor, streamed: &[Vec<f32>], tol: f32, label: &str) {
@@ -84,6 +98,81 @@ fn streaming_matches_offline_on_odd_geometries() {
             &format!("c{c_in}->{c_out} k{k} d{d} t{t}"),
         );
     }
+}
+
+#[test]
+fn wide_columns_stream_like_offline() {
+    // Channels up to 64: ring columns wider than the gather's fixed-copy
+    // pad take the slice-copy path. A per-step head checks every column.
+    let mut rng = StdRng::seed_from_u64(1);
+    let cfg = ResTcnConfig {
+        hidden_channels: 24,
+        input_channels: 20,
+        output_channels: 20,
+        dropout: 0.0,
+        ..ResTcnConfig::paper()
+    };
+    let net = ResTcn::new(&mut rng, &cfg);
+    net.set_dilations(&cfg.hand_tuned_dilations());
+    let plan = Arc::new(compile_restcn(&net));
+    let x = init::uniform(&mut rng, &[1, 20, 32], 1.0);
+    let offline = plan.forward(&x).unwrap();
+    assert_columns_match(&offline, &stream_plan(&plan, &x), 1e-5, "wide restcn");
+
+    let cfg = TempoNetConfig::scaled(2, 64);
+    assert!(cfg.channels.iter().any(|&c| c > 16));
+    let net = TempoNet::new(&mut rng, &cfg);
+    net.set_dilations(&cfg.hand_tuned_dilations());
+    let plan = Arc::new(compile_temponet(&net));
+    let x = init::uniform(&mut rng, &[1, cfg.input_channels, 64], 1.0);
+    let offline = plan.forward(&x).unwrap();
+    let last = stream_plan(&plan, &x).pop().expect("the head emits");
+    assert!(
+        (last[0] - offline.data()[0]).abs() < 1e-5,
+        "wide temponet: streamed {} vs offline {}",
+        last[0],
+        offline.data()[0]
+    );
+}
+
+#[test]
+fn nan_sample_stays_nan_offline_and_streamed() {
+    // A linear output has no ReLU clamp, so a NaN input must come out as NaN
+    // on the offline forward, the solo step and the pool's wave alike.
+    let mut rng = StdRng::seed_from_u64(2);
+    let w = init::uniform(&mut rng, &[2, 2, 1], 1.0);
+    let b = init::uniform(&mut rng, &[2], 1.0);
+    let plan = conv_plan(&CompiledConv::new(w, b, 1));
+    let sample = [f32::NAN, 1.0];
+    let x = Tensor::from_vec(sample.to_vec(), &[1, 2, 1]).unwrap();
+    let offline = plan.forward(&x).unwrap();
+    assert!(
+        offline.data().iter().all(|v| v.is_nan()),
+        "offline {offline:?}"
+    );
+    let solo = Session::new(Arc::clone(&plan)).push(&sample).unwrap();
+    assert!(solo.iter().all(|v| v.is_nan()), "solo {solo:?}");
+    let mut pool = SessionPool::new(plan, 1);
+    pool.push(0, &sample);
+    let flushed = pool.flush();
+    assert_eq!(flushed.len(), 1);
+    assert!(flushed[0].1.iter().all(|v| v.is_nan()), "pool {flushed:?}");
+}
+
+#[test]
+#[should_panic(expected = "channels, plan needs")]
+fn session_rejects_a_wider_sample() {
+    // One input-width contract: a longer sample is an error, not a silent
+    // truncation.
+    let conv = CompiledConv::new(Tensor::zeros(&[1, 2, 1]), Tensor::zeros(&[1]), 1);
+    let _ = Session::new(conv_plan(&conv)).push(&[0.0; 3]);
+}
+
+#[test]
+#[should_panic(expected = "channels, plan needs")]
+fn pool_rejects_a_narrower_sample() {
+    let conv = CompiledConv::new(Tensor::zeros(&[1, 2, 1]), Tensor::zeros(&[1]), 1);
+    SessionPool::new(conv_plan(&conv), 1).push(0, &[0.0]);
 }
 
 proptest! {

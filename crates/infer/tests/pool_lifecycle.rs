@@ -7,8 +7,8 @@
 //! on.
 
 use pit_infer::{
-    compile_temponet, InferencePlan, QuantizedPlan, QuantizedSession, QuantizedSessionPool,
-    Session, SessionPool,
+    compile_temponet, InferencePlan, Plan, Precision, QuantizedPlan, QuantizedSession,
+    QuantizedSessionPool, Session, SessionPool,
 };
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
@@ -37,22 +37,10 @@ fn random_stream(rng: &mut StdRng, steps: usize, c: usize) -> Vec<f32> {
 }
 
 /// Drives three streams, closes the middle one partway, keeps streaming the
-/// others, then recycles the freed slot for a brand-new stream. Generic over
-/// the two engines via closures so f32 and i8 run the identical scenario.
-struct Harness<Pool> {
-    pool: Pool,
-    push: fn(&mut Pool, usize, &[f32]),
-    #[allow(clippy::type_complexity)]
-    flush: fn(&mut Pool) -> Vec<(usize, Vec<f32>)>,
-    close: fn(&mut Pool, usize),
-    open: fn(&mut Pool) -> usize,
-    open_count: fn(&Pool) -> usize,
-}
-
-fn close_midway_scenario<Pool>(
-    mut h: Harness<Pool>,
-    mut solo: impl FnMut(&[f32]) -> Vec<Vec<f32>>,
-) {
+/// others, then recycles the freed slot for a brand-new stream — the same
+/// scenario for either precision, checked against solo sessions within
+/// `tol`.
+fn close_midway_scenario<P: Precision>(plan: Arc<Plan<P>>, tol: f32) {
     const C: usize = 4;
     const STEPS: usize = 48;
     const CLOSE_AT: usize = 17; // not a pool-emission boundary on purpose
@@ -60,29 +48,30 @@ fn close_midway_scenario<Pool>(
     let streams: Vec<Vec<f32>> = (0..3).map(|_| random_stream(&mut rng, STEPS, C)).collect();
     let late = random_stream(&mut rng, STEPS, C);
 
+    let mut pool = SessionPool::new(Arc::clone(&plan), 3);
     let mut outputs: Vec<Vec<Vec<f32>>> = vec![Vec::new(); 3];
     let mut late_outputs: Vec<Vec<f32>> = Vec::new();
     let mut late_sid = usize::MAX;
     for t in 0..STEPS {
         if t == CLOSE_AT {
-            (h.close)(&mut h.pool, 1);
-            assert_eq!((h.open_count)(&h.pool), 2);
+            pool.close_stream(1);
+            assert_eq!(pool.open_streams(), 2);
             // The freed slot comes back with fresh zero state.
-            late_sid = (h.open)(&mut h.pool);
+            late_sid = pool.open_stream();
             assert_eq!(late_sid, 1, "closed slot must be recycled");
-            assert_eq!((h.open_count)(&h.pool), 3);
+            assert_eq!(pool.open_streams(), 3);
         }
         for (sid, stream) in streams.iter().enumerate() {
             if sid == 1 && t >= CLOSE_AT {
                 continue;
             }
-            (h.push)(&mut h.pool, sid, &stream[t * C..(t + 1) * C]);
+            pool.push(sid, &stream[t * C..(t + 1) * C]);
         }
         if t >= CLOSE_AT {
             let tt = t - CLOSE_AT;
-            (h.push)(&mut h.pool, late_sid, &late[tt * C..(tt + 1) * C]);
+            pool.push(late_sid, &late[tt * C..(tt + 1) * C]);
         }
-        for (sid, out) in (h.flush)(&mut h.pool) {
+        for (sid, out) in pool.flush() {
             if sid == late_sid && t >= CLOSE_AT {
                 late_outputs.push(out);
             } else {
@@ -101,11 +90,12 @@ fn close_midway_scenario<Pool>(
         (&late[..(STEPS - CLOSE_AT) * C], &late_outputs),
     ];
     for (i, (input, got)) in checks.iter().enumerate() {
-        let want = solo(input);
+        let mut session = Session::new(Arc::clone(&plan));
+        let want: Vec<_> = input.chunks(C).filter_map(|s| session.push(s)).collect();
         assert_eq!(want.len(), got.len(), "stream {i} emission count");
         for (a, b) in want.iter().zip(got.iter()) {
             for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-5, "stream {i}: {x} vs {y}");
+                assert!((x - y).abs() <= tol, "stream {i}: {x} vs {y}");
             }
         }
     }
@@ -113,48 +103,13 @@ fn close_midway_scenario<Pool>(
 
 #[test]
 fn f32_close_stream_leaves_other_streams_untouched() {
-    let plan = Arc::new(searched_plan(60));
-    let solo_plan = Arc::clone(&plan);
-    close_midway_scenario(
-        Harness {
-            pool: SessionPool::new(plan, 3),
-            push: SessionPool::push,
-            flush: |p| p.flush(),
-            close: SessionPool::close_stream,
-            open: |p| p.open_stream(),
-            open_count: SessionPool::open_streams,
-        },
-        move |input| {
-            let mut session = Session::new(Arc::clone(&solo_plan));
-            input
-                .chunks(4)
-                .filter_map(|sample| session.push(sample))
-                .collect()
-        },
-    );
+    close_midway_scenario(Arc::new(searched_plan(60)), 1e-5);
 }
 
 #[test]
 fn i8_close_stream_leaves_other_streams_untouched() {
-    let plan = Arc::new(quantized_plan(61));
-    let solo_plan = Arc::clone(&plan);
-    close_midway_scenario(
-        Harness {
-            pool: QuantizedSessionPool::new(plan, 3),
-            push: QuantizedSessionPool::push,
-            flush: |p| p.flush(),
-            close: QuantizedSessionPool::close_stream,
-            open: |p| p.open_stream(),
-            open_count: QuantizedSessionPool::open_streams,
-        },
-        move |input| {
-            let mut session = QuantizedSession::new(Arc::clone(&solo_plan));
-            input
-                .chunks(4)
-                .filter_map(|sample| session.push(sample))
-                .collect()
-        },
-    );
+    // Int8 pooled emissions are bit-exact against solo sessions.
+    close_midway_scenario(Arc::new(quantized_plan(61)), 0.0);
 }
 
 #[test]

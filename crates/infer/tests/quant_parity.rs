@@ -203,7 +203,7 @@ fn quantized_temponet_streams_within_bound_and_shrinks_state() {
     // The acceptance claims: ~4x smaller per-stream state (i8 rings dominate;
     // only the small f32 pool windows keep it under exactly 4x) and ~4x
     // smaller weight payload.
-    let f32_state = 4 * plan.session_state_floats();
+    let f32_state = plan.session_state_bytes();
     let ratio = f32_state as f64 / qplan.session_state_bytes() as f64;
     assert!(ratio > 3.0, "state ratio {ratio:.2} not ~4x");
     let weight_ratio = (4 * plan.num_weights()) as f64 / qplan.weight_bytes() as f64;
@@ -211,6 +211,46 @@ fn quantized_temponet_streams_within_bound_and_shrinks_state() {
     assert_eq!(qplan.output_dim(), plan.output_dim());
     assert_eq!(qplan.input_channels(), plan.input_channels());
     assert!(qplan.name().ends_with("-int8"));
+}
+
+#[test]
+fn quantized_wide_temponet_streams_within_bound() {
+    // Channels up to 64: columns wider than the ring gather's fixed-copy pad.
+    let mut rng = StdRng::seed_from_u64(46);
+    let cfg = TempoNetConfig::scaled(2, 64);
+    let net = TempoNet::new(&mut rng, &cfg);
+    net.set_dilations(&cfg.hand_tuned_dilations());
+    let plan = Arc::new(compile_temponet(&net));
+    let x = init::uniform(&mut rng, &[1, 4, 64], 1.0);
+    let qplan =
+        Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes"));
+    assert_streaming_parity(&plan, &qplan, &x);
+}
+
+#[test]
+#[should_panic(expected = "channels, plan needs")]
+fn quantized_session_rejects_a_wider_sample() {
+    let plan = conv_plan(CompiledConv::new(
+        Tensor::zeros(&[1, 2, 1]),
+        Tensor::zeros(&[1]),
+        1,
+    ));
+    let x = Tensor::zeros(&[1, 2, 4]);
+    let qplan = QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes");
+    let _ = QuantizedSession::new(Arc::new(qplan)).push(&[0.0; 3]);
+}
+
+#[test]
+#[should_panic(expected = "channels, plan needs")]
+fn quantized_pool_rejects_a_narrower_sample() {
+    let plan = conv_plan(CompiledConv::new(
+        Tensor::zeros(&[1, 2, 1]),
+        Tensor::zeros(&[1]),
+        1,
+    ));
+    let x = Tensor::zeros(&[1, 2, 4]);
+    let qplan = QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes");
+    QuantizedSessionPool::new(Arc::new(qplan), 1).push(0, &[0.0]);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! else.
 
 use pit_infer::{
-    compile_generic, compile_restcn, compile_temponet, InferencePlan, QuantizedPlan,
-    QuantizedSession, QuantizedSessionPool, Session, SessionPool,
+    compile_generic, compile_restcn, compile_temponet, InferencePlan, Plan, Precision,
+    QuantizedPlan, Session, SessionPool,
 };
 use pit_models::{GenericTcn, GenericTcnConfig, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
@@ -14,6 +14,11 @@ use pit_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// Pool-vs-solo tolerance of the f32 engine.
+const F32_TOL: f32 = 1e-5;
+/// Int8 arithmetic is exact: pooled and solo emissions must be identical.
+const EXACT: f32 = 0.0;
 
 /// One stream's lifetime inside the ragged schedule: it joins at round
 /// `start` and contributes `len` samples, one per round.
@@ -44,9 +49,16 @@ fn ragged_inputs(
     (inputs, lifetimes)
 }
 
-/// Drives the ragged schedule through the f32 pool and through solo
-/// sessions; emissions must agree stream by stream, value by value.
-fn assert_f32_ragged_parity(plan: Arc<InferencePlan>, streams: usize, max_len: usize, seed: u64) {
+/// Drives the ragged schedule through a pool and through solo sessions of
+/// either precision; emissions must agree stream by stream, value by value,
+/// within `tol`.
+fn assert_ragged_parity<P: Precision>(
+    plan: Arc<Plan<P>>,
+    streams: usize,
+    max_len: usize,
+    seed: u64,
+    tol: f32,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let c = plan.input_channels();
     let (inputs, lifetimes) = ragged_inputs(&mut rng, streams, c, max_len);
@@ -69,12 +81,10 @@ fn assert_f32_ragged_parity(plan: Arc<InferencePlan>, streams: usize, max_len: u
 
     for (sid, life) in lifetimes.iter().enumerate() {
         let mut solo = Session::new(Arc::clone(&plan));
-        let mut outs = Vec::new();
-        for t in 0..life.len {
-            if let Some(out) = solo.push(&inputs[sid][t * c..(t + 1) * c]) {
-                outs.push(out);
-            }
-        }
+        let outs: Vec<Vec<f32>> = inputs[sid][..life.len * c]
+            .chunks(c)
+            .filter_map(|sample| solo.push(sample))
+            .collect();
         assert_eq!(
             outs.len(),
             pooled[sid].len(),
@@ -83,46 +93,11 @@ fn assert_f32_ragged_parity(plan: Arc<InferencePlan>, streams: usize, max_len: u
         for (i, (a, b)) in outs.iter().zip(pooled[sid].iter()).enumerate() {
             for (x, y) in a.iter().zip(b.iter()) {
                 assert!(
-                    (x - y).abs() < 1e-5,
+                    (x - y).abs() <= tol,
                     "stream {sid} emission {i}: solo {x} vs pooled {y}"
                 );
             }
         }
-    }
-}
-
-/// Quantized twin of [`assert_f32_ragged_parity`]; int8 arithmetic is exact,
-/// so pooled and solo emissions must be *bit-identical*.
-fn assert_i8_ragged_parity(qplan: Arc<QuantizedPlan>, streams: usize, max_len: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let c = qplan.input_channels();
-    let (inputs, lifetimes) = ragged_inputs(&mut rng, streams, c, max_len);
-
-    let mut pool = QuantizedSessionPool::new(Arc::clone(&qplan), streams);
-    let mut pooled: Vec<Vec<Vec<f32>>> = vec![Vec::new(); streams];
-    let rounds = lifetimes.iter().map(|l| l.start + l.len).max().unwrap();
-    for round in 0..rounds {
-        for (sid, life) in lifetimes.iter().enumerate() {
-            if round >= life.start && round < life.start + life.len {
-                let t = round - life.start;
-                pool.push(sid, &inputs[sid][t * c..(t + 1) * c]);
-            }
-        }
-        for (sid, out) in pool.flush() {
-            pooled[sid].push(out);
-        }
-    }
-    assert_eq!(pool.pending_steps(), 0);
-
-    for (sid, life) in lifetimes.iter().enumerate() {
-        let mut solo = QuantizedSession::new(Arc::clone(&qplan));
-        let mut outs = Vec::new();
-        for t in 0..life.len {
-            if let Some(out) = solo.push(&inputs[sid][t * c..(t + 1) * c]) {
-                outs.push(out);
-            }
-        }
-        assert_eq!(&outs, &pooled[sid], "stream {sid} ({life:?}) diverged");
     }
 }
 
@@ -133,6 +108,38 @@ fn calibration_windows(rng: &mut StdRng, c: usize, t: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// Lowers `plan` to int8, calibrated on random windows of length `t`.
+fn quantized(rng: &mut StdRng, plan: &InferencePlan, t: usize) -> Arc<QuantizedPlan> {
+    let windows = calibration_windows(rng, plan.input_channels(), t);
+    Arc::new(QuantizedPlan::quantize(plan, &windows).expect("quantizes"))
+}
+
+/// A ResTcn whose first block changes width (a 1×1 downsample on the skip)
+/// under a per-step head.
+fn restcn_plan(rng: &mut StdRng) -> InferencePlan {
+    let cfg = ResTcnConfig {
+        hidden_channels: 6,
+        input_channels: 3,
+        output_channels: 3,
+        dropout: 0.0,
+        ..ResTcnConfig::paper()
+    };
+    let net = ResTcn::new(rng, &cfg);
+    net.set_dilations(&cfg.hand_tuned_dilations());
+    let plan = compile_restcn(&net);
+    assert!(
+        plan.blocks().iter().any(|b| matches!(
+            b,
+            pit_infer::PlanBlock::Residual {
+                downsample: Some(_),
+                ..
+            }
+        )),
+        "the case needs a downsample projection"
+    );
+    plan
+}
+
 #[test]
 fn ragged_temponet_pool_matches_solo_sessions() {
     // Strided pooling + Fc window head: the active set shrinks both from
@@ -141,22 +148,14 @@ fn ragged_temponet_pool_matches_solo_sessions() {
     let cfg = TempoNetConfig::scaled(8, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    assert_f32_ragged_parity(Arc::new(compile_temponet(&net)), 6, 48, 51);
+    assert_ragged_parity(Arc::new(compile_temponet(&net)), 6, 48, 51, F32_TOL);
 }
 
 #[test]
 fn ragged_restcn_pool_matches_solo_sessions() {
     let mut rng = StdRng::seed_from_u64(52);
-    let cfg = ResTcnConfig {
-        hidden_channels: 6,
-        input_channels: 3,
-        output_channels: 3,
-        dropout: 0.0,
-        ..ResTcnConfig::paper()
-    };
-    let net = ResTcn::new(&mut rng, &cfg);
-    net.set_dilations(&cfg.hand_tuned_dilations());
-    assert_f32_ragged_parity(Arc::new(compile_restcn(&net)), 5, 30, 53);
+    let plan = restcn_plan(&mut rng);
+    assert_ragged_parity(Arc::new(plan), 5, 30, 53, F32_TOL);
 }
 
 #[test]
@@ -164,7 +163,7 @@ fn ragged_generic_pool_matches_solo_sessions() {
     let mut rng = StdRng::seed_from_u64(54);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
-    assert_f32_ragged_parity(Arc::new(compile_generic(&net)), 7, 25, 55);
+    assert_ragged_parity(Arc::new(compile_generic(&net)), 7, 25, 55, F32_TOL);
 }
 
 #[test]
@@ -173,10 +172,18 @@ fn ragged_quantized_temponet_pool_is_bit_exact() {
     let cfg = TempoNetConfig::scaled(8, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
-    let windows = calibration_windows(&mut rng, plan.input_channels(), 64);
-    let qplan = Arc::new(QuantizedPlan::quantize(&plan, &windows).expect("quantizes"));
-    assert_i8_ragged_parity(qplan, 6, 48, 57);
+    let qplan = quantized(&mut rng, &compile_temponet(&net), 64);
+    assert_ragged_parity(qplan, 6, 48, 57, EXACT);
+}
+
+#[test]
+fn ragged_quantized_restcn_pool_is_bit_exact() {
+    // Residual blocks, the 1×1 downsample wave and a per-step head on the
+    // int8 pool, against solo int8 sessions.
+    let mut rng = StdRng::seed_from_u64(62);
+    let plan = restcn_plan(&mut rng);
+    let qplan = quantized(&mut rng, &plan, 30);
+    assert_ragged_parity(qplan, 5, 30, 63, EXACT);
 }
 
 #[test]
@@ -184,10 +191,23 @@ fn ragged_quantized_generic_pool_is_bit_exact() {
     let mut rng = StdRng::seed_from_u64(58);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
-    let plan = Arc::new(compile_generic(&net));
-    let windows = calibration_windows(&mut rng, plan.input_channels(), 32);
-    let qplan = Arc::new(QuantizedPlan::quantize(&plan, &windows).expect("quantizes"));
-    assert_i8_ragged_parity(qplan, 7, 25, 59);
+    let qplan = quantized(&mut rng, &compile_generic(&net), 32);
+    assert_ragged_parity(qplan, 7, 25, 59, EXACT);
+}
+
+#[test]
+fn wide_columns_pool_matches_solo_in_both_precisions() {
+    // Channels up to 64: ring columns wider than the gather's fixed-copy
+    // pad take the slice-copy path in both execution paths.
+    let mut rng = StdRng::seed_from_u64(64);
+    let cfg = TempoNetConfig::scaled(2, 64);
+    assert!(cfg.channels.iter().any(|&c| c > 16));
+    let net = TempoNet::new(&mut rng, &cfg);
+    net.set_dilations(&cfg.hand_tuned_dilations());
+    let plan = compile_temponet(&net);
+    let qplan = quantized(&mut rng, &plan, 64);
+    assert_ragged_parity(Arc::new(plan), 4, 40, 65, F32_TOL);
+    assert_ragged_parity(qplan, 4, 40, 66, EXACT);
 }
 
 #[test]

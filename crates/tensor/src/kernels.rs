@@ -435,9 +435,7 @@ fn dot_rows<const R: usize>(a: &[f32], bt: &[f32], j0: usize, kd: usize) -> [f32
 //
 // Unlike the f32 microkernels above, integer addition is associative, so the
 // compiler is free to vectorize the lane-split reductions below into full
-// 256-bit SIMD under `target-cpu=x86-64-v3` — the scalar f32 dot product of a
-// streaming step cannot legally be reordered, which is exactly why the i8
-// step beats it by far more than the 4x data-width ratio alone would give.
+// 256-bit SIMD under `target-cpu=x86-64-v3`, whatever their summation order.
 
 /// `out[m, n] += a[m, kd] · b[kd, n]` over `i8` operands with exact `i32`
 /// accumulation — the wave kernel of the quantized session pool.

@@ -10,9 +10,9 @@
 //!    **quantize** into a [`QuantizedPlan`] — int8 weights with
 //!    per-output-channel scales, one activation scale per layer seam, and
 //!    an *analytic* parity bound against the f32 plan;
-//! 4. stream both engines side by side: identical emission schedule,
-//!    outputs within the bound, ~4x smaller weights and per-stream state,
-//!    and a faster step;
+//! 4. stream both precisions side by side through the one engine:
+//!    identical emission schedule, outputs within the bound, ~4x smaller
+//!    weights and per-stream state;
 //! 5. serve a fleet of int8 streams through a [`QuantizedSessionPool`] —
 //!    one `i8×i8→i32` GEMM wave per layer.
 //!
@@ -57,7 +57,7 @@ fn main() {
     let calibration: Vec<_> = (0..4).map(|i| windows.gather(&[i]).inputs).collect();
     let qplan = Arc::new(QuantizedPlan::quantize(&plan, &calibration).expect("plan quantizes"));
     let f32_weight_bytes = 4 * plan.num_weights();
-    let f32_state_bytes = 4 * plan.session_state_floats();
+    let f32_state_bytes = plan.session_state_bytes();
     println!(
         "quantized plan        : {} -> {} weight bytes ({:.1}x), {} -> {} state bytes/stream ({:.1}x)",
         f32_weight_bytes,
@@ -68,7 +68,7 @@ fn main() {
         f32_state_bytes as f64 / qplan.session_state_bytes() as f64,
     );
 
-    // 4. Stream one calibration window through both engines.
+    // 4. Stream one calibration window in both precisions.
     let x = &calibration[0]; // [1, 4, 64]
     let mut f32_session = Session::new(Arc::clone(&plan));
     let mut i8_session = QuantizedSession::new(Arc::clone(&qplan));
@@ -120,8 +120,8 @@ fn main() {
         i8_session.push_into(&sample, &mut out);
     });
     println!(
-        "step time             : f32 {f32_ns:.0} ns vs int8 {i8_ns:.0} ns ({:.1}x faster)",
-        f32_ns / i8_ns
+        "step time             : f32 {f32_ns:.0} ns vs int8 {i8_ns:.0} ns (int8/f32 {:.2})",
+        i8_ns / f32_ns
     );
 
     // 5. Batch-of-sessions int8 serving: 16 concurrent PPG streams.

@@ -48,7 +48,7 @@ fn main() {
         "compiled plan         : {} weights (searchable net stores {}), {} state floats/stream",
         plan.num_weights(),
         net.num_weights(),
-        plan.session_state_floats()
+        plan.session_state_bytes() / 4
     );
 
     // 3. Parity: stream one window sample-by-sample vs the offline forward.
