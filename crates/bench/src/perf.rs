@@ -598,7 +598,9 @@ pub fn serve_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
                 .expect("transport")
                 .expect("emissions before timeout")
             {
-                ServerFrame::Emit { count, .. } => got += count as usize,
+                ServerFrame::EmitN { entries, .. } => {
+                    got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>()
+                }
                 ServerFrame::Opened { .. } => {}
                 other => panic!("unexpected frame {other:?}"),
             }
@@ -768,19 +770,16 @@ pub fn serve_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
             .expect("transport")
             .expect("emissions before timeout")
         {
-            ServerFrame::Emit { count, .. } => got += count as usize,
+            ServerFrame::EmitN { entries, .. } => {
+                got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>()
+            }
             ServerFrame::Opened { .. } => {}
             other => panic!("unexpected frame {other:?}"),
         }
     }
     let ns = measure(opts, || {
-        use std::io::{Read, Write};
-        let mut http = std::net::TcpStream::connect(metrics_addr).expect("sidecar reachable");
-        http.write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-            .expect("request sent");
-        let mut body = Vec::new();
-        http.read_to_end(&mut body).expect("scrape read");
-        assert!(body.starts_with(b"HTTP/1.1 200"), "scrape succeeded");
+        let (status, body) = pit_serve::http_get(metrics_addr, "/metrics").expect("scrape");
+        assert_eq!(status, 200, "scrape succeeded");
         std::hint::black_box(body.len());
     });
     handle.shutdown();
@@ -878,7 +877,6 @@ pub fn scale_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
                                         .expect("transport")
                                         .expect("emissions before timeout")
                                     {
-                                        ServerFrame::Emit { count, .. } => got += count as usize,
                                         ServerFrame::EmitN { entries, .. } => {
                                             got += entries
                                                 .iter()

@@ -12,7 +12,7 @@
 //!
 //! Each worker keeps, per open stream, a FIFO of `(intended send ns,
 //! emissions owed)` entries derived from the model's structural cadence
-//! (see [`crate::oracle`]); arriving EMIT frames consume the FIFO in
+//! (see [`crate::oracle`]); arriving EMIT_N entries consume the FIFO in
 //! order, so every emission is attributed to exactly one intended send
 //! time. When the FIFO runs dry or a stream closes with entries left,
 //! that is an accounting error the run reports rather than hides.
@@ -20,6 +20,7 @@
 use crate::oracle::ModelTable;
 use crate::workload::{ConnScript, EventKind, Workload};
 use pit_serve::hist::{Histogram, HistogramSnapshot};
+use pit_serve::protocol::entry_runs;
 use pit_serve::{Client, ClientBuilder, ServerFrame};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -418,36 +419,38 @@ fn handle_frame(
 ) {
     match frame {
         ServerFrame::Opened { .. } => result.opens_acked += 1,
-        ServerFrame::Emit {
-            stream_id,
-            count,
+        ServerFrame::EmitN {
+            dim,
+            entries,
             outputs,
-            ..
         } => {
-            result.emissions_received += u64::from(count);
             let now_ns = nanos_of(epoch.elapsed());
-            let Some(state) = streams.get_mut(&stream_id) else {
-                result.errors.unexpected_emissions += u64::from(count);
-                return;
-            };
-            let mut remaining = u64::from(count);
-            while remaining > 0 {
-                let Some(front) = state.fifo.front_mut() else {
-                    result.errors.unexpected_emissions += remaining;
-                    break;
+            for (stream_id, run) in entry_runs(dim, &entries, &outputs) {
+                let count = (run.len() / dim as usize) as u64;
+                result.emissions_received += count;
+                let Some(state) = streams.get_mut(&stream_id) else {
+                    result.errors.unexpected_emissions += count;
+                    continue;
                 };
-                let take = front.1.min(remaining);
-                for _ in 0..take {
-                    scenario_hists[state.scenario].record(now_ns.saturating_sub(front.0));
+                let mut remaining = count;
+                while remaining > 0 {
+                    let Some(front) = state.fifo.front_mut() else {
+                        result.errors.unexpected_emissions += remaining;
+                        break;
+                    };
+                    let take = front.1.min(remaining);
+                    for _ in 0..take {
+                        scenario_hists[state.scenario].record(now_ns.saturating_sub(front.0));
+                    }
+                    front.1 -= take;
+                    remaining -= take;
+                    if front.1 == 0 {
+                        state.fifo.pop_front();
+                    }
                 }
-                front.1 -= take;
-                remaining -= take;
-                if front.1 == 0 {
-                    state.fifo.pop_front();
+                if let Some((_, _, recorded)) = state.verify.as_mut() {
+                    recorded.extend_from_slice(run);
                 }
-            }
-            if let Some((_, _, recorded)) = state.verify.as_mut() {
-                recorded.extend_from_slice(&outputs);
             }
         }
         ServerFrame::Closed { stream_id, .. } => {

@@ -8,11 +8,8 @@
 
 use pit_serve::StatsSnapshot;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-
-const HTTP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One point-in-time read of `/metrics` plus `/stats`.
 #[derive(Debug, Clone)]
@@ -37,44 +34,18 @@ impl Scrape {
     }
 }
 
-/// One blocking HTTP/1.1 GET against the sidecar.
+/// One blocking HTTP/1.1 GET against the sidecar ([`pit_serve::http_get`]),
+/// returning the body of a `200` response.
 ///
 /// # Errors
 ///
-/// Returns a message on connect/read failures or a non-200 status.
+/// Returns a message on transport failures or a non-200 status.
 pub fn http_get(addr: SocketAddr, path: &str) -> Result<String, String> {
-    let stream = TcpStream::connect_timeout(&addr, HTTP_TIMEOUT)
-        .map_err(|e| format!("sidecar {addr} unreachable: {e}"))?;
-    stream
-        .set_read_timeout(Some(HTTP_TIMEOUT))
-        .map_err(|e| format!("sidecar socket: {e}"))?;
-    stream
-        .set_write_timeout(Some(HTTP_TIMEOUT))
-        .map_err(|e| format!("sidecar socket: {e}"))?;
-    let mut stream = stream;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: pit-replay\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .map_err(|e| format!("sidecar write: {e}"))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("sidecar read: {e}"))?;
-    let text = String::from_utf8(response).map_err(|_| "sidecar reply is not UTF-8".to_string())?;
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or("sidecar reply has no header terminator")?;
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("sidecar reply has no status code")?;
-    if status != 200 {
-        return Err(format!("GET {path} returned {status}"));
+    match pit_serve::http_get(addr, path) {
+        Ok((200, body)) => Ok(body),
+        Ok((status, _)) => Err(format!("GET {path} returned {status}")),
+        Err(e) => Err(format!("sidecar {addr}: GET {path}: {e}")),
     }
-    Ok(body.to_string())
 }
 
 /// Parses a Prometheus text exposition into selector → value.

@@ -58,7 +58,7 @@ pub struct Scenario {
     pub diurnal_peak: f64,
     /// Mean timesteps per session (before abandonment).
     pub mean_steps: f64,
-    /// Timesteps batched into one PUSH frame.
+    /// Timesteps batched into one push (a one-entry PUSH_N frame).
     pub burst_steps: usize,
 }
 

@@ -347,7 +347,8 @@ impl Client {
         })
     }
 
-    /// Sends PUSH with `samples.len() / channels` timesteps.
+    /// Sends `samples.len() / channels` timesteps for one stream, as a
+    /// one-entry PUSH_N frame.
     ///
     /// # Errors
     ///
@@ -358,18 +359,14 @@ impl Client {
         channels: u32,
         samples: &[f32],
     ) -> Result<(), ServeError> {
-        self.send(&ClientFrame::Push {
-            stream_id,
-            channels,
-            samples: samples.to_vec(),
-        })
+        let count = samples.len().checked_div(channels as usize).unwrap_or(0);
+        self.push_n(channels, &[(stream_id, count as u32)], samples)
     }
 
-    /// Sends one protocol-v2 PUSH_N frame carrying timesteps for several
-    /// streams: `entries` lists `(stream_id, timestep_count)` and
-    /// `samples` concatenates the per-stream values in entry order. The
-    /// server replies with coalesced EMIT_N frames on this connection from
-    /// then on.
+    /// Sends one PUSH_N frame carrying timesteps for several streams:
+    /// `entries` lists `(stream_id, timestep_count)` and `samples`
+    /// concatenates the per-stream values in entry order. Emissions come
+    /// back in coalesced EMIT_N frames.
     ///
     /// # Errors
     ///
@@ -416,7 +413,7 @@ impl Client {
 
     /// Requests the model registry and blocks for the reply: sends
     /// LIST_MODELS, then reads until the MODELS_JSON frame arrives
-    /// (EMIT/EMIT_N/CLOSED frames arriving first are NOT buffered — use
+    /// (EMIT_N/CLOSED frames arriving first are NOT buffered — use
     /// this between exchanges, not mid-burst).
     ///
     /// # Errors

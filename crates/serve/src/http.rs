@@ -16,11 +16,14 @@
 //!
 //! Everything renders from the shared [`Telemetry`] hub — the same
 //! atomics the binary-protocol STATS frame aggregates, so the HTTP and
-//! binary views can never disagree about totals.
+//! binary views can never disagree about totals. [`http_get`] is the
+//! matching client side: the one `GET` every client in this workspace
+//! reads the sidecar with.
 
 use crate::edge::{poll_fds, pollfd, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::telemetry::{ServeState, Telemetry};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,6 +39,8 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Sidecar poll timeout: the latency floor for noticing the stop flag
 /// when the waker pipe is not rung.
 const SIDECAR_POLL_MS: i32 = 100;
+/// [`http_get`]'s bound on the connect and on each read or write.
+const GET_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One sidecar connection: request bytes accumulate in `buf` until the
 /// header terminator, then the response accumulates in `out` until
@@ -327,6 +332,35 @@ pub(crate) fn serve(
             !(conn.lingering && conn.eof)
         });
     }
+}
+
+/// One blocking HTTP/1.1 `GET` against the telemetry sidecar: sends
+/// `GET {path}` with `Connection: close`, reads the response to EOF and
+/// returns its status code and body.
+///
+/// # Errors
+///
+/// Transport errors (the connect and every read or write time out after
+/// 10 s), and `InvalidData` when the response is not UTF-8 or lacks a
+/// status line or header terminator.
+pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
+    let mut stream = TcpStream::connect_timeout(&addr, GET_TIMEOUT)?;
+    stream.set_read_timeout(Some(GET_TIMEOUT))?;
+    stream.set_write_timeout(Some(GET_TIMEOUT))?;
+    let request = format!("GET {path} HTTP/1.1\r\nHost: pit-serve\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    let parsed = response.split_once("\r\n\r\n").and_then(|(head, body)| {
+        let status = head.split_ascii_whitespace().nth(1)?.parse().ok()?;
+        Some((status, body.to_string()))
+    });
+    parsed.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("malformed HTTP response: {response:?}"),
+        )
+    })
 }
 
 #[cfg(test)]

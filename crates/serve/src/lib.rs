@@ -7,11 +7,12 @@
 //! waves of `pit-infer`.
 //!
 //! * **Protocol** ([`protocol`]): length-prefixed binary frames — OPEN a
-//!   stream, PUSH timesteps, receive EMIT frames back, CLOSE; plus
-//!   PING/STATS/LOAD_MODEL control frames. Protocol v2 adds the coalesced
-//!   PUSH_N/EMIT_N frames carrying many streams' timesteps per frame.
-//!   Decoding is defensive: malformed or hostile input yields ERROR
-//!   frames, never a daemon panic.
+//!   stream, send timesteps in PUSH_N frames, receive EMIT_N frames back,
+//!   CLOSE; plus PING/STATS/LOAD_MODEL control frames. One PUSH_N or
+//!   EMIT_N frame carries data for any number of a connection's streams,
+//!   and the module docs state which thread writes each reply and the
+//!   order replies keep. Decoding is defensive: malformed or hostile
+//!   input yields ERROR frames, never a daemon panic.
 //! * **Server** ([`server`]): an event-driven edge — one thread owning
 //!   every socket through a `poll(2)` readiness loop, no per-connection
 //!   threads — in front of [`ServerConfig::shards`] wave-batcher threads.
@@ -33,7 +34,11 @@
 //!   /healthz` (503 while booting or draining), and a per-stream event
 //!   trace ([`TraceEvent`]) on `GET /trace` and the TRACE frame
 //!   (protocol v4). The sidecar reads the same atomics the STATS frame
-//!   aggregates, so the two views can never disagree.
+//!   aggregates, so the two views can never disagree; [`http_get`] is the
+//!   matching minimal client.
+//! * **Chaos** ([`chaos`]): the deterministic fault seam behind
+//!   [`ServerConfig::faults`] (`None` by default, costing one `Option`
+//!   check) and a misbehaving-client toolkit for adversarial tests.
 //! * **Client** ([`client`]): a small blocking client used by the tests,
 //!   benches and examples — [`ClientBuilder`] for timeouts, write
 //!   batching and a default model, per-stream model selection via
@@ -55,12 +60,11 @@
 //! let mut client = Client::connect(addr).expect("daemon reachable");
 //! client.open(0).expect("send");
 //! client.push(0, 4, &[0.1, 0.2, 0.3, 0.4]).expect("send");
-//! // ... read EMIT frames with client.recv() ...
+//! // ... read EMIT_N frames with client.recv() ...
 //! let stats = handle.shutdown();
 //! println!("served {} timesteps", stats.timesteps_in);
 //! ```
 
-#[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod client;
 pub(crate) mod edge;
@@ -72,6 +76,7 @@ pub mod stats;
 pub(crate) mod telemetry;
 
 pub use client::{Client, ClientBuilder, ModelInfo, ServeError};
+pub use http::http_get;
 pub use protocol::{ClientFrame, CloseReason, ErrorCode, FrameError, ServerFrame, MAX_MODEL_NAME};
 pub use server::{ServeEngine, Server, ServerConfig, ServerHandle};
 pub use stats::{ModelSnapshot, StatsSnapshot};

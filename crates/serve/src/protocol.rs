@@ -9,7 +9,6 @@
 //! | dir | opcode | frame        | payload                                            |
 //! |-----|--------|--------------|----------------------------------------------------|
 //! | →   | `0x01` | OPEN         | `u32` stream id \[, `u16` name len, UTF-8 model name\] |
-//! | →   | `0x02` | PUSH         | `u32` stream, `u32` count, `u32` channels, samples |
 //! | →   | `0x03` | CLOSE        | `u32` stream id                                    |
 //! | →   | `0x04` | PING         | `u64` token                                        |
 //! | →   | `0x05` | STATS        | —                                                  |
@@ -18,7 +17,6 @@
 //! | →   | `0x08` | LIST_MODELS  | —                                                  |
 //! | →   | `0x09` | TRACE        | `u32` stream id                                    |
 //! | ←   | `0x81` | OPENED       | `u32` stream id                                    |
-//! | ←   | `0x82` | EMIT         | `u32` stream, `u32` count, `u32` dim, outputs      |
 //! | ←   | `0x83` | CLOSED       | `u32` stream id, `u8` reason                       |
 //! | ←   | `0x84` | PONG         | `u64` token                                        |
 //! | ←   | `0x85` | STATS_JSON   | UTF-8 JSON (a [`crate::StatsSnapshot`])            |
@@ -28,30 +26,30 @@
 //! | ←   | `0x89` | TRACE_JSON   | UTF-8 JSON (a `pit-serve-trace/1` document)        |
 //! | ←   | `0xFF` | ERROR        | `u8` code, UTF-8 message                           |
 //!
-//! ## Protocol v2: batched frames
+//! ## Stream data: PUSH_N and EMIT_N
 //!
-//! `PUSH_N`/`EMIT_N` are the v2 additions: one frame carries timesteps for
-//! *many streams at once*, amortizing the length prefix, opcode dispatch and
-//! — far more importantly — the per-frame syscalls across a whole fleet of
-//! streams on the connection. Samples/outputs are concatenated in entry
-//! order, each entry contributing `count × channels` (resp. `count × dim`)
-//! values, timestep-major. v1 single-stream frames keep working unchanged: a
-//! connection opts into v2 replies simply by sending any `PUSH_N` — from
-//! then on the server coalesces each wave's emissions into `EMIT_N` frames
-//! (v1 connections keep receiving per-stream `EMIT`).
+//! `PUSH_N` and `EMIT_N` are the only frames that carry stream data. One
+//! frame carries timesteps for any number of streams — a single stream is
+//! a one-entry frame — amortizing the length prefix, opcode dispatch and
+//! the per-frame syscalls across a whole fleet of streams on the
+//! connection. Samples/outputs are concatenated in entry order, each entry
+//! contributing `count × channels` (resp. `count × dim`) values,
+//! timestep-major; [`entry_runs`] walks that layout. The server coalesces
+//! each wave's emissions into one `EMIT_N` per connection and model.
+//! Opcodes `0x02`/`0x82` (the retired single-stream PUSH/EMIT frames) decode
+//! as unknown opcodes.
 //!
 //! ## Protocol v3: the model zoo
 //!
 //! v3 makes the daemon multi-model. `OPEN` grows an *optional* trailing
 //! model-name field — `u16` LE length then that many UTF-8 bytes, selecting
-//! which registry entry serves the stream. A 5-byte v1/v2 OPEN body means
-//! "the default model", so old clients are bit-for-bit unchanged; a name the
-//! registry does not hold is refused with [`ErrorCode::UnknownModel`]. A
-//! zero-length or length-mismatched name field is malformed
-//! ([`ErrorCode::BadFrame`]). `LIST_MODELS` (`0x08`, empty payload) asks for
-//! the registry: the `MODELS_JSON` (`0x88`) reply carries one JSON object
-//! per model (name, kind, channels/dim, receptive field, open-stream gauge,
-//! default flag).
+//! which registry entry serves the stream. A 5-byte OPEN body means "the
+//! default model"; a name the registry does not hold is refused with
+//! [`ErrorCode::UnknownModel`]. A zero-length or length-mismatched name
+//! field is malformed ([`ErrorCode::BadFrame`]). `LIST_MODELS` (`0x08`,
+//! empty payload) asks for the registry: the `MODELS_JSON` (`0x88`) reply
+//! carries one JSON object per model (name, kind, channels/dim, receptive
+//! field, open-stream gauge, default flag).
 //!
 //! `LOAD_MODEL` is re-specified as **add-or-replace-by-name**: loading an
 //! artifact whose plan name is new *adds* it to the registry (even while
@@ -62,6 +60,34 @@
 //! exactly one model, for which these semantics degenerate to the old
 //! whole-daemon swap.
 //!
+//! ## Reply order
+//!
+//! Two kinds of thread write into a connection's reply stream: the *edge*,
+//! which decodes the connection's requests in arrival order and answers
+//! or admits each one, and the *shard* serving a stream, which runs its
+//! waves. Which one writes each frame:
+//!
+//! | frame        | written by | when |
+//! |--------------|------------|------|
+//! | OPENED       | edge  | the OPEN is admitted (before it is routed to the shard) |
+//! | PONG, STATS_JSON, MODELS_JSON, TRACE_JSON, MODEL_LOADED | edge | the request is handled |
+//! | ERROR        | edge  | a request is malformed or refused at admission (every code) |
+//! | ERROR        | shard | `UnknownStream` only: a PUSH_N or CLOSE raced an idle eviction |
+//! | EMIT_N       | shard | a wave flushed the stream's timesteps |
+//! | CLOSED       | shard | after the stream's final EMIT_N (CLOSE, idle eviction, drain) |
+//!
+//! The order that holds on one connection:
+//!
+//! * Replies the edge writes follow request order: the reply to request
+//!   *N* precedes the reply to request *N + 1*.
+//! * For one stream, OPENED comes before its EMIT_N entries, and those come
+//!   before its CLOSED.
+//! * Frames a shard writes (EMIT_N, CLOSED, the eviction-race
+//!   `UnknownStream`) have no fixed order against later replies from the
+//!   edge: a PONG can overtake the emissions of an earlier PUSH_N, and the
+//!   OPENED of a re-used stream id can overtake the CLOSED of its previous
+//!   incarnation — wait for CLOSED before re-opening an id.
+//!
 //! Decoding is defensive by construction: bodies are bounded by
 //! [`MAX_FRAME_BODY`] before any allocation, every multi-byte field checks
 //! the remaining length, and a malformed body yields a [`FrameError`] — the
@@ -71,7 +97,7 @@
 
 use std::io::Read;
 
-/// Upper bound on one frame body. Large enough for a burst PUSH of
+/// Upper bound on one frame body. Large enough for a burst PUSH_N of
 /// thousands of wide timesteps; small enough that a hostile length prefix
 /// cannot make the daemon allocate unbounded memory.
 pub const MAX_FRAME_BODY: usize = 1 << 20;
@@ -111,11 +137,11 @@ pub enum ErrorCode {
     BadFrame = 1,
     /// Opcode the server does not understand.
     UnknownOpcode = 2,
-    /// PUSH/CLOSE for a stream id that was never opened (or already closed).
+    /// PUSH_N/CLOSE for a stream id that was never opened (or already closed).
     UnknownStream = 3,
     /// OPEN for a stream id already open on this connection.
     DuplicateStream = 4,
-    /// The connection's pending-timestep backpressure cap was hit; the PUSH
+    /// The connection's pending-timestep backpressure cap was hit; the PUSH_N
     /// was dropped — flush emissions before pushing more.
     Backpressure = 5,
     /// The server-wide stream limit was hit.
@@ -159,15 +185,6 @@ pub enum ClientFrame {
         /// encodes the 5-byte v1 body and means the server's default model.
         model: Option<String>,
     },
-    /// Push `samples.len() / channels` timesteps onto an open stream.
-    Push {
-        /// Connection-scoped stream id.
-        stream_id: u32,
-        /// Channels per timestep (must match the served plan).
-        channels: u32,
-        /// `count × channels` values, timestep-major.
-        samples: Vec<f32>,
-    },
     /// Close a stream in an orderly way: timesteps already pushed are
     /// flushed and their emissions delivered before the CLOSED reply, then
     /// the pool slot is recycled.
@@ -189,9 +206,8 @@ pub enum ClientFrame {
         /// Path to a `pit-arch/2` artifact on the server host.
         path: String,
     },
-    /// Protocol v2: push timesteps for many streams in one frame. Sending
-    /// this opts the connection into coalesced [`ServerFrame::EmitN`]
-    /// replies.
+    /// Push timesteps for one or more open streams in one frame — the
+    /// only frame that carries samples.
     PushN {
         /// Channels per timestep (must match the served plan).
         channels: u32,
@@ -221,17 +237,6 @@ pub enum ServerFrame {
         /// The stream id from the OPEN frame.
         stream_id: u32,
     },
-    /// `count` head outputs of `dim` values each, chronological.
-    Emit {
-        /// Connection-scoped stream id.
-        stream_id: u32,
-        /// Number of output vectors.
-        count: u32,
-        /// Values per output vector.
-        dim: u32,
-        /// `count × dim` values.
-        outputs: Vec<f32>,
-    },
     /// A stream ended (client request, idle eviction or server drain).
     Closed {
         /// Connection-scoped stream id.
@@ -254,8 +259,8 @@ pub enum ServerFrame {
         /// Name of the now-served plan.
         name: String,
     },
-    /// Protocol v2: one wave's emissions for many streams in one frame (sent
-    /// to connections that have pushed with [`ClientFrame::PushN`]).
+    /// One wave's emissions for one or more streams of the connection —
+    /// the only frame that carries head outputs.
     EmitN {
         /// Values per output vector.
         dim: u32,
@@ -355,22 +360,6 @@ pub fn encode_client(f: &ClientFrame) -> Vec<u8> {
                 body.extend_from_slice(name.as_bytes());
             }
         }
-        ClientFrame::Push {
-            stream_id,
-            channels,
-            samples,
-        } => {
-            body.push(0x02);
-            body.extend_from_slice(&stream_id.to_le_bytes());
-            let count = if *channels == 0 {
-                0
-            } else {
-                (samples.len() / *channels as usize) as u32
-            };
-            body.extend_from_slice(&count.to_le_bytes());
-            body.extend_from_slice(&channels.to_le_bytes());
-            put_f32s(&mut body, samples);
-        }
         ClientFrame::Close { stream_id } => {
             body.push(0x03);
             body.extend_from_slice(&stream_id.to_le_bytes());
@@ -411,6 +400,37 @@ fn put_entries(body: &mut Vec<u8>, entries: &[(u32, u32)]) {
     }
 }
 
+/// Walks the entry layout PUSH_N and EMIT_N share: yields each entry's
+/// `(stream_id, values)` in payload order, where `values` is that entry's
+/// `count × width` run of the concatenated payload (`width` is the frame's
+/// channels or dim). A decoded frame always holds exactly `Σ countᵢ ×
+/// width` values; on a hand-built frame holding fewer, the walk stops at
+/// the first entry that runs past the end.
+///
+/// ```
+/// use pit_serve::protocol::entry_runs;
+///
+/// let runs: Vec<(u32, &[f32])> =
+///     entry_runs(2, &[(7, 1), (9, 2)], &[0.5, -0.5, 1.0, 2.0, 3.0, 4.0]).collect();
+/// assert_eq!(runs[0], (7, &[0.5, -0.5][..]));
+/// assert_eq!(runs[1], (9, &[1.0, 2.0, 3.0, 4.0][..]));
+/// ```
+pub fn entry_runs<'a>(
+    width: u32,
+    entries: &'a [(u32, u32)],
+    values: &'a [f32],
+) -> impl Iterator<Item = (u32, &'a [f32])> + 'a {
+    let mut offset = 0usize;
+    entries.iter().map_while(move |&(stream_id, count)| {
+        let end = (count as usize)
+            .checked_mul(width as usize)
+            .and_then(|len| offset.checked_add(len))?;
+        let run = values.get(offset..end)?;
+        offset = end;
+        Some((stream_id, run))
+    })
+}
+
 /// Encodes a server frame, length prefix included.
 pub fn encode_server(f: &ServerFrame) -> Vec<u8> {
     let mut body = Vec::new();
@@ -418,18 +438,6 @@ pub fn encode_server(f: &ServerFrame) -> Vec<u8> {
         ServerFrame::Opened { stream_id } => {
             body.push(0x81);
             body.extend_from_slice(&stream_id.to_le_bytes());
-        }
-        ServerFrame::Emit {
-            stream_id,
-            count,
-            dim,
-            outputs,
-        } => {
-            body.push(0x82);
-            body.extend_from_slice(&stream_id.to_le_bytes());
-            body.extend_from_slice(&count.to_le_bytes());
-            body.extend_from_slice(&dim.to_le_bytes());
-            put_f32s(&mut body, outputs);
         }
         ServerFrame::Closed { stream_id, reason } => {
             body.push(0x83);
@@ -546,19 +554,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Checked `count × channels` for a PUSH/EMIT payload: both fields are
-/// attacker-controlled u32s whose product must match the remaining bytes.
-fn checked_grid(count: u32, dim: u32, what: &str) -> Result<usize, FrameError> {
-    let total = u128::from(count) * u128::from(dim);
-    if total * 4 > MAX_FRAME_BODY as u128 {
-        return Err(FrameError::Malformed(format!(
-            "{what} claims {total} values, beyond the frame bound"
-        )));
-    }
-    Ok(total as usize)
-}
-
-/// Decodes a v2 `(stream, count)` entry list. The entry count is
+/// Decodes a PUSH_N/EMIT_N `(stream, count)` entry list. The entry count is
 /// attacker-controlled: it is bounded against the remaining bytes *before*
 /// any allocation, each entry must carry at least one timestep, and the
 /// checked sum `Σ countᵢ × width` is returned for the payload read.
@@ -626,23 +622,6 @@ pub fn decode_client(body: &[u8]) -> Result<ClientFrame, FrameError> {
                 };
             ClientFrame::Open { stream_id, model }
         }
-        0x02 => {
-            let stream_id = c.u32("stream id")?;
-            let count = c.u32("count")?;
-            let channels = c.u32("channels")?;
-            if channels == 0 {
-                return Err(FrameError::Malformed("PUSH with zero channels".into()));
-            }
-            if count == 0 {
-                return Err(FrameError::Malformed("PUSH with zero timesteps".into()));
-            }
-            let total = checked_grid(count, channels, "PUSH")?;
-            ClientFrame::Push {
-                stream_id,
-                channels,
-                samples: c.f32s(total, "samples")?,
-            }
-        }
         0x03 => ClientFrame::Close {
             stream_id: c.u32("stream id")?,
         },
@@ -687,18 +666,6 @@ pub fn decode_server(body: &[u8]) -> Result<ServerFrame, FrameError> {
         0x81 => ServerFrame::Opened {
             stream_id: c.u32("stream id")?,
         },
-        0x82 => {
-            let stream_id = c.u32("stream id")?;
-            let count = c.u32("count")?;
-            let dim = c.u32("dim")?;
-            let total = checked_grid(count, dim, "EMIT")?;
-            ServerFrame::Emit {
-                stream_id,
-                count,
-                dim,
-                outputs: c.f32s(total, "outputs")?,
-            }
-        }
         0x83 => {
             let stream_id = c.u32("stream id")?;
             let reason = c.u8("reason")?;
@@ -911,11 +878,6 @@ mod tests {
             stream_id: 7,
             model: None,
         });
-        client_roundtrip(ClientFrame::Push {
-            stream_id: 7,
-            channels: 2,
-            samples: vec![1.0, -2.5, 0.0, 3.25],
-        });
         client_roundtrip(ClientFrame::Close { stream_id: 7 });
         client_roundtrip(ClientFrame::Ping { token: u64::MAX });
         client_roundtrip(ClientFrame::Stats);
@@ -923,12 +885,6 @@ mod tests {
             path: "models/ppg.json".into(),
         });
         server_roundtrip(ServerFrame::Opened { stream_id: 3 });
-        server_roundtrip(ServerFrame::Emit {
-            stream_id: 3,
-            count: 2,
-            dim: 2,
-            outputs: vec![0.5, -0.5, 1.0, 2.0],
-        });
         server_roundtrip(ServerFrame::Closed {
             stream_id: 3,
             reason: CloseReason::IdleEvicted,
@@ -944,7 +900,12 @@ mod tests {
             code: ErrorCode::Backpressure,
             message: "slow down".into(),
         });
-        // v2 batched frames.
+        // Stream data: one-entry and multi-entry batches.
+        client_roundtrip(ClientFrame::PushN {
+            channels: 2,
+            entries: vec![(7, 2)],
+            samples: vec![1.0, -2.5, 0.0, 3.25],
+        });
         client_roundtrip(ClientFrame::PushN {
             channels: 2,
             entries: vec![(7, 2), (9, 1)],
@@ -1053,6 +1014,11 @@ mod tests {
             decode_client(&frame(&[], 1, None, 0)).unwrap_err(),
             FrameError::Malformed(_)
         ));
+        // One entry claiming more values than any frame can hold.
+        assert!(matches!(
+            decode_client(&frame(&[(1, u32::MAX)], u32::MAX, None, 0)).unwrap_err(),
+            FrameError::Malformed(_)
+        ));
         // Entry count far beyond the body: must be rejected before any
         // allocation, not by running off the end entry-by-entry.
         assert!(matches!(
@@ -1081,6 +1047,33 @@ mod tests {
         ));
         // The well-formed version of the same frame decodes.
         assert!(decode_client(&frame(&[(1, 2), (2, 2)], 2, None, 8)).is_ok());
+    }
+
+    #[test]
+    fn entry_runs_walk_decoded_payloads_and_stop_on_short_ones() {
+        let frame = ServerFrame::EmitN {
+            dim: 2,
+            entries: vec![(4, 2), (1, 1)],
+            outputs: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        };
+        let ServerFrame::EmitN {
+            dim,
+            entries,
+            outputs,
+        } = decode_server(&encode_server(&frame)[4..]).unwrap()
+        else {
+            panic!("EMIT_N decodes as EMIT_N")
+        };
+        let runs: Vec<(u32, Vec<f32>)> = entry_runs(dim, &entries, &outputs)
+            .map(|(sid, run)| (sid, run.to_vec()))
+            .collect();
+        assert_eq!(
+            runs,
+            vec![(4, vec![1.0, 2.0, 3.0, 4.0]), (1, vec![5.0, 6.0])]
+        );
+        // A hand-built payload one value short ends the walk before the
+        // entry it cannot fill, instead of panicking.
+        assert_eq!(entry_runs(2, &entries, &outputs[..5]).count(), 1);
     }
 
     #[test]
@@ -1130,34 +1123,23 @@ mod tests {
             decode_client(&[0x01, 1, 0, 0, 0, 9]).unwrap_err(),
             FrameError::Malformed(_)
         ));
-        // PUSH whose count does not match the payload.
+        // The retired single-stream PUSH/EMIT opcodes are unknown, even
+        // with a body that was well-formed under their old layout.
         let mut push = vec![0x02];
         push.extend_from_slice(&1u32.to_le_bytes()); // stream
-        push.extend_from_slice(&3u32.to_le_bytes()); // count 3
-        push.extend_from_slice(&2u32.to_le_bytes()); // channels 2
-        push.extend_from_slice(&1.0f32.to_le_bytes()); // only 1 value
-        assert!(matches!(
+        push.extend_from_slice(&1u32.to_le_bytes()); // count
+        push.extend_from_slice(&1u32.to_le_bytes()); // channels
+        push.extend_from_slice(&1.0f32.to_le_bytes());
+        assert_eq!(
             decode_client(&push).unwrap_err(),
-            FrameError::Malformed(_)
-        ));
-        // PUSH claiming more values than any frame can hold.
-        let mut huge = vec![0x02];
-        huge.extend_from_slice(&1u32.to_le_bytes());
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_client(&huge).unwrap_err(),
-            FrameError::Malformed(_)
-        ));
-        // Zero channels / zero count.
-        let mut zc = vec![0x02];
-        zc.extend_from_slice(&1u32.to_le_bytes());
-        zc.extend_from_slice(&1u32.to_le_bytes());
-        zc.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_client(&zc).unwrap_err(),
-            FrameError::Malformed(_)
-        ));
+            FrameError::UnknownOpcode(0x02)
+        );
+        let mut emit = push.clone();
+        emit[0] = 0x82;
+        assert_eq!(
+            decode_server(&emit).unwrap_err(),
+            FrameError::UnknownOpcode(0x82)
+        );
         // LOAD_MODEL with invalid UTF-8.
         assert!(matches!(
             decode_client(&[0x06, 0xFF, 0xFE]).unwrap_err(),

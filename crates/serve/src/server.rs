@@ -7,17 +7,18 @@
 //!   *every* client socket (nonblocking) and the self-pipe, multiplexed
 //!   through one `poll(2)` readiness loop — no per-connection threads, so
 //!   4096 streams cost 4096 sockets, not 8192 stacks. The edge reassembles
-//!   and decodes frames, answers PING/STATS/LOAD_MODEL in place, validates
-//!   OPEN/PUSH (duplicates, server capacity, channel count, backpressure)
-//!   and routes stream work to shards. Outbound frames accumulate in
-//!   bounded per-connection outbufs drained with vectored writes whenever
-//!   the socket accepts them.
+//!   and decodes frames, answers PING/STATS/LOAD_MODEL in place, admits
+//!   OPEN (duplicates, server capacity; it writes the OPENED reply itself)
+//!   and PUSH_N (channel count, backpressure), and routes stream work to
+//!   shards. Outbound frames accumulate in bounded per-connection outbufs
+//!   drained with vectored writes whenever the socket accepts them.
 //! * **Shards** ([`ServerConfig::shards`] wave-batcher threads): each owns
 //!   one session-pool shard behind the [`pit_infer::StreamPool`] trait —
 //!   one generic batcher for both precisions. A stream is pinned to
 //!   `shard_of(conn, stream_id)` at OPEN; every wave flushes the shard's
-//!   pending timesteps as one batched GEMM per layer. Shards write replies
-//!   into the outbufs and ring the edge's self-pipe to flush them.
+//!   pending timesteps as one batched GEMM per layer. Shards write EMIT_N
+//!   and CLOSED frames into the outbufs and ring the edge's self-pipe to
+//!   flush them (see the reply-order rules in [`crate::protocol`]).
 //!
 //! ## Lifecycle
 //!
@@ -28,14 +29,14 @@
 //! timesteps into final emissions, every stream gets a CLOSED frame, and
 //! the aggregated [`crate::StatsSnapshot`] is returned.
 
-#[cfg(feature = "chaos")]
 use crate::chaos::{FaultInjector, IoFault};
 use crate::edge::{
     poll_fds, pollfd, OutBuf, PollFd, WakePipe, Waker, POLLERR, POLLHUP, POLLIN, POLLOUT,
 };
 use crate::http;
 use crate::protocol::{
-    decode_client, encode_server, ClientFrame, ErrorCode, FrameAssembler, FrameError, ServerFrame,
+    decode_client, encode_server, entry_runs, ClientFrame, ErrorCode, FrameAssembler, FrameError,
+    ServerFrame,
 };
 use crate::shard::{Shard, ShardEvent, ShardNote};
 use crate::stats::{ModelStats, ShardStats, StatsSnapshot};
@@ -62,7 +63,7 @@ pub struct ServerConfig {
     /// Server-wide cap on concurrently open streams.
     pub max_streams: usize,
     /// Backpressure cap: maximum queued-but-unflushed timesteps per
-    /// connection; a PUSH that would exceed it is rejected with an ERROR
+    /// connection; a PUSH_N that would exceed it is rejected with an ERROR
     /// frame.
     pub max_pending_per_conn: usize,
     /// Wave cadence: each shard runs at most one pool flush per tick, so
@@ -102,7 +103,6 @@ pub struct ServerConfig {
     /// `WouldBlock`/`Interrupted` edge reads, skipped flushes, delayed
     /// shard wakeups, wave-flush stalls, delayed eviction notes. `None`
     /// (the default) injects nothing; see [`crate::chaos::FaultPlan`].
-    #[cfg(feature = "chaos")]
     pub faults: Option<Arc<FaultInjector>>,
 }
 
@@ -122,7 +122,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
             drain_grace: Duration::ZERO,
             read_progress_timeout: Some(Duration::from_secs(30)),
-            #[cfg(feature = "chaos")]
             faults: None,
         }
     }
@@ -239,7 +238,6 @@ struct EdgeConn {
     assembler: FrameAssembler,
     out: Arc<OutBuf>,
     pending: Arc<AtomicUsize>,
-    v2: Arc<AtomicBool>,
     /// Client stream ids opened (and not yet closed) on this connection,
     /// each mapped to its registry model index and open generation — the
     /// edge's authoritative view for duplicate/capacity checks, per-stream
@@ -358,12 +356,10 @@ impl Edge {
                 Arc::clone(&self.telemetry.edge.outbuf_hwm),
             ));
             let pending = Arc::new(AtomicUsize::new(0));
-            let v2 = Arc::new(AtomicBool::new(false));
             self.broadcast(|| ShardEvent::Connected {
                 conn,
                 out: Arc::clone(&out),
                 pending: Arc::clone(&pending),
-                v2: Arc::clone(&v2),
             });
             self.telemetry
                 .edge
@@ -380,7 +376,6 @@ impl Edge {
                     assembler: FrameAssembler::new(),
                     out,
                     pending,
-                    v2,
                     streams: HashMap::new(),
                     want_write: false,
                     last_frame: Instant::now(),
@@ -401,7 +396,6 @@ impl Edge {
             let Some(state) = self.conns.get_mut(&conn) else {
                 return;
             };
-            #[cfg(feature = "chaos")]
             if let Some(fault) = self.config.faults.as_ref().and_then(|f| f.pre_read()) {
                 match fault {
                     // Level-triggered poll re-signals the unread bytes on
@@ -512,25 +506,6 @@ impl Edge {
                     ShardEvent::Close { conn, stream_id },
                 );
             }
-            ClientFrame::Push {
-                stream_id,
-                channels,
-                samples,
-            } => {
-                let count = samples.len() / channels.max(1) as usize;
-                if !self.admit_push(conn, &[stream_id], channels, count) {
-                    return;
-                }
-                self.route(
-                    self.shard_index(conn, stream_id),
-                    ShardEvent::Push {
-                        conn,
-                        stream_id,
-                        count,
-                        samples,
-                    },
-                );
-            }
             ClientFrame::PushN {
                 channels,
                 entries,
@@ -593,8 +568,9 @@ impl Edge {
             .stats
             .streams_open
             .fetch_add(1, Ordering::Relaxed);
-        // The shard opens the pool slot and replies Opened, keeping reply
-        // order consistent with the emissions that follow.
+        // Reply before routing: the stream's emissions can only follow the
+        // OPEN down its shard's channel, so OPENED always precedes them.
+        self.send(conn, &ServerFrame::Opened { stream_id });
         self.route(
             self.shard_index(conn, stream_id),
             ShardEvent::Open {
@@ -606,7 +582,7 @@ impl Edge {
         );
     }
 
-    /// Shared admission for PUSH and each PUSH_N: the channel count must
+    /// Admission for a PUSH_N, all-or-nothing: the channel count must
     /// match *each named stream's own model* (streams of differently-shaped
     /// models cannot share one frame), every stream must be open on this
     /// connection, and the connection must be under its pending-timestep
@@ -614,7 +590,7 @@ impl Edge {
     fn admit_push(
         &mut self,
         conn: ConnId,
-        stream_ids: &[u32],
+        entries: &[(u32, u32)],
         channels: u32,
         count: usize,
     ) -> bool {
@@ -623,16 +599,16 @@ impl Edge {
         };
         let mut unknown = None;
         let mut mismatch = None;
-        for sid in stream_ids {
-            match state.streams.get(sid) {
+        for &(sid, _) in entries {
+            match state.streams.get(&sid) {
                 None => {
-                    unknown = Some(*sid);
+                    unknown = Some(sid);
                     break;
                 }
                 Some(open) => {
                     let c_in = self.models[open.model].engine.input_channels();
                     if channels as usize != c_in {
-                        mismatch = Some((*sid, open.model, c_in));
+                        mismatch = Some((sid, open.model, c_in));
                         break;
                     }
                 }
@@ -649,7 +625,7 @@ impl Edge {
         if let Some((sid, model, c_in)) = mismatch {
             let name = &self.models[model].name;
             let msg = format!(
-                "PUSH carries {channels} channels, stream {sid}'s model '{name}' takes {c_in}"
+                "PUSH_N carries {channels} channels, stream {sid}'s model '{name}' takes {c_in}"
             );
             self.send_error(conn, ErrorCode::BadFrame, msg);
             return false;
@@ -680,31 +656,36 @@ impl Edge {
         entries: &[(u32, u32)],
         samples: Vec<f32>,
     ) {
-        let stream_ids: Vec<u32> = entries.iter().map(|&(sid, _)| sid).collect();
         let total: usize = entries.iter().map(|&(_, count)| count as usize).sum();
         // Admission is all-or-nothing: one unknown stream or a cap overrun
-        // rejects the whole frame, so a v2 batch never half-applies.
-        if !self.admit_push(conn, &stream_ids, channels, total) {
+        // rejects the whole frame, so a batch never half-applies.
+        if !self.admit_push(conn, entries, channels, total) {
             return;
         }
-        if let Some(state) = self.conns.get(&conn) {
-            state.v2.store(true, Ordering::Relaxed);
-        }
-        let c_in = channels as usize;
-        let mut offset = 0usize;
-        for &(stream_id, count) in entries {
-            let count = count as usize;
-            let end = offset + count * c_in;
+        if let &[(stream_id, count)] = entries {
+            // A one-entry frame's payload is that stream's samples: hand
+            // them over as they are.
             self.route(
                 self.shard_index(conn, stream_id),
                 ShardEvent::Push {
                     conn,
                     stream_id,
-                    count,
-                    samples: samples[offset..end].to_vec(),
+                    count: count as usize,
+                    samples,
                 },
             );
-            offset = end;
+            return;
+        }
+        for (stream_id, run) in entry_runs(channels, entries, &samples) {
+            self.route(
+                self.shard_index(conn, stream_id),
+                ShardEvent::Push {
+                    conn,
+                    stream_id,
+                    count: run.len() / channels as usize,
+                    samples: run.to_vec(),
+                },
+            );
         }
     }
 
@@ -924,7 +905,6 @@ impl Edge {
             if !state.want_write && !state.out.has_pending() {
                 continue;
             }
-            #[cfg(feature = "chaos")]
             if self
                 .config
                 .faults
@@ -1182,15 +1162,12 @@ impl Server {
             let shard = Shard::new(
                 index,
                 &shard_models,
-                self.config.tick,
-                self.config.idle_timeout,
+                &self.config,
                 Arc::clone(&stats),
                 Arc::clone(&telemetry),
                 note_tx.clone(),
                 self.waker.clone(),
             );
-            #[cfg(feature = "chaos")]
-            let shard = shard.with_faults(self.config.faults.clone());
             shard_txs.push(tx);
             shard_stats.push(stats);
             shard_threads.push(std::thread::spawn(move || shard.run(rx)));
@@ -1250,7 +1227,6 @@ impl Server {
         // Shard notes held back by the chaos `note_delay` fault, due-time
         // ordered (the channel delivers in send order and the delay is
         // constant, so pushing back keeps the front oldest).
-        #[cfg(feature = "chaos")]
         let mut delayed_notes: std::collections::VecDeque<(Instant, ShardNote)> =
             std::collections::VecDeque::new();
         loop {
@@ -1273,21 +1249,18 @@ impl Server {
                 .edge_poll_ns
                 .record(dispatch_start.duration_since(poll_start).as_nanos() as u64);
             self.wake_pipe.drain();
-            #[cfg(feature = "chaos")]
             let note_delay = edge
                 .config
                 .faults
                 .as_ref()
                 .and_then(|f| f.plan().note_delay);
             while let Ok(note) = note_rx.try_recv() {
-                #[cfg(feature = "chaos")]
                 if let Some(delay) = note_delay {
                     delayed_notes.push_back((Instant::now() + delay, note));
                     continue;
                 }
                 edge.handle_note(note);
             }
-            #[cfg(feature = "chaos")]
             while delayed_notes
                 .front()
                 .is_some_and(|&(due, _)| Instant::now() >= due)
@@ -1326,7 +1299,6 @@ impl Server {
 
         // Graceful drain. 0) Apply notes the chaos delay was still holding
         // so the final accounting matches what the shards reported.
-        #[cfg(feature = "chaos")]
         for (_, note) in delayed_notes {
             edge.handle_note(note);
         }

@@ -14,25 +14,24 @@
 //! flushes every pool with pending timesteps — each model still batches
 //! its own streams into single GEMMs.
 //!
-//! Shards never touch a socket: replies are encoded into the connection's
-//! [`OutBuf`] and the edge is woken through the self-pipe [`Waker`] to
-//! drain them. The little cross-thread state a shard shares is explicit:
-//! the per-connection pending-timestep counter (backpressure, edge
-//! increments / shard decrements), the per-connection v2 latch (EMIT vs
-//! EMIT_N formatting), its [`ShardStats`] block, the per-model
-//! [`ModelStats`] blocks shared by every shard, and a note channel back to
-//! the edge so idle evictions release the server-wide stream budget.
+//! Shards never touch a socket: EMIT_N and CLOSED frames are encoded into
+//! the connection's [`OutBuf`] and the edge is woken through the self-pipe
+//! [`Waker`] to drain them. The little cross-thread state a shard shares is
+//! explicit: the per-connection pending-timestep counter (backpressure,
+//! edge increments / shard decrements), its [`ShardStats`] block, the
+//! per-model [`ModelStats`] blocks shared by every shard, and a note
+//! channel back to the edge so idle evictions release the server-wide
+//! stream budget.
 
-#[cfg(feature = "chaos")]
 use crate::chaos::FaultInjector;
 use crate::edge::{OutBuf, Waker};
 use crate::protocol::{encode_server, CloseReason, ErrorCode, ServerFrame, MAX_FRAME_BODY};
-use crate::server::{ConnId, ServeEngine};
+use crate::server::{ConnId, ServeEngine, ServerConfig};
 use crate::stats::{ModelStats, ShardStats};
 use crate::telemetry::{Telemetry, TraceKind};
 use pit_infer::StreamPool;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,12 +44,11 @@ pub(crate) enum ShardEvent {
         conn: ConnId,
         out: Arc<OutBuf>,
         pending: Arc<AtomicUsize>,
-        v2: Arc<AtomicBool>,
     },
     /// The connection is gone (broadcast): close its streams on this shard.
     Disconnected { conn: ConnId },
-    /// OPEN, pre-validated by the edge (duplicate + capacity checks, and
-    /// `model` resolved against the registry). `gen` is the edge's open
+    /// OPEN, admitted (and already answered with OPENED) by the edge, with
+    /// `model` resolved against the registry. `gen` is the edge's open
     /// generation, echoed back in eviction notes so the edge can tell an
     /// eviction of *this* incarnation of the stream id from a later one.
     Open {
@@ -61,9 +59,9 @@ pub(crate) enum ShardEvent {
     },
     /// CLOSE, pre-validated by the edge (the stream was open there).
     Close { conn: ConnId, stream_id: u32 },
-    /// `count` timesteps for one stream (a v1 PUSH, or one entry of a v2
-    /// PUSH_N). The edge already validated channels and charged `count`
-    /// to the connection's pending counter.
+    /// `count` timesteps for one stream (one entry of a PUSH_N). The edge
+    /// already validated channels and charged `count` to the connection's
+    /// pending counter.
     Push {
         conn: ConnId,
         stream_id: u32,
@@ -104,9 +102,6 @@ struct ShardConn {
     /// Connection-wide queued-timestep counter (shared with the edge,
     /// which enforces the backpressure cap against it before forwarding).
     pending: Arc<AtomicUsize>,
-    /// Latched once the connection sends a PUSH_N: emissions coalesce into
-    /// EMIT_N frames.
-    v2: Arc<AtomicBool>,
     /// Connection-scoped stream id → `(model, pool slot)` on this shard.
     streams: HashMap<u32, (usize, usize)>,
     /// Timesteps this shard queued for the connection since the last wave
@@ -143,16 +138,16 @@ pub(crate) struct Shard {
     wrote: bool,
     /// Chaos fault seam (wakeup delays, wave stalls); `None` injects
     /// nothing.
-    #[cfg(feature = "chaos")]
     faults: Option<Arc<FaultInjector>>,
 }
 
 impl Shard {
+    /// A shard serving `models` with the tick, idle timeout and fault plan
+    /// of `config`.
     pub(crate) fn new(
         index: usize,
         models: &[(ServeEngine, Arc<ModelStats>)],
-        tick: Duration,
-        idle_timeout: Option<Duration>,
+        config: &ServerConfig,
         stats: Arc<ShardStats>,
         telemetry: Arc<Telemetry>,
         notes: Sender<ShardNote>,
@@ -162,8 +157,8 @@ impl Shard {
             index,
             pools: models.iter().map(|(e, _)| e.new_pool()).collect(),
             model_stats: models.iter().map(|(_, s)| Arc::clone(s)).collect(),
-            tick,
-            idle_timeout,
+            tick: config.tick,
+            idle_timeout: config.idle_timeout,
             conns: HashMap::new(),
             streams: HashMap::new(),
             stats,
@@ -171,17 +166,8 @@ impl Shard {
             notes,
             waker,
             wrote: false,
-            #[cfg(feature = "chaos")]
-            faults: None,
+            faults: config.faults.clone(),
         }
-    }
-
-    /// Installs the chaos fault seam (builder-style, used by the server
-    /// when [`crate::ServerConfig::faults`] is set).
-    #[cfg(feature = "chaos")]
-    pub(crate) fn with_faults(mut self, faults: Option<Arc<FaultInjector>>) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Records one per-stream event in the global trace ring.
@@ -226,18 +212,12 @@ impl Shard {
 
     fn handle(&mut self, event: ShardEvent) {
         match event {
-            ShardEvent::Connected {
-                conn,
-                out,
-                pending,
-                v2,
-            } => {
+            ShardEvent::Connected { conn, out, pending } => {
                 self.conns.insert(
                     conn,
                     ShardConn {
                         out,
                         pending,
-                        v2,
                         streams: HashMap::new(),
                         queued: 0,
                     },
@@ -308,7 +288,6 @@ impl Shard {
             .streams_open
             .store(self.streams.len() as u64, Ordering::Relaxed);
         self.trace(TraceKind::Open, conn, stream_id, model, 0);
-        self.send(conn, &ServerFrame::Opened { stream_id });
     }
 
     fn handle_close(&mut self, conn: ConnId, stream_id: u32) {
@@ -391,13 +370,11 @@ impl Shard {
     }
 
     /// One batched wave: flush every model pool with queued timesteps (one
-    /// GEMM per layer per model per wave) and route emissions back —
-    /// per-stream EMIT frames for v1 connections, one coalesced EMIT_N per
-    /// connection per model for v2.
+    /// GEMM per layer per model per wave) and route emissions back — one
+    /// coalesced EMIT_N per connection per model.
     fn run_wave(&mut self) {
         // Chaos: stall the flush to widen the window in which closes,
         // disconnects and evictions land on streams mid-wave.
-        #[cfg(feature = "chaos")]
         if let Some(faults) = &self.faults {
             faults.wave_stall();
         }
@@ -471,32 +448,13 @@ impl Shard {
             };
             let (conn, stream_id) = (info.conn, info.client_id);
             self.trace(TraceKind::Emit, conn, stream_id, model, emitted);
-            let v2 = self
-                .conns
-                .get(&conn)
-                .map(|c| c.v2.load(Ordering::Relaxed))
-                .unwrap_or(false);
-            if v2 {
-                let builder = emit_n.entry(conn).or_insert_with(|| {
-                    conn_order.push(conn);
-                    EmitNBuilder::new(dim)
-                });
-                for chunk in outputs.chunks(max_vectors_per_frame * dim) {
-                    if let Some(full) = builder.add(stream_id, chunk) {
-                        self.send(conn, &full);
-                    }
-                }
-            } else {
-                for chunk in outputs.chunks(max_vectors_per_frame * dim) {
-                    self.send(
-                        conn,
-                        &ServerFrame::Emit {
-                            stream_id,
-                            count: (chunk.len() / dim) as u32,
-                            dim: dim as u32,
-                            outputs: chunk.to_vec(),
-                        },
-                    );
+            let builder = emit_n.entry(conn).or_insert_with(|| {
+                conn_order.push(conn);
+                EmitNBuilder::new(dim)
+            });
+            for chunk in outputs.chunks(max_vectors_per_frame * dim) {
+                if let Some(full) = builder.add(stream_id, chunk) {
+                    self.send(conn, &full);
                 }
             }
         }
@@ -616,7 +574,6 @@ impl Shard {
                     // Chaos: sleep between receiving and handling, so the
                     // edge's view and this shard's view stay divergent for
                     // longer than any natural schedule would allow.
-                    #[cfg(feature = "chaos")]
                     if let Some(faults) = &self.faults {
                         faults.shard_wakeup();
                     }
@@ -668,8 +625,8 @@ impl Shard {
     }
 }
 
-/// Accumulates one wave's emissions for one v2 connection into EMIT_N
-/// frames, splitting when a frame would exceed the protocol body bound.
+/// Accumulates one wave's emissions for one connection into EMIT_N frames,
+/// splitting when a frame would exceed the protocol body bound.
 struct EmitNBuilder {
     dim: usize,
     entries: Vec<(u32, u32)>,

@@ -11,8 +11,8 @@
 //! aggregates all of them into one [`StatsSnapshot`] — per-shard latency
 //! histograms are merged before computing percentiles, so p50/p99 describe
 //! the whole daemon, not one shard — with one [`ModelSnapshot`] per
-//! registry entry (`pit-serve-stats/6`; v1–v5 documents still parse, they
-//! simply lack the newer fields).
+//! registry entry (`pit-serve-stats/6`, the only schema the daemon writes
+//! and the only one [`StatsSnapshot::from_json_str`] reads).
 //!
 //! Latency percentiles come from the lock-free log-scale `Histogram`s of
 //! `pit_tensor::hist` (exact counts, ≤ ~25% value quantization) and cover
@@ -86,8 +86,7 @@ pub struct StatsSnapshot {
     pub wave_p50_ns: u64,
     /// 99th-percentile wave latency in nanoseconds since boot.
     pub wave_p99_ns: u64,
-    /// 99.9th-percentile wave latency in nanoseconds since boot (v6+;
-    /// zero when parsed from an older document).
+    /// 99.9th-percentile wave latency in nanoseconds since boot.
     pub wave_p999_ns: u64,
     /// Total shard loop iterations: a monotone sequence number that keeps
     /// advancing while shards are alive, so two equal-`seq` snapshots were
@@ -97,8 +96,7 @@ pub struct StatsSnapshot {
     /// timesteps were pending at snapshot time — every counter has caught
     /// up with the traffic the edge accepted before this snapshot.
     pub settled: bool,
-    /// Per-model breakdown, one entry per registry model (v3+; empty when
-    /// parsed from a v1/v2 document).
+    /// Per-model breakdown, one entry per registry model.
     pub models: Vec<ModelSnapshot>,
 }
 
@@ -125,8 +123,7 @@ pub struct ModelSnapshot {
     pub wave_p50_ns: u64,
     /// 99th-percentile wave latency (ns) of this model.
     pub wave_p99_ns: u64,
-    /// 99.9th-percentile wave latency (ns) of this model (v6+; zero when
-    /// parsed from an older document).
+    /// 99.9th-percentile wave latency (ns) of this model.
     pub wave_p999_ns: u64,
 }
 
@@ -173,21 +170,20 @@ impl ModelSnapshot {
             wave_occupancy: num("wave_occupancy")?,
             wave_p50_ns: int("wave_p50_ns")?,
             wave_p99_ns: int("wave_p99_ns")?,
-            // Absent before pit-serve-stats/6: default to zero.
-            wave_p999_ns: doc
-                .get("wave_p999_ns")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
+            wave_p999_ns: int("wave_p999_ns")?,
         })
     }
 }
+
+/// The schema tag of every stats document the daemon writes.
+const SCHEMA: &str = "pit-serve-stats/6";
 
 impl StatsSnapshot {
     /// Renders the snapshot as the JSON document the STATS frame carries.
     pub fn to_json(&self) -> Json {
         let n = |v: u64| Json::Num(v as f64);
         Json::Obj(vec![
-            ("schema".into(), Json::Str("pit-serve-stats/6".into())),
+            ("schema".into(), Json::Str(SCHEMA.into())),
             ("model".into(), Json::Str(self.model.clone())),
             ("kind".into(), Json::Str(self.kind.clone())),
             ("shards".into(), n(self.shards)),
@@ -223,7 +219,8 @@ impl StatsSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or ill-typed field.
+    /// Returns a message when the document is not tagged
+    /// `pit-serve-stats/6`, or naming the first missing or ill-typed field.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text)?;
         let num = |name: &str| -> Result<f64, String> {
@@ -232,27 +229,26 @@ impl StatsSnapshot {
                 .ok_or_else(|| format!("missing number field '{name}'"))
         };
         let int = |name: &str| -> Result<u64, String> { Ok(num(name)? as u64) };
-        // Absent before pit-serve-stats/4 (or /5 for `connections_expired`,
-        // /6 for `wave_p999_ns`): default to zero.
-        let opt_int =
-            |name: &str| -> u64 { doc.get(name).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
         let text_field = |name: &str| -> Result<String, String> {
             doc.get(name)
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field '{name}'"))
         };
+        let schema = text_field("schema")?;
+        if schema != SCHEMA {
+            return Err(format!("schema is '{schema}', expected '{SCHEMA}'"));
+        }
         Ok(Self {
             model: text_field("model")?,
             kind: text_field("kind")?,
-            // Absent in pit-serve-stats/1 documents: default to one shard.
-            shards: doc.get("shards").and_then(Json::as_f64).unwrap_or(1.0) as u64,
+            shards: int("shards")?,
             connections_total: int("connections_total")?,
             connections_open: int("connections_open")?,
-            connections_closed: opt_int("connections_closed"),
-            connections_errored: opt_int("connections_errored"),
-            connections_expired: opt_int("connections_expired"),
-            connections_drained: opt_int("connections_drained"),
+            connections_closed: int("connections_closed")?,
+            connections_errored: int("connections_errored")?,
+            connections_expired: int("connections_expired")?,
+            connections_drained: int("connections_drained")?,
             streams_open: int("streams_open")?,
             streams_opened: int("streams_opened")?,
             streams_evicted: int("streams_evicted")?,
@@ -260,26 +256,24 @@ impl StatsSnapshot {
             emissions_out: int("emissions_out")?,
             frames_rejected: int("frames_rejected")?,
             replies_dropped: int("replies_dropped")?,
-            outbuf_hwm_bytes: opt_int("outbuf_hwm_bytes"),
+            outbuf_hwm_bytes: int("outbuf_hwm_bytes")?,
             waves: int("waves")?,
             wave_occupancy: num("wave_occupancy")?,
             wave_p50_ns: int("wave_p50_ns")?,
             wave_p99_ns: int("wave_p99_ns")?,
-            wave_p999_ns: opt_int("wave_p999_ns"),
-            seq: opt_int("seq"),
-            // Pre-v4 documents carry no settling signal; treat them as
-            // settled so old pollers keep their previous behavior.
+            wave_p999_ns: int("wave_p999_ns")?,
+            seq: int("seq")?,
             settled: match doc.get("settled") {
                 Some(Json::Bool(b)) => *b,
-                _ => true,
+                _ => return Err("missing bool field 'settled'".into()),
             },
-            // Absent in pit-serve-stats/1 and /2 documents: no breakdown.
             models: doc
                 .get("models")
                 .and_then(Json::as_array)
-                .map(|arr| arr.iter().map(ModelSnapshot::from_json).collect())
-                .transpose()?
-                .unwrap_or_default(),
+                .ok_or("missing array field 'models'")?
+                .iter()
+                .map(ModelSnapshot::from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -548,6 +542,16 @@ mod tests {
         let text = snap.to_json().render();
         let back = StatsSnapshot::from_json_str(&text).unwrap();
         assert_eq!(back, snap);
+        // Only the schema the daemon writes parses: an older tag, or a
+        // document missing any field, is refused.
+        let old = text.replace("pit-serve-stats/6", "pit-serve-stats/5");
+        assert!(StatsSnapshot::from_json_str(&old)
+            .unwrap_err()
+            .contains("schema"));
+        let short = text.replacen("\"wave_p999_ns\"", "\"dropped\"", 1);
+        assert!(StatsSnapshot::from_json_str(&short)
+            .unwrap_err()
+            .contains("wave_p999_ns"));
     }
 
     #[test]
@@ -563,77 +567,6 @@ mod tests {
         shards[0].queued_steps.store(8, Ordering::Relaxed);
         let snap = aggregate_snapshot("m", "f32", &EdgeCounters::default(), &shards, vec![]);
         assert!(!snap.settled, "queued timesteps owe a wave");
-    }
-
-    #[test]
-    fn v1_documents_without_a_shard_count_parse_as_one_shard() {
-        let snap = aggregate_snapshot(
-            "m",
-            "i8",
-            &EdgeCounters::default(),
-            &[Arc::new(ShardStats::default())],
-            vec![],
-        );
-        let text = snap.to_json().render().replace("\"shards\": 1, ", "");
-        let back = StatsSnapshot::from_json_str(&text).unwrap();
-        assert_eq!(back.shards, 1);
-    }
-
-    #[test]
-    fn v2_documents_without_a_models_array_parse_with_an_empty_breakdown() {
-        let snap = aggregate_snapshot(
-            "m",
-            "f32",
-            &EdgeCounters::default(),
-            &[Arc::new(ShardStats::default())],
-            vec![ModelSnapshot {
-                name: "m".into(),
-                kind: "f32".into(),
-                ..ModelSnapshot::default()
-            }],
-        );
-        let text = snap.to_json().render();
-        // Strip the v3 models array the way a v2 document simply lacks it:
-        // cut from the comma that precedes the "models" key to end-of-doc.
-        let key = text.find("\"models\":").expect("models field rendered");
-        let comma = text[..key].rfind(',').expect("comma before models key");
-        let stripped = format!("{}\n}}", &text[..comma]);
-        let back = StatsSnapshot::from_json_str(&stripped).unwrap();
-        assert!(back.models.is_empty());
-        assert_eq!(back.model, "m");
-    }
-
-    #[test]
-    fn pre_v4_documents_parse_with_settled_defaults() {
-        // A v3-shaped document: no lifecycle counters, no seq/settled.
-        let text = r#"{
-            "schema": "pit-serve-stats/3", "model": "m", "kind": "f32",
-            "shards": 2, "connections_total": 1, "connections_open": 1,
-            "streams_open": 0, "streams_opened": 3, "streams_evicted": 0,
-            "timesteps_in": 10, "emissions_out": 10, "frames_rejected": 0,
-            "replies_dropped": 0, "waves": 2, "wave_occupancy": 1.5,
-            "wave_p50_ns": 100, "wave_p99_ns": 200, "models": []
-        }"#;
-        let snap = StatsSnapshot::from_json_str(text).unwrap();
-        assert_eq!(snap.connections_closed, 0);
-        assert_eq!(snap.outbuf_hwm_bytes, 0);
-        assert_eq!(snap.seq, 0);
-        assert!(snap.settled, "pre-v4 documents read as settled");
-        assert_eq!(snap.wave_p999_ns, 0, "pre-v6 documents lack p99.9");
-    }
-
-    #[test]
-    fn v5_model_breakdowns_without_p999_parse_with_zero() {
-        let text = r#"{
-            "name": "m", "kind": "i8", "streams_open": 1,
-            "streams_opened": 2, "timesteps_in": 30, "emissions_out": 3,
-            "waves": 4, "wave_occupancy": 1.0,
-            "wave_p50_ns": 100, "wave_p99_ns": 200
-        }"#;
-        let doc = Json::parse(text).unwrap();
-        let m = ModelSnapshot::from_json(&doc).unwrap();
-        assert_eq!(m.wave_p99_ns, 200);
-        assert_eq!(m.wave_p999_ns, 0);
     }
 
     #[test]

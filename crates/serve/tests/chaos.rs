@@ -18,16 +18,14 @@
 //! target tmpdir) before asserting, so CI can upload the schedule that
 //! broke.
 
-#![cfg(feature = "chaos")]
-
 use pit_infer::{compile_temponet, QuantizedPlan, QuantizedSession};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::chaos::{self, ChaosRng, FaultPlan};
-use pit_serve::protocol::{decode_server, encode_client, FrameReader, ReadOutcome};
+use pit_serve::protocol::{decode_server, encode_client, entry_runs, FrameReader, ReadOutcome};
 use pit_serve::{
-    Client, ClientFrame, CloseReason, ErrorCode, ServeEngine, Server, ServerConfig, ServerFrame,
-    ServerHandle, StatsSnapshot,
+    http_get, Client, ClientFrame, CloseReason, ErrorCode, ServeEngine, Server, ServerConfig,
+    ServerFrame, ServerHandle, StatsSnapshot,
 };
 use pit_tensor::init;
 use rand::rngs::StdRng;
@@ -86,6 +84,15 @@ fn frame_bytes(frame: &ClientFrame) -> Vec<u8> {
     encode_client(frame)
 }
 
+/// A complete one-entry PUSH_N frame carrying `samples` for `stream_id`.
+fn push_bytes(stream_id: u32, samples: &[f32]) -> Vec<u8> {
+    frame_bytes(&ClientFrame::PushN {
+        channels: C as u32,
+        entries: vec![(stream_id, (samples.len() / C) as u32)],
+        samples: samples.to_vec(),
+    })
+}
+
 /// Collects `want` output vectors for a single stream, skipping OPENED
 /// acks; anything else (an ERROR, a CLOSED) fails the scenario.
 fn collect_emissions(client: &mut Client, stream_id: u32, want: usize) -> Vec<Vec<f32>> {
@@ -96,15 +103,14 @@ fn collect_emissions(client: &mut Client, stream_id: u32, want: usize) -> Vec<Ve
             .expect("transport healthy")
             .expect("emissions arrive before the timeout")
         {
-            ServerFrame::Emit {
-                stream_id: sid,
+            ServerFrame::EmitN {
                 dim,
+                entries,
                 outputs,
-                ..
             } => {
-                assert_eq!(sid, stream_id, "emission for the wrong stream");
-                for chunk in outputs.chunks_exact(dim as usize) {
-                    out.push(chunk.to_vec());
+                for (sid, run) in entry_runs(dim, &entries, &outputs) {
+                    assert_eq!(sid, stream_id, "emission for the wrong stream");
+                    out.extend(run.chunks_exact(dim as usize).map(<[f32]>::to_vec));
                 }
             }
             ServerFrame::Opened { .. } => {}
@@ -125,16 +131,17 @@ fn collect_tally(client: &mut Client, want: usize) -> HashMap<u32, Vec<Vec<f32>>
             .expect("transport healthy")
             .expect("emissions arrive before the timeout")
         {
-            ServerFrame::Emit {
-                stream_id,
+            ServerFrame::EmitN {
                 dim,
+                entries,
                 outputs,
-                ..
             } => {
-                let per = out.entry(stream_id).or_default();
-                for chunk in outputs.chunks_exact(dim as usize) {
-                    per.push(chunk.to_vec());
-                    n += 1;
+                for (sid, run) in entry_runs(dim, &entries, &outputs) {
+                    let per = out.entry(sid).or_default();
+                    for chunk in run.chunks_exact(dim as usize) {
+                        per.push(chunk.to_vec());
+                        n += 1;
+                    }
                 }
             }
             ServerFrame::Opened { .. } => {}
@@ -182,7 +189,7 @@ fn dump_trace(name: &str, metrics: SocketAddr) {
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    if let Ok((200, body)) = chaos::http_get(metrics, "/trace") {
+    if let Ok((200, body)) = http_get(metrics, "/trace") {
         let _ = std::fs::write(dir.join(format!("{name}.json")), body);
     }
 }
@@ -203,7 +210,7 @@ fn epilogue(name: &str, addr: SocketAddr, metrics: SocketAddr) -> StatsSnapshot 
         ),
         "daemon must answer PING after the scenario"
     );
-    let (status, body) = chaos::http_get(metrics, "/healthz").expect("healthz reachable");
+    let (status, body) = http_get(metrics, "/healthz").expect("healthz reachable");
     assert_eq!(status, 200, "healthz after chaos: {body}");
     assert!(body.contains("serving"), "healthz after chaos: {body}");
 
@@ -327,19 +334,10 @@ fn mid_push_rst_storm_leaves_survivors_bit_exact() {
                 }
                 let input = stream_input(100 + v as u64, 8);
                 for _ in 0..rng.below(3) {
-                    raw.write_all(&frame_bytes(&ClientFrame::Push {
-                        stream_id: 0,
-                        channels: C as u32,
-                        samples: input.clone(),
-                    }))
-                    .expect("push");
+                    raw.write_all(&push_bytes(0, &input)).expect("push");
                 }
-                // Cut the last PUSH mid-frame, then abort with an RST.
-                let push = frame_bytes(&ClientFrame::Push {
-                    stream_id: 1,
-                    channels: C as u32,
-                    samples: input,
-                });
+                // Cut the last PUSH_N mid-frame, then abort with an RST.
+                let push = push_bytes(1, &input);
                 let cut = 1 + rng.below(push.len() as u64 - 1) as usize;
                 raw.write_all(&push[..cut]).expect("partial push");
                 raw.flush().expect("flush");
@@ -402,8 +400,8 @@ fn mid_push_rst_storm_leaves_survivors_bit_exact() {
 }
 
 /// Scenario 4 — non-draining reader: with waves artificially stalled, a
-/// client fills its pending cap without reading a single EMIT, and the
-/// overflow PUSH bounces with `Backpressure`. Once it finally drains, the
+/// client fills its pending cap without reading a single EMIT_N, and the
+/// overflow PUSH_N bounces with `Backpressure`. Once it finally drains, the
 /// admitted 64 steps (and nothing else) come back bit-exact.
 #[test]
 fn non_draining_reader_hits_backpressure_then_drains_bit_exact() {
@@ -452,6 +450,71 @@ fn non_draining_reader_hits_backpressure_then_drains_bit_exact() {
 
     let snap = epilogue("non_draining_reader_backpressure", addr, metrics);
     assert!(snap.frames_rejected >= 1, "the bounce is counted: {snap:?}");
+    handle.shutdown();
+}
+
+/// Reply order, pinned: with the only shard held asleep, an OPEN, a PUSH_N
+/// that fills the pending cap and an over-cap PUSH_N arrive in one write.
+/// The edge refuses the third with `Backpressure` straight away; the
+/// OPENED for the first must still come back ahead of that refusal, because
+/// the edge writes it while admitting the OPEN. When the shard wrote
+/// OPENED, it was still asleep when the refusal went out.
+#[test]
+fn opened_precedes_a_later_admission_error_while_the_shard_is_held() {
+    let faults = FaultPlan {
+        shard_wakeup_delay: Some(Duration::from_millis(200)),
+        ..FaultPlan::default()
+    }
+    .build();
+    let (addr, metrics, handle) = boot(ServerConfig {
+        shards: 1,
+        max_pending_per_conn: 8,
+        faults: Some(Arc::clone(&faults)),
+        ..ServerConfig::default()
+    });
+
+    let input = stream_input(10, 8);
+    let mut wire = frame_bytes(&ClientFrame::Open {
+        stream_id: 0,
+        model: None,
+    });
+    wire.extend(push_bytes(0, &input));
+    wire.extend(push_bytes(0, &stream_input(11, 8)));
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(RECV_TIMEOUT)).expect("timeout");
+    raw.write_all(&wire).expect("three frames in one write");
+    let mut reply = FrameReader::new(raw.try_clone().expect("clone"));
+    match read_frame(&mut reply) {
+        ServerFrame::Opened { stream_id: 0 } => {}
+        other => panic!("expected OPENED first, got {other:?}"),
+    }
+    match read_frame(&mut reply) {
+        ServerFrame::Error {
+            code: ErrorCode::Backpressure,
+            ..
+        } => {}
+        other => panic!("expected the Backpressure refusal, got {other:?}"),
+    }
+    // The admitted burst flows once the shard wakes; the refused one never
+    // enqueues.
+    match read_frame(&mut reply) {
+        ServerFrame::EmitN { dim, outputs, .. } => {
+            let got: Vec<Vec<f32>> = outputs
+                .chunks_exact(dim as usize)
+                .map(<[f32]>::to_vec)
+                .collect();
+            assert_eq!(got, solo(&input));
+        }
+        other => panic!("expected EMIT_N, got {other:?}"),
+    }
+    assert!(
+        faults.injected_faults() > 0,
+        "the shard wakeup delay must actually fire"
+    );
+    drop(reply);
+    drop(raw);
+
+    epilogue("opened_precedes_admission_error", addr, metrics);
     handle.shutdown();
 }
 
@@ -537,7 +600,7 @@ fn close_reopen_races_a_delayed_eviction_note() {
             .expect("stats reply")
         {
             ServerFrame::StatsJson { json } => break json,
-            ServerFrame::Emit { .. } => continue,
+            ServerFrame::EmitN { .. } => continue,
             other => panic!("unexpected frame {other:?}"),
         }
     };
@@ -783,28 +846,19 @@ fn drip_fed_valid_frames_survive_the_reaper() {
     )
     .expect("drip open");
     let input = stream_input(9, 8);
-    chaos::drip(
-        &mut raw,
-        &frame_bytes(&ClientFrame::Push {
-            stream_id: 0,
-            channels: C as u32,
-            samples: input.clone(),
-        }),
-        Duration::from_millis(2),
-    )
-    .expect("drip push");
+    chaos::drip(&mut raw, &push_bytes(0, &input), Duration::from_millis(2)).expect("drip push");
 
     let want = solo(&input);
     let got = loop {
         match read_frame(&mut reply) {
             ServerFrame::Opened { .. } => continue,
-            ServerFrame::Emit { dim, outputs, .. } => {
+            ServerFrame::EmitN { dim, outputs, .. } => {
                 break outputs
                     .chunks_exact(dim as usize)
                     .map(<[f32]>::to_vec)
                     .collect::<Vec<_>>()
             }
-            other => panic!("expected EMIT, got {other:?}"),
+            other => panic!("expected EMIT_N, got {other:?}"),
         }
     };
     assert_eq!(got, want, "dripped stream must be bit-exact");

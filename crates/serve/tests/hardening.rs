@@ -190,24 +190,6 @@ fn wrong_channel_count_is_a_bad_frame() {
     handle.shutdown();
 }
 
-#[test]
-fn truncated_push_body_is_a_bad_frame_not_a_panic() {
-    let (addr, handle) = spawn_server();
-    let mut raw = TcpStream::connect(addr).expect("connect");
-    // PUSH claiming 4 timesteps × 1 channel but carrying one value.
-    let mut body = vec![0x02];
-    body.extend_from_slice(&0u32.to_le_bytes());
-    body.extend_from_slice(&4u32.to_le_bytes());
-    body.extend_from_slice(&1u32.to_le_bytes());
-    body.extend_from_slice(&1.0f32.to_le_bytes());
-    raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-    raw.write_all(&body).unwrap();
-    raw.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    assert_alive(addr);
-    handle.shutdown();
-}
-
 /// Hand-crafts a PUSH_N frame body: opcode 0x07, channels, an entry count
 /// (overridable to lie), `(stream_id, count)` pairs, then samples.
 fn raw_push_n(
@@ -229,6 +211,19 @@ fn raw_push_n(
     let mut frame = (body.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&body);
     frame
+}
+
+#[test]
+fn truncated_push_body_is_a_bad_frame_not_a_panic() {
+    let (addr, handle) = spawn_server();
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    // PUSH_N claiming 4 timesteps × 1 channel but carrying one value.
+    raw.write_all(&raw_push_n(1, None, &[(0, 4)], &[1.0]))
+        .unwrap();
+    raw.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_alive(addr);
+    handle.shutdown();
 }
 
 #[test]

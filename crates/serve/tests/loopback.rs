@@ -5,6 +5,7 @@
 use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan, QuantizedSession, Session};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
+use pit_serve::protocol::entry_runs;
 use pit_serve::{
     Client, ClientFrame, CloseReason, ErrorCode, ServeEngine, Server, ServerConfig, ServerFrame,
     StatsSnapshot,
@@ -36,8 +37,8 @@ fn random_stream(rng: &mut StdRng, steps: usize) -> Vec<f32> {
     (0..steps * C).map(|_| rng.gen::<f32>() - 0.5).collect()
 }
 
-/// Drains EMIT frames for one single-stream client until `want` output
-/// vectors arrived (other frame kinds are ignored).
+/// Drains EMIT_N frames for one single-stream client until `want` output
+/// vectors arrived (OPENED and CLOSED frames are skipped).
 fn collect_emissions(client: &mut Client, want: usize, dim: usize) -> Vec<Vec<f32>> {
     let mut out = Vec::new();
     while out.len() < want {
@@ -46,7 +47,7 @@ fn collect_emissions(client: &mut Client, want: usize, dim: usize) -> Vec<Vec<f3
             .expect("transport healthy")
             .expect("emissions arrive before the timeout")
         {
-            ServerFrame::Emit { outputs, .. } => {
+            ServerFrame::EmitN { outputs, .. } => {
                 for chunk in outputs.chunks_exact(dim) {
                     out.push(chunk.to_vec());
                 }
@@ -215,14 +216,12 @@ fn i8_sixteen_ragged_streams_match_solo_sessions_bit_for_bit() {
 }
 
 /// Drains frames until every stream in `want` reached its expected output
-/// count, demuxing both v1 EMIT and v2 EMIT_N frames per stream.
+/// count, demuxing EMIT_N frames per stream.
 fn collect_demuxed(
     client: &mut Client,
     want: &std::collections::HashMap<u32, usize>,
-    dim: usize,
-) -> (std::collections::HashMap<u32, Vec<Vec<f32>>>, usize) {
+) -> std::collections::HashMap<u32, Vec<Vec<f32>>> {
     let mut out: std::collections::HashMap<u32, Vec<Vec<f32>>> = std::collections::HashMap::new();
-    let mut emit_n_frames = 0usize;
     let done = |out: &std::collections::HashMap<u32, Vec<Vec<f32>>>| {
         want.iter()
             .all(|(sid, &n)| out.get(sid).map_or(n == 0, |v| v.len() >= n))
@@ -233,26 +232,16 @@ fn collect_demuxed(
             .expect("transport healthy")
             .expect("emissions arrive before the timeout")
         {
-            ServerFrame::Emit {
-                stream_id, outputs, ..
-            } => {
-                let per = out.entry(stream_id).or_default();
-                for chunk in outputs.chunks_exact(dim) {
-                    per.push(chunk.to_vec());
-                }
-            }
             ServerFrame::EmitN {
-                entries, outputs, ..
+                dim,
+                entries,
+                outputs,
             } => {
-                emit_n_frames += 1;
-                let mut offset = 0usize;
-                for (stream_id, count) in entries {
+                for (stream_id, run) in entry_runs(dim, &entries, &outputs) {
                     let per = out.entry(stream_id).or_default();
-                    let end = offset + count as usize * dim;
-                    for chunk in outputs[offset..end].chunks_exact(dim) {
+                    for chunk in run.chunks_exact(dim as usize) {
                         per.push(chunk.to_vec());
                     }
-                    offset = end;
                 }
             }
             ServerFrame::Opened { .. } | ServerFrame::Closed { .. } => {}
@@ -266,12 +255,12 @@ fn collect_demuxed(
             "stream {sid}: no extra emissions expected"
         );
     }
-    (out, emit_n_frames)
+    out
 }
 
 /// 32 streams spread over 4 connections and 4 shards, several streams per
 /// connection, pushed in interleaved bursts — the demux (stream → shard at
-/// OPEN, per-stream reassembly on EMIT) must keep every stream bit-exact
+/// OPEN, per-stream reassembly on EMIT_N) must keep every stream bit-exact
 /// with a solo int8 session.
 #[test]
 fn i8_multi_connection_streams_across_four_shards_are_bit_exact() {
@@ -339,7 +328,7 @@ fn i8_multi_connection_streams_across_four_shards_are_bit_exact() {
                     .enumerate()
                     .map(|(s, input)| (s as u32, input.len() / C / 8))
                     .collect();
-                let (out, _) = collect_demuxed(&mut client, &want, 1);
+                let out = collect_demuxed(&mut client, &want);
                 (c, out)
             })
         })
@@ -371,9 +360,8 @@ fn i8_multi_connection_streams_across_four_shards_are_bit_exact() {
     }
 }
 
-/// Protocol v2: PUSH_N batches several streams' timesteps into one frame;
-/// the server latches the connection into v2 and replies with coalesced
-/// EMIT_N frames. Outputs stay bit-exact with solo int8 sessions.
+/// PUSH_N batches several streams' timesteps into one frame; the demuxed
+/// EMIT_N replies stay bit-exact with solo int8 sessions.
 #[test]
 fn push_n_batches_serve_bit_exact_and_reply_with_emit_n() {
     const STREAMS: usize = 6;
@@ -411,11 +399,7 @@ fn push_n_batches_serve_bit_exact_and_reply_with_emit_n() {
     }
     let want: std::collections::HashMap<u32, usize> =
         (0..STREAMS as u32).map(|s| (s, STEPS / 8)).collect();
-    let (out, emit_n_frames) = collect_demuxed(&mut client, &want, 1);
-    assert!(
-        emit_n_frames > 0,
-        "a PUSH_N connection must get coalesced EMIT_N replies"
-    );
+    let out = collect_demuxed(&mut client, &want);
     handle.shutdown();
 
     for (s, input) in inputs.iter().enumerate() {
@@ -534,7 +518,7 @@ fn graceful_drain_delivers_pending_emissions_and_closed_frames() {
     let mut closed = false;
     while let Ok(Some(frame)) = client.recv_timeout(Duration::from_secs(2)) {
         match frame {
-            ServerFrame::Emit { outputs: o, .. } => {
+            ServerFrame::EmitN { outputs: o, .. } => {
                 outputs.extend(o.chunks_exact(1).map(|c| c.to_vec()))
             }
             ServerFrame::Closed { stream_id, reason } => {

@@ -49,7 +49,7 @@ fn collect_emissions(client: &mut Client, want: usize, dim: usize) -> Vec<Vec<f3
             .expect("transport healthy")
             .expect("emissions arrive before the timeout")
         {
-            ServerFrame::Emit { outputs, .. } => {
+            ServerFrame::EmitN { outputs, .. } => {
                 for chunk in outputs.chunks_exact(dim) {
                     out.push(chunk.to_vec());
                 }
@@ -276,7 +276,7 @@ fn push_channel_validation_follows_each_streams_model() {
         let json = loop {
             match client.recv_timeout(RECV_TIMEOUT).expect("transport") {
                 Some(ServerFrame::StatsJson { json }) => break json,
-                Some(ServerFrame::Emit { .. }) => continue,
+                Some(ServerFrame::EmitN { .. }) => continue,
                 other => panic!("unexpected frame {other:?}"),
             }
         };

@@ -7,6 +7,7 @@
 use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan, QuantizedSession};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
+use pit_serve::protocol::entry_runs;
 use pit_serve::{Client, ServeEngine, Server, ServerConfig, ServerFrame};
 use pit_tensor::init;
 use rand::rngs::StdRng;
@@ -82,22 +83,15 @@ fn thousand_stream_sweep_is_bit_exact_under_the_event_driven_edge() {
                         .expect("transport healthy")
                         .expect("emissions arrive before the timeout")
                     {
-                        ServerFrame::Emit {
-                            stream_id, outputs, ..
-                        } => out
-                            .entry(stream_id)
-                            .or_default()
-                            .extend(outputs.chunks_exact(1).map(|c| c.to_vec())),
                         ServerFrame::EmitN {
-                            entries, outputs, ..
+                            dim,
+                            entries,
+                            outputs,
                         } => {
-                            let mut offset = 0usize;
-                            for (stream_id, count) in entries {
-                                let end = offset + count as usize;
-                                out.entry(stream_id).or_default().extend(
-                                    outputs[offset..end].chunks_exact(1).map(|c| c.to_vec()),
-                                );
-                                offset = end;
+                            for (stream_id, run) in entry_runs(dim, &entries, &outputs) {
+                                out.entry(stream_id)
+                                    .or_default()
+                                    .extend(run.chunks_exact(dim as usize).map(|c| c.to_vec()));
                             }
                         }
                         ServerFrame::Opened { .. } | ServerFrame::Closed { .. } => {}

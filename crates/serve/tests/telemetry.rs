@@ -7,7 +7,7 @@
 use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
-use pit_serve::{Client, ServeEngine, Server, ServerConfig, ServerFrame, StatsSnapshot};
+use pit_serve::{http_get, Client, ServeEngine, Server, ServerConfig, ServerFrame, StatsSnapshot};
 use pit_tensor::init;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,8 +40,9 @@ fn metrics_config() -> ServerConfig {
     }
 }
 
-/// One blocking HTTP/1.1 GET (or arbitrary raw request) against the
-/// sidecar; returns (status code, full header block, body).
+/// One raw HTTP request against the sidecar — for the malformed and
+/// header-inspecting cases [`http_get`] does not cover; returns (status
+/// code, full header block, body).
 fn http_request(addr: SocketAddr, raw: &[u8]) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("sidecar reachable");
     stream.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
@@ -59,13 +60,6 @@ fn http_request(addr: SocketAddr, raw: &[u8]) -> (u16, String, String) {
         .parse()
         .expect("numeric status");
     (status, head.to_string(), body.to_string())
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    http_request(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nHost: pit-serve\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
 }
 
 /// Extracts one sample's value from a Prometheus text body. `selector` is
@@ -149,7 +143,9 @@ fn metrics_totals_match_the_stats_frame_exactly() {
                         .expect("transport")
                         .expect("emissions arrive")
                     {
-                        ServerFrame::Emit { count, .. } => got += count as usize,
+                        ServerFrame::EmitN { entries, .. } => {
+                            got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>()
+                        }
                         ServerFrame::Opened { .. } => {}
                         other => panic!("unexpected frame {other:?}"),
                     }
@@ -170,7 +166,10 @@ fn metrics_totals_match_the_stats_frame_exactly() {
     });
 
     // Now nothing is moving: scrape and compare EXACTLY.
-    let (status, head, metrics_text) = http_get(metrics_addr, "/metrics");
+    let (status, head, metrics_text) = http_request(
+        metrics_addr,
+        b"GET /metrics HTTP/1.1\r\nHost: pit-serve\r\nConnection: close\r\n\r\n",
+    );
     assert_eq!(status, 200);
     assert!(
         head.contains("text/plain; version=0.0.4"),
@@ -248,7 +247,7 @@ fn metrics_totals_match_the_stats_frame_exactly() {
     assert!(resnap.outbuf_hwm_bytes >= snap.outbuf_hwm_bytes);
 
     // `/stats` serves the same snapshot as the binary STATS frame.
-    let (status, _head, stats_body) = http_get(metrics_addr, "/stats");
+    let (status, stats_body) = http_get(metrics_addr, "/stats").expect("sidecar reachable");
     assert_eq!(status, 200);
     let http_snap = StatsSnapshot::from_json_str(&stats_body).expect("stats parse");
     assert_eq!(http_snap.connections_total, snap.connections_total);
@@ -289,17 +288,17 @@ fn counters_are_monotone_across_scrapes() {
         client.push(round, C as u32, &input).expect("push");
         let mut got = 0usize;
         while got < 4 {
-            if let ServerFrame::Emit { count, .. } = client
+            if let ServerFrame::EmitN { entries, .. } = client
                 .recv_timeout(RECV_TIMEOUT)
                 .expect("transport")
                 .expect("emissions arrive")
             {
-                got += count as usize;
+                got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>();
             }
         }
         client.close(round).expect("close");
         drop(client);
-        let (status, _head, text) = http_get(metrics_addr, "/metrics");
+        let (status, text) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
         assert_eq!(status, 200);
         for (i, name) in counters.iter().enumerate() {
             let value = metric(&text, name);
@@ -333,16 +332,16 @@ fn prometheus_exposition_format_is_wellformed() {
     client.push(0, C as u32, &input).expect("push");
     let mut got = 0usize;
     while got < 4 {
-        if let ServerFrame::Emit { count, .. } = client
+        if let ServerFrame::EmitN { entries, .. } = client
             .recv_timeout(RECV_TIMEOUT)
             .expect("transport")
             .expect("emissions arrive")
         {
-            got += count as usize;
+            got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>();
         }
     }
 
-    let (status, _head, text) = http_get(metrics_addr, "/metrics");
+    let (status, text) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
     assert_eq!(status, 200);
     let mut announced: Vec<(String, String)> = Vec::new();
     for line in text.lines() {
@@ -455,7 +454,7 @@ fn weird_model_names_are_escaped_in_labels() {
     .expect("bind");
     let metrics_addr = server.metrics_addr().expect("sidecar bound");
     let handle = server.spawn();
-    let (status, _head, text) = http_get(metrics_addr, "/metrics");
+    let (status, text) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
     assert_eq!(status, 200);
     assert!(
         text.contains(r#"model="we\"ird\\model""#),
@@ -481,7 +480,7 @@ fn healthz_flips_to_503_during_graceful_drain() {
     // Serving: 200.
     let deadline = Instant::now() + RECV_TIMEOUT;
     loop {
-        let (status, _head, body) = http_get(metrics_addr, "/healthz");
+        let (status, body) = http_get(metrics_addr, "/healthz").expect("sidecar reachable");
         if status == 200 {
             assert!(body.contains("\"serving\""), "{body}");
             break;
@@ -495,7 +494,7 @@ fn healthz_flips_to_503_during_graceful_drain() {
     handle.request_shutdown();
     let deadline = Instant::now() + RECV_TIMEOUT;
     loop {
-        let (status, _head, body) = http_get(metrics_addr, "/healthz");
+        let (status, body) = http_get(metrics_addr, "/healthz").expect("sidecar reachable");
         if status == 503 {
             assert!(body.contains("\"draining\""), "{body}");
             break;
@@ -521,12 +520,12 @@ fn trace_reports_the_stream_lifecycle() {
     client.push(3, C as u32, &input).expect("push");
     let mut got = 0usize;
     while got < 3 {
-        if let ServerFrame::Emit { count, .. } = client
+        if let ServerFrame::EmitN { entries, .. } = client
             .recv_timeout(RECV_TIMEOUT)
             .expect("transport")
             .expect("emissions arrive")
         {
-            got += count as usize;
+            got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>();
         }
     }
     client.close(3).expect("close");
@@ -561,7 +560,7 @@ fn trace_reports_the_stream_lifecycle() {
     assert!(events.iter().all(|e| !e.model.is_empty()));
 
     // The same events over HTTP, filtered by the query string.
-    let (status, _head, body) = http_get(metrics_addr, "/trace?stream=3");
+    let (status, body) = http_get(metrics_addr, "/trace?stream=3").expect("sidecar reachable");
     assert_eq!(status, 200);
     assert!(body.contains("\"pit-serve-trace/1\""));
     let http_events = pit_serve::TraceEvent::parse_list(&body).expect("parse");
@@ -569,7 +568,7 @@ fn trace_reports_the_stream_lifecycle() {
         .iter()
         .any(|e| e.event == "push" && e.count == 24));
     // A filter that matches nothing returns an empty list, not an error.
-    let (status, _head, body) = http_get(metrics_addr, "/trace?conn=999999");
+    let (status, body) = http_get(metrics_addr, "/trace?conn=999999").expect("sidecar reachable");
     assert_eq!(status, 200);
     let none = pit_serve::TraceEvent::parse_list(&body).expect("parse");
     assert!(none.is_empty());
@@ -593,10 +592,10 @@ fn sidecar_survives_hostile_http_clients() {
     assert_eq!(status, 405);
     assert!(head.contains("Allow: GET"), "{head}");
     // Unknown path.
-    let (status, _head, _body) = http_get(metrics_addr, "/favicon.ico");
+    let (status, _body) = http_get(metrics_addr, "/favicon.ico").expect("sidecar reachable");
     assert_eq!(status, 404);
     // Bad trace query.
-    let (status, _head, _body) = http_get(metrics_addr, "/trace?conn=banana");
+    let (status, _body) = http_get(metrics_addr, "/trace?conn=banana").expect("sidecar reachable");
     assert_eq!(status, 400);
     // Oversized request: 16 KB of request line.
     let mut huge = Vec::from(&b"GET /"[..]);
@@ -606,7 +605,7 @@ fn sidecar_survives_hostile_http_clients() {
     assert_eq!(status, 400);
     // A stalled client (connected, nothing sent) must not block others.
     let stalled = TcpStream::connect(metrics_addr).expect("connect");
-    let (status, _head, body) = http_get(metrics_addr, "/metrics");
+    let (status, body) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
     assert_eq!(status, 200);
     assert!(body.contains("pit_serve_connections_total"));
     drop(stalled);
@@ -656,7 +655,7 @@ fn trace_ring_wraparound_serves_only_recent_coherent_events() {
             .recv_timeout(Duration::from_millis(1))
             .expect("transport")
         {}
-        let (status, _head, body) = http_get(metrics_addr, "/metrics");
+        let (status, body) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
         assert_eq!(status, 200);
         if metric(&body, "pit_serve_trace_events_total") >= RING_SLOTS + 512.0 {
             break;
@@ -667,14 +666,14 @@ fn trace_ring_wraparound_serves_only_recent_coherent_events() {
     let snap = settled_stats(&mut client, |_| true);
     assert!(snap.timesteps_in > RING_SLOTS as u64 / 2);
 
-    let (status, _head, body) = http_get(metrics_addr, "/metrics");
+    let (status, body) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
     assert_eq!(status, 200);
     let recorded = metric(&body, "pit_serve_trace_events_total");
     assert!(recorded >= RING_SLOTS + 512.0);
 
     // Both read paths, same demands.
     let frame_events = client.trace(5).expect("trace frame");
-    let (status, _head, body) = http_get(metrics_addr, "/trace?stream=5");
+    let (status, body) = http_get(metrics_addr, "/trace?stream=5").expect("sidecar reachable");
     assert_eq!(status, 200);
     let http_events = pit_serve::TraceEvent::parse_list(&body).expect("parse");
     for (path, events) in [("TRACE frame", &frame_events), ("/trace", &http_events)] {

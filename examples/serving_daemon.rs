@@ -22,6 +22,7 @@
 
 use pit::prelude::*;
 use pit_infer::{compile_temponet, QuantizedPlan, QuantizedSession};
+use pit_serve::protocol::entry_runs;
 use pit_serve::{Client, ClientBuilder, ClientFrame, ServerConfig, ServerFrame, StatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,7 +137,7 @@ fn main() {
                         .expect("transport")
                         .expect("emissions before timeout")
                     {
-                        ServerFrame::Emit {
+                        ServerFrame::EmitN {
                             outputs: o, dim, ..
                         } => {
                             outputs.extend(o.chunks_exact(dim as usize).map(|c| c.to_vec()));
@@ -192,7 +193,7 @@ fn main() {
     let mut got = Vec::new();
     while got.len() < 32 / 8 {
         match client.recv_timeout(RECV_TIMEOUT).unwrap().expect("frames") {
-            ServerFrame::Emit { outputs, dim, .. } => {
+            ServerFrame::EmitN { outputs, dim, .. } => {
                 got.extend(outputs.chunks_exact(dim as usize).map(|c| c.to_vec()));
             }
             ServerFrame::Opened { .. } => {}
@@ -209,8 +210,8 @@ fn main() {
     println!("f32 parity            : name-selected engine matches solo Session within 1e-5");
 
     // 5. Protocol v2: a builder-configured client batches four streams into
-    //    one PUSH_N frame per 8-step round; the server latches the
-    //    connection into v2 and coalesces replies into EMIT_N frames. The
+    //    one PUSH_N frame per 8-step round; the server coalesces each
+    //    wave's replies for the connection into EMIT_N frames. The
     //    builder's default_model routes every plain open() to the f32 entry.
     const V2_STREAMS: usize = 4;
     const V2_STEPS: usize = 32;
@@ -245,26 +246,13 @@ fn main() {
                 outputs,
             } => {
                 emit_n_frames += 1;
-                let mut offset = 0usize;
-                for (sid, count) in entries {
-                    let end = offset + count as usize * dim as usize;
-                    v2_out.entry(sid).or_default().extend(
-                        outputs[offset..end]
-                            .chunks_exact(dim as usize)
-                            .map(|c| c.to_vec()),
-                    );
-                    offset = end;
+                for (sid, run) in entry_runs(dim, &entries, &outputs) {
+                    v2_out
+                        .entry(sid)
+                        .or_default()
+                        .extend(run.chunks_exact(dim as usize).map(|c| c.to_vec()));
                 }
             }
-            ServerFrame::Emit {
-                stream_id,
-                outputs,
-                dim,
-                ..
-            } => v2_out
-                .entry(stream_id)
-                .or_default()
-                .extend(outputs.chunks_exact(dim as usize).map(|c| c.to_vec())),
             ServerFrame::Opened { .. } => {}
             other => panic!("unexpected frame {other:?}"),
         }
