@@ -4,11 +4,18 @@
 //! bench_json [--quick | --full] [--suites LIST] [--out PATH]
 //!     Runs benchmark suites and writes the JSON report (stdout when --out
 //!     is omitted). --suites is a comma-separated subset of
-//!     conv,masking,search,infer,quant,serve; the default (conv,masking,search)
-//!     is the committed BENCH_conv.json record set, `--suites infer` is
-//!     BENCH_infer.json, `--suites quant` is BENCH_int8.json and
-//!     `--suites serve` is BENCH_serve.json. --quick is the default and
+//!     conv,masking,search,infer,quant,serve,scale; the default
+//!     (conv,masking,search) is the committed BENCH_conv.json record set,
+//!     `--suites infer` is BENCH_infer.json, `--suites quant` is
+//!     BENCH_int8.json, `--suites serve` is BENCH_serve.json and
+//!     `--suites scale` is BENCH_scale.json. --quick is the default and
 //!     what CI and all committed baselines use.
+//!
+//! bench_json median [--out PATH] <run.json>...
+//!     Per-record medians of several runs of the same suites: for each
+//!     record, the whole record of the run with the median ns_per_iter
+//!     (stdout when --out is omitted). Refuses runs whose modes or record
+//!     sets differ. Committed baselines are written this way.
 //!
 //! bench_json compare <baseline.json> <current.json>
 //!            [--tolerance F] [--normalize]
@@ -27,19 +34,47 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench_json [--quick|--full] [--suites conv,masking,search,infer,quant,serve] [--out PATH]\n\
-         \u{20}      bench_json compare <baseline.json> <current.json> [--tolerance F] [--normalize]"
+        "usage: bench_json [--quick|--full] [--suites conv,masking,search,infer,quant,serve,scale] [--out PATH]\n\
+         \u{20}      bench_json compare <baseline.json> <current.json> [--tolerance F] [--normalize]\n\
+         \u{20}      bench_json median [--out PATH] <run.json>..."
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        run_compare(&args[1..])
-    } else {
-        run_suites(&args)
+    match args.first().map(String::as_str) {
+        Some("compare") => run_compare(&args[1..]),
+        Some("median") => run_median(&args[1..]),
+        _ => run_suites(&args),
     }
+}
+
+/// A report's records and the mode it was recorded with.
+type Loaded = (Vec<perf::BenchRecord>, Option<String>);
+
+fn load(path: &str) -> Result<Loaded, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let mode = perf::document_mode(&doc).map(str::to_string);
+    let records = perf::records_from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
+    Ok((records, mode))
+}
+
+/// Writes a report to `out_path`, or to stdout when there is none.
+fn write_report(records: &[perf::BenchRecord], mode: &str, out_path: Option<&str>) -> ExitCode {
+    let text = perf::records_to_json(records, mode).render();
+    match out_path {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, &text) {
+                eprintln!("bench_json: cannot write {path}: {e}");
+                return ExitCode::from(2);
+            }
+            eprintln!("wrote {path} ({} records)", records.len());
+        }
+        None => print!("{text}"),
+    }
+    ExitCode::SUCCESS
 }
 
 fn run_suites(args: &[String]) -> ExitCode {
@@ -82,18 +117,41 @@ fn run_suites(args: &[String]) -> ExitCode {
             r.op, r.shape, r.ns_per_iter, r.throughput, r.throughput_unit
         );
     }
-    let text = perf::records_to_json(&records, mode).render();
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("bench_json: cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
-            eprintln!("wrote {path} ({} records)", records.len());
+    write_report(&records, mode, out_path.as_deref())
+}
+
+fn run_median(args: &[String]) -> ExitCode {
+    let mut out_path: Option<&str> = None;
+    let mut paths: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--out" => match it.next() {
+                Some(p) => out_path = Some(p),
+                None => return usage(),
+            },
+            _ if !arg.starts_with('-') => paths.push(arg),
+            _ => return usage(),
         }
-        None => print!("{text}"),
     }
-    ExitCode::SUCCESS
+    let runs = match paths.iter().map(|p| load(p)).collect::<Result<Vec<_>, _>>() {
+        Ok(runs) => runs,
+        Err(e) => {
+            eprintln!("bench_json: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match perf::median_records(&runs) {
+        Ok(records) => {
+            let mode = runs[0].1.as_deref().unwrap_or("quick");
+            eprintln!("per-record medians of {} runs", runs.len());
+            write_report(&records, mode, out_path)
+        }
+        Err(e) => {
+            eprintln!("bench_json: {e}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 fn run_compare(args: &[String]) -> ExitCode {
@@ -114,14 +172,6 @@ fn run_compare(args: &[String]) -> ExitCode {
     }
     let [baseline_path, current_path] = paths.as_slice() else {
         return usage();
-    };
-    type Loaded = (Vec<perf::BenchRecord>, Option<String>);
-    let load = |path: &str| -> Result<Loaded, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let mode = perf::document_mode(&doc).map(str::to_string);
-        let records = perf::records_from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
-        Ok((records, mode))
     };
     let ((baseline, base_mode), (current, cur_mode)) =
         match (load(baseline_path), load(current_path)) {

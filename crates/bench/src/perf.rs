@@ -353,7 +353,9 @@ pub fn search_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 ///   whole window (throughput amortised over its timesteps);
 /// * `stream/step` — one stateful [`pit_infer::Session`] ring-buffer step;
 /// * `sessions32/step` — a 32-stream [`pit_infer::SessionPool`] fed one
-///   sample per stream and flushed as one batched wave (cost per timestep).
+///   sample per stream and flushed (cost per timestep). The flush runs each
+///   stream through the same step as `stream/step`, so the two should sit
+///   close; the gap is the pool's queueing and emission copies.
 ///
 /// The committed `BENCH_infer.json` baseline is the acceptance evidence that
 /// `stream/step` beats `offline_replay/step` by well over an order of
@@ -416,7 +418,7 @@ pub fn infer_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     });
     out.push(step_record("stream/step", ns, 1.0));
 
-    // 4. Batched sessions: 32 streams, one sample each, one flushed wave.
+    // 4. Pooled sessions: 32 streams, one sample each, one flush.
     const STREAMS: usize = 32;
     let mut pool = SessionPool::new(Arc::clone(&plan), STREAMS);
     let mut cursor = 0usize;
@@ -440,7 +442,8 @@ pub fn infer_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 ///   step: `i8` ring buffers, seam quantization and exact `i8·i8→i32`
 ///   accumulation;
 /// * `sessions32_i8/step` — a 32-stream [`pit_infer::QuantizedSessionPool`]
-///   flushed as one `i8` GEMM wave per layer (cost per timestep).
+///   fed one sample per stream and flushed through the `stream_i8/step`
+///   step (cost per timestep).
 ///
 /// `stream_f32/step` is the suite's anchor, so CI's gate against the
 /// committed `BENCH_int8.json` catches the int8 paths drifting relative to
@@ -502,7 +505,7 @@ pub fn quant_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     });
     out.push(step_record("stream_i8/step", ns));
 
-    // 3. Batched int8 sessions: 32 streams, one GEMM wave per layer.
+    // 3. Pooled int8 sessions: 32 streams, one sample each, one flush.
     const STREAMS: usize = 32;
     let mut pool = QuantizedSessionPool::new(Arc::clone(&qplan), STREAMS);
     let mut cursor = 0usize;
@@ -519,20 +522,21 @@ pub fn quant_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     out
 }
 
-/// Serving-daemon suite: end-to-end loopback throughput and wave latency of
+/// Serving-daemon suite: end-to-end loopback throughput and flush latency of
 /// the `pit-serve` TCP daemon on the same searched PPG model as the
 /// `infer`/`quant` suites.
 ///
 /// * `loopback_f32/step` — one timestep end to end (client encode → TCP →
-///   wave batcher → pooled GEMM wave → TCP → client decode), 16 concurrent
-///   streams pushed in 64-step bursts over one connection. This is the
-///   suite's machine-speed anchor (the `_f32/step` rule of [`compare`]).
+///   edge → shard queue → pool flush, stream by stream through the solo
+///   step → TCP → client decode), 16 concurrent streams pushed in 64-step
+///   bursts over one connection. This is the suite's machine-speed anchor
+///   (the `_f32/step` rule of [`compare`]).
 /// * `loopback_i8/step` — the same fleet on the int8 engine.
 /// * `serve_ping/rtt` — a PING/PONG round trip through the batcher thread:
 ///   the control-path floor under the loopback numbers.
 /// * `wave_f32/p50` — the server's own median flush latency over the f32
-///   run (from its STATS counters): what one batched wave costs, excluding
-///   the wire. The p99 is deliberately *not* a gated record — it swings
+///   run (from its STATS counters): what one shard tick's pool flush
+///   costs, excluding the wire. The p99 is deliberately *not* a gated record — it swings
 ///   several-fold run to run even on idle hardware (it measures scheduler
 ///   tail noise, not kernels) and lives in the STATS frame instead.
 /// * `model_switch/open` — a protocol-v3 named OPEN/CLOSE round trip
@@ -1047,6 +1051,54 @@ pub fn records_from_json(doc: &Json) -> Result<Vec<BenchRecord>, String> {
         .collect()
 }
 
+/// Per-record medians of repeated runs of the same suites: the form every
+/// committed baseline takes. Each run is its records and the `mode` it was
+/// recorded with. For each record, the result holds the whole record of the
+/// run with the median `ns_per_iter` (the lower middle run for an even
+/// count), so its throughput still matches its time. Records keep the first
+/// run's order.
+///
+/// # Errors
+///
+/// Refuses an empty list, and runs whose modes or record sets differ.
+pub fn median_records(
+    runs: &[(Vec<BenchRecord>, Option<String>)],
+) -> Result<Vec<BenchRecord>, String> {
+    let ((first, mode), rest) = runs.split_first().ok_or("no runs given")?;
+    let key_set = |records: &[BenchRecord]| {
+        let mut keys: Vec<String> = records.iter().map(BenchRecord::key).collect();
+        keys.sort();
+        keys
+    };
+    let keys = key_set(first);
+    for (i, (records, run_mode)) in rest.iter().enumerate() {
+        if run_mode != mode {
+            return Err(format!(
+                "run {} was recorded in mode {run_mode:?}, run 1 in {mode:?}",
+                i + 2
+            ));
+        }
+        if key_set(records) != keys {
+            return Err(format!(
+                "run {} has a different record set from run 1",
+                i + 2
+            ));
+        }
+    }
+    Ok(first
+        .iter()
+        .map(|record| {
+            let key = record.key();
+            let mut same: Vec<&BenchRecord> = runs
+                .iter()
+                .filter_map(|(records, _)| records.iter().find(|r| r.key() == key))
+                .collect();
+            same.sort_by(|a, b| a.ns_per_iter.total_cmp(&b.ns_per_iter));
+            same[(same.len() - 1) / 2].clone()
+        })
+        .collect())
+}
+
 // ---------------------------------------------------------------------------
 // Baseline comparison
 // ---------------------------------------------------------------------------
@@ -1254,6 +1306,38 @@ mod tests {
         assert!(!report.passed());
         assert_eq!(report.rows[1].verdict, Verdict::Missing);
         assert!(report.render().contains("MISSING"));
+    }
+
+    #[test]
+    fn median_records_keep_the_median_runs_whole_record() {
+        let quick = Some("quick".to_string());
+        let mut slow_b = rec("b", 900.0);
+        slow_b.throughput = 7.0;
+        let runs = vec![
+            (vec![rec("a", 300.0), rec("b", 100.0)], quick.clone()),
+            (vec![slow_b.clone(), rec("a", 100.0)], quick.clone()),
+            (vec![rec("a", 200.0), rec("b", 900.5)], quick.clone()),
+        ];
+        let median = median_records(&runs).unwrap();
+        // First run's order; each record is the median run's, unchanged.
+        assert_eq!(median, vec![rec("a", 200.0), slow_b]);
+        // An even count takes the lower middle run.
+        assert_eq!(median_records(&runs[..2]).unwrap()[0], rec("a", 100.0));
+    }
+
+    #[test]
+    fn median_records_refuse_mixed_modes_and_record_sets() {
+        let quick = Some("quick".to_string());
+        let run = (vec![rec("a", 1.0), rec("b", 1.0)], quick.clone());
+        let full = (run.0.clone(), Some("full".to_string()));
+        let err = median_records(&[run.clone(), full]).unwrap_err();
+        assert!(err.contains("mode"), "{err}");
+        let fewer = (vec![rec("a", 1.0)], quick.clone());
+        let err = median_records(&[run.clone(), fewer]).unwrap_err();
+        assert!(err.contains("record set"), "{err}");
+        let other = (vec![rec("a", 1.0), rec("c", 1.0)], quick);
+        assert!(median_records(&[run, other]).is_err());
+        assert!(median_records(&[]).is_err());
     }
 
     #[test]

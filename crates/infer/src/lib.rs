@@ -32,11 +32,12 @@
 //!   sample-by-sample reproduces the offline forward to `1e-5`. The int8
 //!   [`QuantizedSession`] is the same session over `i8` rings, ~4x smaller
 //!   per stream.
-//! * **Serve** ([`session`]): a [`SessionPool`] batches the pending timesteps
-//!   of N concurrent streams into single GEMM calls per layer — N streams,
-//!   one kernel invocation — in either precision ([`QuantizedSessionPool`]);
-//!   [`StreamPool`] ([`stream_pool`]) is the object-safe seam a server
-//!   holding both precisions drives them through.
+//! * **Serve** ([`session`]): a [`SessionPool`] queues the timesteps of N
+//!   concurrent streams and flushes them stream by stream through the same
+//!   step as a [`Session`], so pooled output is bit-identical to solo output,
+//!   in either precision ([`QuantizedSessionPool`]); [`StreamPool`]
+//!   ([`stream_pool`]) is the object-safe seam a server holding both
+//!   precisions drives them through.
 //! * **Persist** ([`artifact`]): plans serialise *with their weights* as
 //!   `pit-arch/2` JSON artifacts ([`InferencePlan::to_artifact`],
 //!   [`QuantizedPlan::to_artifact`], base64 tensor payloads) and load back

@@ -39,8 +39,8 @@ pub struct CompiledConv {
     /// Weights `[C_out, C_in, K]`: the offline and serialization layout.
     pub(crate) weight: Tensor,
     /// Execution pack `[(tap, channel), C_out]` (`j = kk·C_in + ci` rows),
-    /// matching the tap-major gather rows of the streaming rings: both the
-    /// per-step accumulation and the batched wave GEMM read it.
+    /// matching the tap-major gather rows of the streaming rings, which the
+    /// per-step accumulation reads.
     pub(crate) wt: Vec<f32>,
     /// Bias `[C_out]` (batch-norm shift folded in).
     pub(crate) bias: Tensor,

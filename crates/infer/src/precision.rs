@@ -1,31 +1,24 @@
 //! The per-precision kernels of the streaming engine.
 //!
-//! [`crate::Session`] (the per-step solo path) and [`crate::SessionPool`]
-//! (the batched wave path) are each written once, generic over a
+//! The engine's one step path, which [`crate::Session`] and
+//! [`crate::SessionPool`] share, is written once, generic over a
 //! [`Precision`]: the element type of every ring buffer and gathered row
 //! (`f32` or `i8`) together with the layer types a plan of that precision is
 //! built from. Everything that differs between the f32 and the int8 engine
-//! lives in this module, in four places:
+//! lives in this module, in three places:
 //!
 //! * the **seam** conversion of an f32 activation into a ring element
 //!   ([`LinearOp::seam`], [`PoolOp::seam`]): identity for f32, quantization
 //!   at the layer's calibrated scale for int8;
 //! * the per-step **accumulate** ([`Precision::mac`]) inside one
-//!   register-blocked microkernel shared by both precisions;
-//! * the **wave GEMM** ([`Precision::gemm`]) and the tail both paths end
-//!   every linear layer with ([`LinearOp::finish`]: bias, dequantization,
-//!   ReLU);
+//!   register-blocked microkernel shared by both precisions, and the tail
+//!   that ends every linear layer ([`LinearOp::finish`]: bias,
+//!   dequantization, ReLU);
 //! * the **pool-window mean** ([`Precision::widen`], [`PoolOp::mean_scale`]).
-//!
-//! Each lane of the per-step microkernel sums its products in the same
-//! order as the wave GEMM, and both paths share the tail, so pooled int8
-//! emissions are bit-identical to solo ones and pooled f32 emissions sit
-//! well inside the `1e-5` parity contract.
 
 use crate::plan::{CompiledConv, Dense, PoolSpec};
 use crate::quant::{QuantPool, QuantizedConv, QuantizedDense};
 use pit_hw::quant::quantize_value_inv;
-use pit_tensor::kernels::{gemm, gemm_i8};
 use std::fmt::Debug;
 
 /// A numeric precision of the streaming engine, implemented by the ring
@@ -43,9 +36,6 @@ pub trait Precision: Copy + Default + Debug + Send + Sync + 'static {
 
     /// `acc + x · w`.
     fn mac(acc: Self::Acc, x: Self, w: Self) -> Self::Acc;
-
-    /// `out[m, n] += a[m, kd] · b[kd, n]` — the batched wave kernel.
-    fn gemm(m: usize, kd: usize, n: usize, a: &[Self], b: &[Self], out: &mut [Self::Acc]);
 
     /// The element as f32 (for the pool-window sum).
     fn widen(self) -> f32;
@@ -114,10 +104,6 @@ impl Precision for f32 {
         acc + x * w
     }
 
-    fn gemm(m: usize, kd: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        gemm(m, kd, n, a, b, out);
-    }
-
     fn widen(self) -> f32 {
         self
     }
@@ -131,10 +117,6 @@ impl Precision for i8 {
 
     fn mac(acc: i32, x: i8, w: i8) -> i32 {
         acc + i32::from(x) * i32::from(w)
-    }
-
-    fn gemm(m: usize, kd: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-        gemm_i8(m, kd, n, a, b, out);
     }
 
     fn widen(self) -> f32 {
@@ -317,11 +299,10 @@ impl PoolOp<i8> for QuantPool {
 }
 
 /// `out[o] = finish(Σ_j x[j] · pack[j, o])` for every output `o` — the
-/// per-step microkernel of the solo path, input-major over the pack.
-/// Register-blocking the output lane into fixed-width accumulator arrays
-/// lets the whole reduction vectorize with no per-row bounds checks (the
-/// runtime-width form of this loop measured slower), while each lane still
-/// sums `j` in order — the order of the wave GEMM.
+/// per-step microkernel, input-major over the pack. Register-blocking the
+/// output lane into fixed-width accumulator arrays lets the whole reduction
+/// vectorize with no per-row bounds checks (the runtime-width form of this
+/// loop measured slower); each lane sums `j` in order.
 pub(crate) fn accumulate<P: Precision, L: LinearOp<P>>(
     layer: &L,
     x: &[P],
@@ -368,24 +349,4 @@ fn accumulate_block<P: Precision, L: LinearOp<P>, const R: usize>(
         }
     }
     layer.finish(col, &a, &mut out[col..col + R], relu);
-}
-
-/// One batched layer over `n` gathered rows (`[n, inputs]` in `rows`):
-/// `acc = rows · pack` through [`Precision::gemm`], then the per-step
-/// path's [`LinearOp::finish`], row by row into `out` (`[n, outputs]`).
-pub(crate) fn wave<P: Precision, L: LinearOp<P>>(
-    layer: &L,
-    n: usize,
-    rows: &[P],
-    acc: &mut [P::Acc],
-    out: &mut [f32],
-    relu: bool,
-) {
-    let (kd, m) = (layer.inputs(), layer.outputs());
-    let acc = &mut acc[..n * m];
-    acc.fill(P::Acc::default());
-    P::gemm(n, kd, m, rows, layer.pack(), acc);
-    for (o, a) in out.chunks_exact_mut(m).zip(acc.chunks_exact(m)) {
-        layer.finish(0, a, o, relu);
-    }
 }

@@ -6,8 +6,8 @@
 //! plan tree instantiated at [`i8`](crate::Precision) — which then streams
 //! through the one engine of [`crate::Session`] / [`crate::SessionPool`]:
 //! identical emission schedule, `i8` ring buffers (4x smaller per-stream
-//! state) and exact `i8×i8→i32` arithmetic (input-major accumulation per
-//! step, [`pit_tensor::kernels::gemm_i8`] per batched wave).
+//! state) and exact `i8×i8→i32` arithmetic (input-major accumulation, one
+//! timestep at a time, in the step shared by solo sessions and pools).
 //!
 //! **Scheme.** Weights are quantized symmetrically *per output channel*
 //! ([`pit_hw::quant::quantize_per_channel`]); activations are quantized *per
@@ -348,8 +348,8 @@ fn rounding_bound(l1q: &[f32], dw_l1: &[f32], in_scale: f32, in_max: f32, e_in: 
 pub struct QuantizedDense {
     pub(crate) in_features: usize,
     pub(crate) out_features: usize,
-    /// Quantized weights `[in, out]`: the execution pack of both the
-    /// per-step accumulation and the wave GEMM (the f32 [`Dense`] layout).
+    /// Quantized weights `[in, out]`: the execution pack of the per-step
+    /// accumulation (the f32 [`Dense`] layout).
     pub(crate) wq_cols: Vec<i8>,
     pub(crate) in_scale: f32,
     pub(crate) inv_in_scale: f32,
@@ -533,8 +533,8 @@ pub type QuantizedPlan = Plan<i8>;
 /// outputs within [`QuantizedPlan::error_bound`] of it.
 pub type QuantizedSession = Session<i8>;
 
-/// A pool of int8 streams executed in batched waves, each layer one
-/// `i8×i8→i32` GEMM: the engine's [`SessionPool`] over a [`QuantizedPlan`].
+/// A pool of int8 streams, each flushed through the int8 solo step: the
+/// engine's [`SessionPool`] over a [`QuantizedPlan`].
 pub type QuantizedSessionPool = SessionPool<i8>;
 
 /// Composes the analytic error bound of a quantized plan from its layers —

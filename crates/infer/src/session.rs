@@ -1,33 +1,30 @@
-//! Batch-of-sessions serving: many concurrent streams, one kernel call.
+//! Batch-of-sessions serving: many concurrent streams behind one handle.
 //!
-//! A [`SessionPool`] owns the stream state of N independent streams plus
-//! per-stream queues of pending samples. [`SessionPool::flush`] drains the
-//! queues in *waves*: every stream with a pending sample contributes one
-//! timestep, and the whole wave moves through the plan layer by layer —
-//! each convolution is a single `[N, C_in·K] × [C_in·K, C_out]` GEMM
-//! ([`crate::Precision::gemm`]) instead of N tiny per-stream loops.
-//! Strided pooling gates streams independently (each keeps its own phase),
-//! so a wave simply narrows as it descends past a pool that did not fire for
-//! some streams.
+//! A [`SessionPool`] owns the stream state of N independent streams plus a
+//! queue of pending samples per stream. [`SessionPool::flush`] drains the
+//! queues *stream-major*: it runs one stream's queued samples, oldest first,
+//! through the solo step of [`crate::Session`] until that queue is empty,
+//! then moves to the next stream in ascending slot order. A stream's rings
+//! stay in cache across its whole backlog, and one scratch set serves every
+//! stream, so a pooled timestep costs what a solo one does.
 //!
 //! Like [`crate::Session`], the pool is written once for both precisions:
 //! `SessionPool<f32>` (the default) serves an [`crate::InferencePlan`],
 //! `SessionPool<i8>` ([`crate::QuantizedSessionPool`]) a
 //! [`crate::QuantizedPlan`]. Each stream's rings, pool windows and head
-//! state are the solo session's, updated by the same code, and every layer
-//! ends in the same tail as the per-step path.
+//! state are the solo session's, updated by the same code, so pooled
+//! emissions are bit-identical to solo ones in either precision.
 //!
 //! This is the serving story of the crate: N live streams (PPG wearables,
-//! audio channels, …) → one batched kernel invocation per layer per wave,
-//! with all scratch owned by the pool and reused across flushes.
+//! audio channels, …) behind one pool, with all scratch owned by the pool
+//! and reused across flushes.
 
-use crate::plan::{Block, Head, Plan};
-use crate::precision::{wave, ConvOp, LinearOp, Precision};
-use crate::stream::{check_width, residual_add, scratch_widths, StreamState, COPY_PAD};
-use std::collections::VecDeque;
+use crate::plan::Plan;
+use crate::precision::Precision;
+use crate::stream::{check_width, step, Scratch, StreamState};
 use std::sync::Arc;
 
-/// A pool of concurrent streaming sessions executed in batched waves.
+/// A pool of concurrent streaming sessions, flushed stream by stream.
 ///
 /// Streams have a lifecycle: [`SessionPool::new`] pre-opens a fixed count,
 /// and a serving front end grows/shrinks the live set with
@@ -39,45 +36,28 @@ pub struct SessionPool<P: Precision = f32> {
     /// Stream state per slot (open or recycled).
     states: Vec<StreamState<P>>,
     /// Pending samples per slot, flattened (`input_channels` floats each).
-    queues: Vec<VecDeque<f32>>,
+    queues: Vec<Vec<f32>>,
     /// Whether each slot currently belongs to a live stream.
     open: Vec<bool>,
     /// Closed slots available for reuse by [`SessionPool::open_stream`].
     free: Vec<usize>,
-    // Per-stream scratch widths (f32 column, gathered row), kept so
-    // open_stream can grow the wave buffers.
-    col_w: usize,
-    row_w: usize,
-    // Wave scratch, reused across flushes: the active slots, the f32
-    // columns, the residual skip columns, the gathered rows and the GEMM
-    // accumulators.
-    active: Vec<usize>,
-    cur: Vec<f32>,
-    nxt: Vec<f32>,
-    skip: Vec<f32>,
-    xrows: Vec<P>,
-    acc: Vec<P::Acc>,
+    /// The step scratch every stream shares, and the head output buffer.
+    scratch: Scratch<P>,
+    out: Vec<f32>,
 }
 
 impl<P: Precision> SessionPool<P> {
     /// Creates a pool of `sessions` fresh (already open) streams over one
     /// shared plan. Pass `0` to start empty and open streams on demand.
     pub fn new(plan: Arc<Plan<P>>, sessions: usize) -> Self {
-        let (col_w, row_w) = scratch_widths(&plan);
         let mut pool = Self {
-            plan,
             states: Vec::new(),
             queues: Vec::new(),
             open: Vec::new(),
             free: Vec::new(),
-            col_w,
-            row_w,
-            active: Vec::with_capacity(sessions),
-            cur: Vec::new(),
-            nxt: Vec::new(),
-            skip: Vec::new(),
-            xrows: Vec::new(),
-            acc: Vec::new(),
+            scratch: Scratch::new(&plan),
+            out: vec![0.0; plan.output_dim()],
+            plan,
         };
         for _ in 0..sessions {
             pool.open_stream();
@@ -107,17 +87,10 @@ impl<P: Precision> SessionPool<P> {
             self.open[sid] = true;
             return sid;
         }
-        let sid = self.states.len();
         self.states.push(StreamState::new(&self.plan));
-        self.queues.push(VecDeque::new());
+        self.queues.push(Vec::new());
         self.open.push(true);
-        let n = sid + 1;
-        for buf in [&mut self.cur, &mut self.nxt, &mut self.skip] {
-            buf.resize(n * self.col_w, 0.0);
-        }
-        self.xrows.resize(n * self.row_w + COPY_PAD, P::default());
-        self.acc.resize(n * self.col_w, P::Acc::default());
-        sid
+        self.states.len() - 1
     }
 
     /// Closes stream `sid`: drops its queued samples, resets its state and
@@ -161,165 +134,33 @@ impl<P: Precision> SessionPool<P> {
     pub fn push(&mut self, sid: usize, sample: &[f32]) {
         check_width(&self.plan, sample);
         assert!(self.open[sid], "stream {sid} is not open");
-        self.queues[sid].extend(sample);
+        self.queues[sid].extend_from_slice(sample);
     }
 
-    /// Drains every queue, one wave (= one timestep per stream with pending
-    /// input) at a time, and returns the head outputs that were emitted, as
-    /// `(stream_id, output)` in emission order (per stream: chronological).
+    /// Drains every queue and returns the head outputs that were emitted,
+    /// as `(stream_id, output)`: grouped by stream in ascending slot order,
+    /// each stream's outputs in time order. Each stream's whole backlog runs
+    /// through the solo step before the next stream starts.
     pub fn flush(&mut self) -> Vec<(usize, Vec<f32>)> {
-        let plan = Arc::clone(&self.plan);
+        let Self {
+            plan,
+            states,
+            queues,
+            scratch,
+            out,
+            ..
+        } = self;
+        let plan: &Plan<P> = plan;
         let c_in = plan.input_channels();
         let mut results = Vec::new();
-        loop {
-            self.active.clear();
-            for (sid, q) in self.queues.iter().enumerate() {
-                if q.len() >= c_in {
-                    self.active.push(sid);
+        for (sid, (state, queue)) in states.iter_mut().zip(queues.iter_mut()).enumerate() {
+            for sample in queue.chunks_exact(c_in) {
+                if step(plan, state, scratch, sample, out) {
+                    results.push((sid, out.clone()));
                 }
             }
-            if self.active.is_empty() {
-                return results;
-            }
-            // Dequeue one sample per active stream into the wave matrix.
-            for (r, &sid) in self.active.iter().enumerate() {
-                let row = &mut self.cur[r * c_in..(r + 1) * c_in];
-                for (dst, v) in row.iter_mut().zip(self.queues[sid].drain(..c_in)) {
-                    *dst = v;
-                }
-            }
-            self.run_wave(&plan, &mut results);
+            queue.clear();
         }
-    }
-
-    /// Executes one wave currently held in `self.cur` over `self.active`,
-    /// walking the plan in the solo step's order (rings and pool windows
-    /// indexed as in [`StreamState`]).
-    fn run_wave(&mut self, plan: &Plan<P>, results: &mut Vec<(usize, Vec<f32>)>) {
-        let mut width = plan.input_channels();
-        let (mut ring, mut pool_idx) = (0, 0);
-        for block in &plan.blocks {
-            match block {
-                Block::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    let n = self.active.len();
-                    self.skip[..n * width].copy_from_slice(&self.cur[..n * width]);
-                    self.conv_wave(ring, conv1, width, true);
-                    self.conv_wave(ring + 1, conv2, conv1.outputs(), true);
-                    ring += 2;
-                    if let Some(proj) = downsample {
-                        // Swap the saved input into `cur` so the conv helper
-                        // can read it (the residual branch parks in `skip`),
-                        // then swap back: `cur` = branch, `skip` = projection.
-                        std::mem::swap(&mut self.cur, &mut self.skip);
-                        self.conv_wave(ring, proj, width, false);
-                        std::mem::swap(&mut self.cur, &mut self.skip);
-                        ring += 1;
-                    }
-                    width = conv2.outputs();
-                    residual_add(&mut self.cur[..n * width], &self.skip[..n * width]);
-                }
-                Block::Plain { convs, pool } => {
-                    for conv in convs {
-                        self.conv_wave(ring, conv, width, true);
-                        ring += 1;
-                        width = conv.outputs();
-                    }
-                    if let Some(pool) = pool {
-                        // Per-stream pool phase: keep only emitting rows.
-                        let mut kept = 0usize;
-                        for r in 0..self.active.len() {
-                            let sid = self.active[r];
-                            let (src, dst) = (r * width, kept * width);
-                            if self.states[sid].pools[pool_idx].step(
-                                pool,
-                                &self.cur[src..src + width],
-                                &mut self.nxt[dst..dst + width],
-                            ) {
-                                self.active[kept] = sid;
-                                kept += 1;
-                            }
-                        }
-                        pool_idx += 1;
-                        self.active.truncate(kept);
-                        if self.active.is_empty() {
-                            return;
-                        }
-                        std::mem::swap(&mut self.cur, &mut self.nxt);
-                    }
-                }
-            }
-        }
-        let n = self.active.len();
-        let out_dim = match &plan.head {
-            Head::PerStep(conv) => {
-                self.conv_wave(ring, conv, width, false);
-                conv.outputs()
-            }
-            Head::Fc {
-                hidden,
-                output,
-                window,
-                ..
-            } => {
-                let in_f = hidden.inputs();
-                for (r, &sid) in self.active.iter().enumerate() {
-                    self.states[sid].fc_window(
-                        hidden,
-                        *window,
-                        &self.cur[r * width..(r + 1) * width],
-                        &mut self.xrows[r * in_f..(r + 1) * in_f],
-                    );
-                }
-                self.layer_wave(hidden, true);
-                // The hidden activations (now in `cur`) cross the output
-                // layer's seam, then the output dense runs as a second wave.
-                let hid = hidden.outputs();
-                for (q, &v) in self.xrows[..n * hid].iter_mut().zip(&self.cur[..n * hid]) {
-                    *q = output.seam(v);
-                }
-                self.layer_wave(output, false);
-                output.outputs()
-            }
-            Head::GlobalPoolFc(dense) => {
-                let in_f = dense.inputs();
-                for (r, &sid) in self.active.iter().enumerate() {
-                    self.states[sid].global_mean(
-                        dense,
-                        &self.cur[r * width..(r + 1) * width],
-                        &mut self.xrows[r * in_f..(r + 1) * in_f],
-                    );
-                }
-                self.layer_wave(dense, false);
-                dense.outputs()
-            }
-        };
-        for (r, &sid) in self.active.iter().enumerate() {
-            results.push((sid, self.cur[r * out_dim..(r + 1) * out_dim].to_vec()));
-        }
-    }
-
-    /// Batched step of one convolution (ring `ring` of every active stream):
-    /// seam-pushes each stream's column, gathers the rows and runs one wave.
-    /// Reads columns from `cur`, leaves the output columns in `cur`.
-    fn conv_wave(&mut self, ring: usize, conv: &P::Conv, width: usize, relu: bool) {
-        let (c_in, ck) = (conv.in_channels(), conv.inputs());
-        for (r, &sid) in self.active.iter().enumerate() {
-            let state = &mut self.states[sid].rings[ring];
-            state.push(conv, &self.cur[r * width..r * width + c_in]);
-            state.gather(conv, &mut self.xrows[r * ck..]);
-        }
-        self.layer_wave(conv, relu);
-    }
-
-    /// One wave of a linear layer over the rows gathered in `xrows`, leaving
-    /// the f32 results in `cur`.
-    fn layer_wave<L: LinearOp<P>>(&mut self, layer: &L, relu: bool) {
-        let n = self.active.len();
-        wave(layer, n, &self.xrows, &mut self.acc, &mut self.nxt, relu);
-        std::mem::swap(&mut self.cur, &mut self.nxt);
+        results
     }
 }

@@ -22,8 +22,14 @@
 //! Feeding a fresh f32 session the samples `x[0..T]` one at a time
 //! reproduces the offline forward on `[1, C, T]` (zero initial state ≡
 //! causal zero padding); the parity tests in `tests/parity.rs` pin this to
-//! `1e-5`. This per-step path is also the reference the batched
-//! [`crate::SessionPool`] is tested against.
+//! `1e-5`.
+//!
+//! One timestep of one stream is one call of the crate-private `step`
+//! function over that stream's state and a scratch set. It is the engine's
+//! only execution path: a [`Session`] owns one state and one scratch set,
+//! and a [`crate::SessionPool`] runs each of its streams' queued samples
+//! through the same function, so pooled and solo emissions are bit-identical
+//! in both precisions.
 //!
 //! The per-step hot path is allocation-free: scratch buffers are owned by the
 //! session and reused ([`Session::push_into`]); [`Session::push`] is the
@@ -36,12 +42,12 @@ use std::sync::Arc;
 /// Over-allocation past the live ring/row elements, letting gathers run as
 /// fixed 16-element copies (plain vector loads/stores) instead of
 /// variable-length `memcpy` calls for the narrow columns PIT networks have.
-pub(crate) const COPY_PAD: usize = 16;
+const COPY_PAD: usize = 16;
 
 /// Ring buffer holding one convolution's receptive field of input history,
 /// time-major: `[rf, C_in]`, slot `pos` is the next write.
 #[derive(Debug, Clone)]
-pub(crate) struct ConvRing<P> {
+struct ConvRing<P> {
     hist: Vec<P>,
     rf: usize,
     pos: usize,
@@ -59,7 +65,7 @@ impl<P: Precision> ConvRing<P> {
 
     /// Converts one f32 column at the layer's input seam straight into the
     /// ring — one unit-stride pass, no intermediate buffer.
-    pub(crate) fn push(&mut self, conv: &P::Conv, input: &[f32]) {
+    fn push(&mut self, conv: &P::Conv, input: &[f32]) {
         let c_in = conv.in_channels();
         let base = self.pos * c_in;
         for (h, &v) in self.hist[base..base + c_in].iter_mut().zip(input) {
@@ -77,7 +83,7 @@ impl<P: Precision> ConvRing<P> {
     /// conditional wrap replaces any modulo; columns of at most
     /// [`COPY_PAD`] values copy as one fixed block into the padded `row`
     /// (later taps overwrite the spill, and readers take only `C_in · K`).
-    pub(crate) fn gather(&self, conv: &P::Conv, row: &mut [P]) {
+    fn gather(&self, conv: &P::Conv, row: &mut [P]) {
         let (rf, c_in) = (self.rf, conv.in_channels());
         let newest = if self.pos == 0 { rf - 1 } else { self.pos - 1 };
         for kk in 0..conv.kernel() {
@@ -145,7 +151,7 @@ impl PoolClock {
 /// State of a strided average-pooling stage: a time-major `[kernel, C]`
 /// window ring at the stage's seam, and its clock.
 #[derive(Debug, Clone)]
-pub(crate) struct PoolWindow<P> {
+struct PoolWindow<P> {
     buf: Vec<P>,
     channels: usize,
     clock: PoolClock,
@@ -163,7 +169,7 @@ impl<P: Precision> PoolWindow<P> {
     /// Pushes one column; returns `true` (with the window mean in `out`)
     /// when the stage emits (see [`PoolClock::tick`]). Int8 window sums of at
     /// most `kernel` codes are exact in f32.
-    pub(crate) fn step(&mut self, pool: &P::Pool, input: &[f32], out: &mut [f32]) -> bool {
+    fn step(&mut self, pool: &P::Pool, input: &[f32], out: &mut [f32]) -> bool {
         let c = self.channels;
         let (slot, emits) = self.clock.tick(&pool.spec());
         for (q, &v) in self.buf[slot * c..(slot + 1) * c].iter_mut().zip(input) {
@@ -192,8 +198,8 @@ impl<P: Precision> PoolWindow<P> {
 /// stage, and the head's flatten ring or running mean.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamState<P: Precision> {
-    pub(crate) rings: Vec<ConvRing<P>>,
-    pub(crate) pools: Vec<PoolWindow<P>>,
+    rings: Vec<ConvRing<P>>,
+    pools: Vec<PoolWindow<P>>,
     /// Fc head: `[channels, window]` flatten ring at the hidden layer's
     /// seam; `pos` is the next (oldest) slot. Unwritten slots are zero,
     /// matching the causal pad.
@@ -255,13 +261,7 @@ impl<P: Precision> StreamState<P> {
     /// seam) and gathers the window into `row`: `[channels · window]`,
     /// oldest step first — the offline flatten order — as two contiguous
     /// copies per channel.
-    pub(crate) fn fc_window(
-        &mut self,
-        hidden: &P::Dense,
-        window: usize,
-        input: &[f32],
-        row: &mut [P],
-    ) {
+    fn fc_window(&mut self, hidden: &P::Dense, window: usize, input: &[f32], row: &mut [P]) {
         for (ci, &v) in input.iter().enumerate() {
             self.window[ci * window + self.pos] = hidden.seam(v);
         }
@@ -282,7 +282,7 @@ impl<P: Precision> StreamState<P> {
 
     /// Adds one column to the global-pool running sum and writes the running
     /// mean, converted at the dense layer's seam, into `row`.
-    pub(crate) fn global_mean(&mut self, dense: &P::Dense, input: &[f32], row: &mut [P]) {
+    fn global_mean(&mut self, dense: &P::Dense, input: &[f32], row: &mut [P]) {
         for (s, &v) in self.sum.iter_mut().zip(input) {
             *s += v;
         }
@@ -294,28 +294,45 @@ impl<P: Precision> StreamState<P> {
     }
 }
 
-/// Widest f32 column and widest gathered row any layer of `plan` needs —
-/// the per-stream scratch of both execution paths.
-pub(crate) fn scratch_widths<P: Precision>(plan: &Plan<P>) -> (usize, usize) {
-    let mut col = plan.input_channels.max(plan.output_dim());
-    let mut row = 1;
-    for conv in plan.convs() {
-        col = col.max(conv.in_channels()).max(conv.outputs());
-        row = row.max(conv.inputs());
-    }
-    match &plan.head {
-        Head::Fc { hidden, .. } => {
-            col = col.max(hidden.outputs());
-            row = row.max(hidden.inputs()).max(hidden.outputs());
-        }
-        Head::GlobalPoolFc(dense) => row = row.max(dense.inputs()),
-        Head::PerStep(_) => {}
-    }
-    (col, row)
+/// Per-step scratch of the execution path: ping-pong f32 columns and the
+/// residual skip column (each sized to the widest column), and the gathered
+/// row (widest row, plus the copy pad). It carries nothing from one step to
+/// the next, so one set serves every stream of a pool.
+pub(crate) struct Scratch<P> {
+    a: Vec<f32>,
+    b: Vec<f32>,
+    skip: Vec<f32>,
+    row: Vec<P>,
 }
 
-/// The one input-width contract of both execution paths: a sample carries
-/// exactly the plan's input channels.
+impl<P: Precision> Scratch<P> {
+    /// Scratch wide enough for every layer of `plan`.
+    pub(crate) fn new(plan: &Plan<P>) -> Self {
+        let mut col = plan.input_channels.max(plan.output_dim());
+        let mut row = 1;
+        for conv in plan.convs() {
+            col = col.max(conv.in_channels()).max(conv.outputs());
+            row = row.max(conv.inputs());
+        }
+        match &plan.head {
+            Head::Fc { hidden, .. } => {
+                col = col.max(hidden.outputs());
+                row = row.max(hidden.inputs()).max(hidden.outputs());
+            }
+            Head::GlobalPoolFc(dense) => row = row.max(dense.inputs()),
+            Head::PerStep(_) => {}
+        }
+        Self {
+            a: vec![0.0; col],
+            b: vec![0.0; col],
+            skip: vec![0.0; col],
+            row: vec![P::default(); row + COPY_PAD],
+        }
+    }
+}
+
+/// The one input-width contract of the engine: a sample carries exactly the
+/// plan's input channels.
 pub(crate) fn check_width<P: Precision>(plan: &Plan<P>, sample: &[f32]) {
     assert_eq!(
         sample.len(),
@@ -326,8 +343,8 @@ pub(crate) fn check_width<P: Precision>(plan: &Plan<P>, sample: &[f32]) {
     );
 }
 
-/// The residual join: `a = relu(a + b)`, shared by both execution paths.
-pub(crate) fn residual_add(a: &mut [f32], b: &[f32]) {
+/// The residual join: `a = relu(a + b)`.
+fn residual_add(a: &mut [f32], b: &[f32]) {
     for (x, &y) in a.iter_mut().zip(b) {
         *x = (*x + y).max(0.0);
     }
@@ -353,6 +370,88 @@ fn conv_step<P: Precision>(
     }
 }
 
+/// Advances one stream of `plan` by one timestep: the single execution path
+/// of the engine, shared by [`Session`] and [`crate::SessionPool`].
+///
+/// `sample` must carry exactly the plan's input channels and `out` at least
+/// [`Plan::output_dim`] slots (callers check both). Writes the head output
+/// into `out` and returns `true` when this step made the head emit.
+pub(crate) fn step<P: Precision>(
+    plan: &Plan<P>,
+    state: &mut StreamState<P>,
+    scratch: &mut Scratch<P>,
+    sample: &[f32],
+    out: &mut [f32],
+) -> bool {
+    let Scratch { a, b, skip, row } = scratch;
+    a[..sample.len()].copy_from_slice(sample);
+    let mut width = sample.len();
+    let (mut ring, mut pool_idx) = (0, 0);
+    for block in &plan.blocks {
+        match block {
+            Block::Residual {
+                conv1,
+                conv2,
+                downsample,
+            } => {
+                skip[..width].copy_from_slice(&a[..width]);
+                conv_step(conv1, &mut state.rings[ring], &a[..width], row, b, true);
+                let mid = conv1.outputs();
+                conv_step(conv2, &mut state.rings[ring + 1], &b[..mid], row, a, true);
+                ring += 2;
+                match downsample {
+                    Some(proj) => {
+                        conv_step(proj, &mut state.rings[ring], &skip[..width], row, b, false);
+                        ring += 1;
+                    }
+                    None => b[..width].copy_from_slice(&skip[..width]),
+                }
+                width = conv2.outputs();
+                residual_add(&mut a[..width], &b[..width]);
+            }
+            Block::Plain { convs, pool } => {
+                for conv in convs {
+                    conv_step(conv, &mut state.rings[ring], &a[..width], row, b, true);
+                    ring += 1;
+                    width = conv.outputs();
+                    std::mem::swap(a, b);
+                }
+                if let Some(pool) = pool {
+                    let window = &mut state.pools[pool_idx];
+                    pool_idx += 1;
+                    if !window.step(pool, &a[..width], &mut b[..width]) {
+                        return false;
+                    }
+                    std::mem::swap(a, b);
+                }
+            }
+        }
+    }
+    match &plan.head {
+        Head::PerStep(conv) => {
+            conv_step(conv, &mut state.rings[ring], &a[..width], row, out, false);
+        }
+        Head::Fc {
+            hidden,
+            output,
+            window,
+            ..
+        } => {
+            state.fc_window(hidden, *window, &a[..width], row);
+            accumulate(hidden, &row[..hidden.inputs()], b, true);
+            for (q, &v) in row.iter_mut().zip(&b[..hidden.outputs()]) {
+                *q = output.seam(v);
+            }
+            accumulate(output, &row[..output.inputs()], out, false);
+        }
+        Head::GlobalPoolFc(dense) => {
+            state.global_mean(dense, &a[..width], row);
+            accumulate(dense, &row[..dense.inputs()], out, false);
+        }
+    }
+    true
+}
+
 /// One stream's stateful execution of a plan, in the plan's precision.
 ///
 /// Feed samples with [`Session::push`]/[`Session::push_into`]; the session
@@ -361,25 +460,15 @@ fn conv_step<P: Precision>(
 pub struct Session<P: Precision = f32> {
     plan: Arc<Plan<P>>,
     state: StreamState<P>,
-    /// Ping-pong column scratch and the residual skip column (each sized to
-    /// the widest column).
-    buf_a: Vec<f32>,
-    buf_b: Vec<f32>,
-    buf_skip: Vec<f32>,
-    /// Gathered-row scratch (widest row, plus the copy pad).
-    row: Vec<P>,
+    scratch: Scratch<P>,
 }
 
 impl<P: Precision> Session<P> {
     /// Creates a fresh (all-zero state) session for `plan`.
     pub fn new(plan: Arc<Plan<P>>) -> Self {
-        let (col, row) = scratch_widths(&plan);
         Self {
             state: StreamState::new(&plan),
-            buf_a: vec![0.0; col],
-            buf_b: vec![0.0; col],
-            buf_skip: vec![0.0; col],
-            row: vec![P::default(); row + COPY_PAD],
+            scratch: Scratch::new(&plan),
             plan,
         }
     }
@@ -414,91 +503,14 @@ impl<P: Precision> Session<P> {
     /// Panics if `sample` does not carry exactly the plan's input channels,
     /// or `out` is shorter than the output dimension.
     pub fn push_into(&mut self, sample: &[f32], out: &mut [f32]) -> bool {
-        // Destructuring splits the borrows without touching the Arc's
-        // reference count — an atomic pair per timestep is measurable at
-        // sub-microsecond step times.
-        let Self {
-            plan,
-            state,
-            buf_a: a,
-            buf_b: b,
-            buf_skip: skip,
-            row,
-        } = self;
-        let plan: &Plan<P> = plan;
-        check_width(plan, sample);
+        check_width(&self.plan, sample);
         assert!(
-            out.len() >= plan.output_dim(),
+            out.len() >= self.plan.output_dim(),
             "output buffer has {} slots, plan emits {}",
             out.len(),
-            plan.output_dim()
+            self.plan.output_dim()
         );
-        a[..sample.len()].copy_from_slice(sample);
-        let mut width = sample.len();
-        let (mut ring, mut pool_idx) = (0, 0);
-        for block in &plan.blocks {
-            match block {
-                Block::Residual {
-                    conv1,
-                    conv2,
-                    downsample,
-                } => {
-                    skip[..width].copy_from_slice(&a[..width]);
-                    conv_step(conv1, &mut state.rings[ring], &a[..width], row, b, true);
-                    let mid = conv1.outputs();
-                    conv_step(conv2, &mut state.rings[ring + 1], &b[..mid], row, a, true);
-                    ring += 2;
-                    match downsample {
-                        Some(proj) => {
-                            conv_step(proj, &mut state.rings[ring], &skip[..width], row, b, false);
-                            ring += 1;
-                        }
-                        None => b[..width].copy_from_slice(&skip[..width]),
-                    }
-                    width = conv2.outputs();
-                    residual_add(&mut a[..width], &b[..width]);
-                }
-                Block::Plain { convs, pool } => {
-                    for conv in convs {
-                        conv_step(conv, &mut state.rings[ring], &a[..width], row, b, true);
-                        ring += 1;
-                        width = conv.outputs();
-                        std::mem::swap(a, b);
-                    }
-                    if let Some(pool) = pool {
-                        let window = &mut state.pools[pool_idx];
-                        pool_idx += 1;
-                        if !window.step(pool, &a[..width], &mut b[..width]) {
-                            return false;
-                        }
-                        std::mem::swap(a, b);
-                    }
-                }
-            }
-        }
-        match &plan.head {
-            Head::PerStep(conv) => {
-                conv_step(conv, &mut state.rings[ring], &a[..width], row, out, false);
-            }
-            Head::Fc {
-                hidden,
-                output,
-                window,
-                ..
-            } => {
-                state.fc_window(hidden, *window, &a[..width], row);
-                accumulate(hidden, &row[..hidden.inputs()], b, true);
-                for (q, &v) in row.iter_mut().zip(&b[..hidden.outputs()]) {
-                    *q = output.seam(v);
-                }
-                accumulate(output, &row[..output.inputs()], out, false);
-            }
-            Head::GlobalPoolFc(dense) => {
-                state.global_mean(dense, &a[..width], row);
-                accumulate(dense, &row[..dense.inputs()], out, false);
-            }
-        }
-        true
+        step(&self.plan, &mut self.state, &mut self.scratch, sample, out)
     }
 }
 

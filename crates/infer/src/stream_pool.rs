@@ -1,4 +1,4 @@
-//! The precision-independent serving interface over batched session pools.
+//! The precision-independent serving interface over session pools.
 //!
 //! [`SessionPool`] is generic over its [`Precision`], so `SessionPool<f32>`
 //! and `SessionPool<i8>` ([`crate::QuantizedSessionPool`]) are two types.
@@ -14,16 +14,18 @@
 //! * stream ids are dense slot indices, recycled by `close_stream` — a
 //!   long-running server's pool does not grow with stream churn;
 //! * `push` queues one timestep (`input_channels` values); nothing executes
-//!   until `flush`, which drains every queue in batched waves and returns
-//!   `(stream_id, output)` pairs in emission order (chronological per
-//!   stream);
+//!   until `flush`, which drains every queue and returns `(stream_id,
+//!   output)` pairs grouped by stream: streams in ascending slot order, each
+//!   stream's outputs together and in time order;
+//! * pooled outputs equal what a solo [`crate::Session`] fed the same
+//!   samples emits, bit for bit;
 //! * a freshly opened stream starts from the all-zero (causal padding)
 //!   state, regardless of what the recycled slot computed before.
 
 use crate::precision::Precision;
 use crate::session::SessionPool;
 
-/// Precision-independent interface to a pool of batched streaming sessions.
+/// Precision-independent interface to a pool of streaming sessions.
 ///
 /// See the [module docs](self) for the behavioural contract. All methods map
 /// one-to-one onto the inherent API of [`SessionPool`]; the trait adds no
@@ -47,8 +49,9 @@ pub trait StreamPool: Send {
     /// Panics if `sid` is not open or the sample length is wrong.
     fn push(&mut self, sid: usize, sample: &[f32]);
 
-    /// Drains every queue in batched waves; returns emitted head outputs as
-    /// `(stream_id, output)` in emission order.
+    /// Drains every queue; returns emitted head outputs as `(stream_id,
+    /// output)`, grouped by stream in ascending slot order, each stream's in
+    /// time order.
     fn flush(&mut self) -> Vec<(usize, Vec<f32>)>;
 
     /// Queued-but-unflushed timesteps across all streams.

@@ -133,9 +133,8 @@ proptest! {
         assert_streaming_parity(&plan, &qplan, &x);
     }
 
-    /// Batching quantized sessions in a pool is *bit-exact* against solo
-    /// quantized sessions: integer accumulation has one result regardless of
-    /// whether a wave GEMM or per-step dots produced it.
+    /// Pooling quantized sessions is *bit-exact* against solo quantized
+    /// sessions: the pool runs every stream through the solo step.
     #[test]
     fn quantized_pool_is_bit_exact_with_solo_sessions(
         c_in in 1usize..3,

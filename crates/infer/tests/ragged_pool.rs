@@ -1,8 +1,9 @@
-//! Ragged-workload coverage for the batched session pools: streams of
-//! unequal lengths that *join and finish mid-wave* must match per-session
-//! streaming exactly. The uniform-wave parity tests elsewhere never shrink
-//! or grow the active set between flushes; real serving traffic does little
-//! else.
+//! Ragged-workload coverage for the session pools: streams of unequal
+//! lengths that *join and finish between flushes* must match per-session
+//! streaming exactly. The uniform parity tests elsewhere never shrink or
+//! grow the active set between flushes; real serving traffic does little
+//! else. The pool runs every stream through the solo step, so pooled and
+//! solo emissions are bit-identical in both precisions.
 
 use pit_infer::{
     compile_generic, compile_restcn, compile_temponet, InferencePlan, Plan, Precision,
@@ -15,11 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Pool-vs-solo tolerance of the f32 engine.
-const F32_TOL: f32 = 1e-5;
-/// Int8 arithmetic is exact: pooled and solo emissions must be identical.
-const EXACT: f32 = 0.0;
-
 /// One stream's lifetime inside the ragged schedule: it joins at round
 /// `start` and contributes `len` samples, one per round.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +26,7 @@ struct Lifetime {
 
 /// Builds per-stream inputs and a staggered schedule: stream `sid` is silent
 /// until `start`, pushes one sample per round while alive, then goes silent —
-/// so every wave boundary (join, finish) lands mid-flush for some stream.
+/// so streams join and finish at different flushes.
 fn ragged_inputs(
     rng: &mut StdRng,
     streams: usize,
@@ -50,14 +46,12 @@ fn ragged_inputs(
 }
 
 /// Drives the ragged schedule through a pool and through solo sessions of
-/// either precision; emissions must agree stream by stream, value by value,
-/// within `tol`.
+/// either precision; emissions must agree stream by stream, bit for bit.
 fn assert_ragged_parity<P: Precision>(
     plan: Arc<Plan<P>>,
     streams: usize,
     max_len: usize,
     seed: u64,
-    tol: f32,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let c = plan.input_channels();
@@ -85,19 +79,7 @@ fn assert_ragged_parity<P: Precision>(
             .chunks(c)
             .filter_map(|sample| solo.push(sample))
             .collect();
-        assert_eq!(
-            outs.len(),
-            pooled[sid].len(),
-            "stream {sid} ({life:?}): emission count"
-        );
-        for (i, (a, b)) in outs.iter().zip(pooled[sid].iter()).enumerate() {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!(
-                    (x - y).abs() <= tol,
-                    "stream {sid} emission {i}: solo {x} vs pooled {y}"
-                );
-            }
-        }
+        assert_eq!(outs, pooled[sid], "stream {sid} ({life:?})");
     }
 }
 
@@ -142,20 +124,20 @@ fn restcn_plan(rng: &mut StdRng) -> InferencePlan {
 
 #[test]
 fn ragged_temponet_pool_matches_solo_sessions() {
-    // Strided pooling + Fc window head: the active set shrinks both from
-    // ragged queues *and* per-session pool phase.
+    // Strided pooling + Fc window head: which streams emit depends both on
+    // ragged queues *and* on per-session pool phase.
     let mut rng = StdRng::seed_from_u64(50);
     let cfg = TempoNetConfig::scaled(8, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    assert_ragged_parity(Arc::new(compile_temponet(&net)), 6, 48, 51, F32_TOL);
+    assert_ragged_parity(Arc::new(compile_temponet(&net)), 6, 48, 51);
 }
 
 #[test]
 fn ragged_restcn_pool_matches_solo_sessions() {
     let mut rng = StdRng::seed_from_u64(52);
     let plan = restcn_plan(&mut rng);
-    assert_ragged_parity(Arc::new(plan), 5, 30, 53, F32_TOL);
+    assert_ragged_parity(Arc::new(plan), 5, 30, 53);
 }
 
 #[test]
@@ -163,7 +145,7 @@ fn ragged_generic_pool_matches_solo_sessions() {
     let mut rng = StdRng::seed_from_u64(54);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
-    assert_ragged_parity(Arc::new(compile_generic(&net)), 7, 25, 55, F32_TOL);
+    assert_ragged_parity(Arc::new(compile_generic(&net)), 7, 25, 55);
 }
 
 #[test]
@@ -173,17 +155,17 @@ fn ragged_quantized_temponet_pool_is_bit_exact() {
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
     let qplan = quantized(&mut rng, &compile_temponet(&net), 64);
-    assert_ragged_parity(qplan, 6, 48, 57, EXACT);
+    assert_ragged_parity(qplan, 6, 48, 57);
 }
 
 #[test]
 fn ragged_quantized_restcn_pool_is_bit_exact() {
-    // Residual blocks, the 1×1 downsample wave and a per-step head on the
-    // int8 pool, against solo int8 sessions.
+    // Residual blocks, the 1×1 downsample and a per-step head on the int8
+    // pool, against solo int8 sessions.
     let mut rng = StdRng::seed_from_u64(62);
     let plan = restcn_plan(&mut rng);
     let qplan = quantized(&mut rng, &plan, 30);
-    assert_ragged_parity(qplan, 5, 30, 63, EXACT);
+    assert_ragged_parity(qplan, 5, 30, 63);
 }
 
 #[test]
@@ -192,13 +174,13 @@ fn ragged_quantized_generic_pool_is_bit_exact() {
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
     let qplan = quantized(&mut rng, &compile_generic(&net), 32);
-    assert_ragged_parity(qplan, 7, 25, 59, EXACT);
+    assert_ragged_parity(qplan, 7, 25, 59);
 }
 
 #[test]
 fn wide_columns_pool_matches_solo_in_both_precisions() {
     // Channels up to 64: ring columns wider than the gather's fixed-copy
-    // pad take the slice-copy path in both execution paths.
+    // pad take the slice-copy path.
     let mut rng = StdRng::seed_from_u64(64);
     let cfg = TempoNetConfig::scaled(2, 64);
     assert!(cfg.channels.iter().any(|&c| c > 16));
@@ -206,15 +188,16 @@ fn wide_columns_pool_matches_solo_in_both_precisions() {
     net.set_dilations(&cfg.hand_tuned_dilations());
     let plan = compile_temponet(&net);
     let qplan = quantized(&mut rng, &plan, 64);
-    assert_ragged_parity(Arc::new(plan), 4, 40, 65, F32_TOL);
-    assert_ragged_parity(qplan, 4, 40, 66, EXACT);
+    assert_ragged_parity(Arc::new(plan), 4, 40, 65);
+    assert_ragged_parity(qplan, 4, 40, 66);
 }
 
 #[test]
-fn burst_pushes_drain_in_narrowing_waves() {
-    // One flush covering several waves: session 0 queues 4 samples, session
-    // 1 queues 2, session 2 queues 1 — the first wave runs 3 sessions, the
-    // second 2, then 1, 1. Chronology per session must survive.
+fn burst_flush_returns_each_stream_together_in_slot_order() {
+    // One flush over unequal backlogs: session 0 queues 4 samples, session
+    // 1 queues 2, session 2 queues 1. The flush runs each stream's backlog
+    // to the end before the next, so its results come grouped by stream,
+    // streams in ascending slot order, each stream in time order.
     let mut rng = StdRng::seed_from_u64(60);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[2, 4]);
@@ -228,24 +211,18 @@ fn burst_pushes_drain_in_narrowing_waves() {
     }
     assert_eq!(pool.pending_steps(), 7);
     let results = pool.flush();
-    assert_eq!(results.len(), 7);
+    let order: Vec<usize> = results.iter().map(|(sid, _)| *sid).collect();
+    assert_eq!(order, [0, 0, 0, 0, 1, 1, 2], "stream-major order");
+    let mut want = Vec::new();
     for (sid, n) in [(0usize, 4usize), (1, 2), (2, 1)] {
         let mut solo = Session::new(Arc::clone(&plan));
-        let solo_outs: Vec<_> = samples
-            .iter()
-            .take(n)
-            .filter_map(|s| solo.push(&[*s]))
-            .collect();
-        let pooled: Vec<_> = results
-            .iter()
-            .filter(|(id, _)| *id == sid)
-            .map(|(_, v)| v.clone())
-            .collect();
-        assert_eq!(solo_outs.len(), pooled.len(), "stream {sid}");
-        for (a, b) in solo_outs.iter().zip(pooled.iter()) {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-5, "stream {sid}: {x} vs {y}");
-            }
-        }
+        want.extend(
+            samples
+                .iter()
+                .take(n)
+                .filter_map(|s| solo.push(&[*s]))
+                .map(|out| (sid, out)),
+        );
     }
+    assert_eq!(results, want);
 }

@@ -3,8 +3,8 @@
 //! The serving daemon of the PIT reproduction: a long-running TCP server
 //! that boots from an on-disk `pit-arch/2` model artifact
 //! ([`pit_infer::PlanArtifact`] — weights included, f32 or int8) and
-//! multiplexes thousands of client streams onto the batched session-pool
-//! waves of `pit-infer`.
+//! multiplexes thousands of client streams onto the session pools of
+//! `pit-infer`.
 //!
 //! * **Protocol** ([`protocol`]): length-prefixed binary frames — OPEN a
 //!   stream, send timesteps in PUSH_N frames, receive EMIT_N frames back,
@@ -19,7 +19,8 @@
 //!   Each shard owns one session-pool shard behind the
 //!   [`pit_infer::StreamPool`] trait (f32 and int8 served by the same
 //!   code); streams pin to a shard at OPEN time, and every tick each
-//!   shard flushes its pending timesteps as one batched GEMM per layer.
+//!   shard flushes its pending timesteps, stream by stream, through the
+//!   solo step.
 //!   Per-connection backpressure caps, bounded reply buffers, idle-stream
 //!   eviction and graceful drain on shutdown are built in.
 //! * **Stats** ([`stats`]): a [`StatsSnapshot`] counter block (streams

@@ -16,9 +16,10 @@
 //!   one session-pool shard behind the [`pit_infer::StreamPool`] trait —
 //!   one generic batcher for both precisions. A stream is pinned to
 //!   `shard_of(conn, stream_id)` at OPEN; every wave flushes the shard's
-//!   pending timesteps as one batched GEMM per layer. Shards write EMIT_N
-//!   and CLOSED frames into the outbufs and ring the edge's self-pipe to
-//!   flush them (see the reply-order rules in [`crate::protocol`]).
+//!   pending timesteps, stream by stream, through the solo step. Shards
+//!   write EMIT_N and CLOSED frames into the outbufs and ring the edge's
+//!   self-pipe to flush them (see the reply-order rules in
+//!   [`crate::protocol`]).
 //!
 //! ## Lifecycle
 //!
@@ -66,8 +67,10 @@ pub struct ServerConfig {
     /// connection; a PUSH_N that would exceed it is rejected with an ERROR
     /// frame.
     pub max_pending_per_conn: usize,
-    /// Wave cadence: each shard runs at most one pool flush per tick, so
-    /// timesteps arriving within a tick batch into the same waves.
+    /// Flush cadence: each shard runs at most one pool flush per tick, and
+    /// a connection's emissions from one flush share one EMIT_N frame per
+    /// model. The tick only sets how often a shard flushes and how many
+    /// emissions a frame merges; it gathers no compute batch.
     pub tick: Duration,
     /// Evict streams with no client activity for this long (`None` = never).
     pub idle_timeout: Option<Duration>,

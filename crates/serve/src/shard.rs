@@ -1,4 +1,4 @@
-//! The sharded wave batcher: N independent threads, each owning one
+//! The sharded batcher: N independent threads, each owning one
 //! [`StreamPool`] shard *per registry model*, together serving thousands
 //! of streams across a whole model zoo.
 //!
@@ -10,9 +10,11 @@
 //! precisions through `Box<dyn StreamPool>` (this file replaced 24
 //! hand-written `F32`/`I8` match arms). Multi-model serving keeps the
 //! layout: the shard holds one pool per model (same index order as the
-//! edge registry), the edge resolves a stream's model at OPEN, and a wave
-//! flushes every pool with pending timesteps — each model still batches
-//! its own streams into single GEMMs.
+//! edge registry), the edge resolves a stream's model at OPEN, and each
+//! tick flushes every pool with pending timesteps. A flush runs each
+//! stream's queued timesteps back to back through the solo step, and the
+//! tick coalesces a connection's emissions into one EMIT_N frame per model.
+//! (Metrics and stats still call one tick's flush a *wave*.)
 //!
 //! Shards never touch a socket: EMIT_N and CLOSED frames are encoded into
 //! the connection's [`OutBuf`] and the edge is woken through the self-pipe
@@ -369,9 +371,8 @@ impl Shard {
         }
     }
 
-    /// One batched wave: flush every model pool with queued timesteps (one
-    /// GEMM per layer per model per wave) and route emissions back — one
-    /// coalesced EMIT_N per connection per model.
+    /// One wave: flush every model pool with queued timesteps and route
+    /// emissions back — one coalesced EMIT_N per connection per model.
     fn run_wave(&mut self) {
         // Chaos: stall the flush to widen the window in which closes,
         // disconnects and evictions land on streams mid-wave.
@@ -413,30 +414,23 @@ impl Shard {
         }
     }
 
-    /// Routes one model's flush results to their connections.
+    /// Routes one model's flush results to their connections. A flush
+    /// returns each stream's emissions next to each other, in time order,
+    /// so each run becomes one EMIT_N entry without regrouping.
     fn route_emissions(&mut self, model: usize, results: Vec<(usize, Vec<f32>)>) {
         if results.is_empty() {
             return;
         }
-        // Coalesce each stream's chronological emissions.
-        let dim = self.pools[model].output_dim().max(1);
-        let mut per_stream: HashMap<usize, Vec<f32>> = HashMap::new();
-        let mut order: Vec<usize> = Vec::new();
-        for (slot, out) in results {
-            let entry = per_stream.entry(slot).or_insert_with(|| {
-                order.push(slot);
-                Vec::new()
-            });
-            entry.extend_from_slice(&out);
-        }
         // Frames must stay under the protocol's body bound: cap the vectors
         // per frame and split a backlog across frames (order preserved).
+        let dim = self.pools[model].output_dim().max(1);
         let max_vectors_per_frame = ((MAX_FRAME_BODY - 64) / (4 * dim)).max(1);
         let mut emit_n: HashMap<ConnId, EmitNBuilder> = HashMap::new();
         let mut conn_order: Vec<ConnId> = Vec::new();
-        for slot in order {
-            let outputs = per_stream.remove(&slot).expect("grouped above");
-            let emitted = (outputs.len() / dim) as u64;
+        let mut outputs: Vec<f32> = Vec::new();
+        for run in results.chunk_by(|a, b| a.0 == b.0) {
+            let slot = run[0].0;
+            let emitted = run.len() as u64;
             self.stats
                 .emissions_out
                 .fetch_add(emitted, Ordering::Relaxed);
@@ -448,6 +442,10 @@ impl Shard {
             };
             let (conn, stream_id) = (info.conn, info.client_id);
             self.trace(TraceKind::Emit, conn, stream_id, model, emitted);
+            outputs.clear();
+            for (_, out) in run {
+                outputs.extend_from_slice(out);
+            }
             let builder = emit_n.entry(conn).or_insert_with(|| {
                 conn_order.push(conn);
                 EmitNBuilder::new(dim)

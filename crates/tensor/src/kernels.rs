@@ -25,9 +25,11 @@
 //! (gated behind `cfg(test)` and the `reference` feature) as the oracle the
 //! test suite and the `pit-bench` before/after benchmarks compare against.
 //!
-//! The module is public so tape-free consumers (the `pit-infer` streaming
-//! engine) can drive [`gemm`]/[`conv1d_forward`] directly into preallocated
-//! buffers; the gradient kernels stay crate-private behind the autograd ops.
+//! The module is public so tape-free code can drive [`gemm`] and
+//! [`conv1d_forward`] directly into preallocated buffers; the gradient
+//! kernels stay crate-private behind the autograd ops. Every kernel here is
+//! f32: the int8 serving path accumulates one timestep at a time inside
+//! `pit-infer`'s step microkernel.
 
 use crate::pool;
 
@@ -292,9 +294,8 @@ fn mac_rows<const R: usize, const LEFT: bool>(
 /// `out[m, n] += a[m, kd] · b[kd, n]`, producing `MR` output rows at a time
 /// over `TILE`-wide column slabs held in registers.
 ///
-/// This is the tape-free GEMM entry point the streaming inference engine
-/// dispatches batched session steps through: `out` accumulates, so callers
-/// pre-fill it with zeros or a bias.
+/// This is the tape-free GEMM entry point behind [`crate::Tensor::matmul`]:
+/// `out` accumulates, so callers pre-fill it with zeros or a bias.
 ///
 /// # Panics
 ///
@@ -421,161 +422,6 @@ fn dot_rows<const R: usize>(a: &[f32], bt: &[f32], j0: usize, kd: usize) -> [f32
         out[r] = accr.iter().sum();
     }
     out
-}
-
-// ----------------------------------------------------------------------
-// Int8 kernels (quantized inference)
-// ----------------------------------------------------------------------
-//
-// The serving-side quantized path (`pit-infer::quant`) executes `i8×i8→i32`:
-// activations are quantized per layer at the seam, weights carry per-output-
-// channel scales, and the integer accumulation is *exact* — all rounding
-// happens at the quantize/dequantize boundaries, which is what makes the
-// analytic parity bounds of the quantized plans provable.
-//
-// Unlike the f32 microkernels above, integer addition is associative, so the
-// compiler is free to vectorize the lane-split reductions below into full
-// 256-bit SIMD under `target-cpu=x86-64-v3`, whatever their summation order.
-
-/// `out[m, n] += a[m, kd] · b[kd, n]` over `i8` operands with exact `i32`
-/// accumulation — the wave kernel of the quantized session pool.
-///
-/// # Panics
-///
-/// Panics (by slice indexing) if `a`, `b` or `out` are shorter than
-/// `m·kd`, `kd·n` and `m·n` respectively.
-pub fn gemm_i8(m: usize, kd: usize, n: usize, a: &[i8], b: &[i8], out: &mut [i32]) {
-    let mut i = 0;
-    while i + MR <= m {
-        gemm_i8_rows::<MR>(i, kd, n, a, b, out);
-        i += MR;
-    }
-    match m - i {
-        0 => {}
-        1 => gemm_i8_rows::<1>(i, kd, n, a, b, out),
-        2 => gemm_i8_rows::<2>(i, kd, n, a, b, out),
-        3 => gemm_i8_rows::<3>(i, kd, n, a, b, out),
-        // A silent fall-through here would drop output rows; keep this
-        // exhaustive relative to MR so raising MR cannot corrupt results.
-        rem => unreachable!("gemm_i8 remainder {rem} not covered (MR = {MR})"),
-    }
-}
-
-/// Produces output rows `i..i + R` of `out += a · b` (`i8` operands).
-fn gemm_i8_rows<const R: usize>(
-    i: usize,
-    kd: usize,
-    n: usize,
-    a: &[i8],
-    b: &[i8],
-    out: &mut [i32],
-) {
-    let mut col = 0;
-    while col + TILE <= n {
-        let mut acc = [[0i32; TILE]; R];
-        for p in 0..kd {
-            let bs: &[i8; TILE] = b[p * n + col..p * n + col + TILE]
-                .try_into()
-                .expect("tile slab");
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = i32::from(a[(i + r) * kd + p]);
-                for l in 0..TILE {
-                    accr[l] += av * i32::from(bs[l]);
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let orow = &mut out[(i + r) * n + col..(i + r) * n + col + TILE];
-            for l in 0..TILE {
-                orow[l] += accr[l];
-            }
-        }
-        col += TILE;
-    }
-    if col < n {
-        let mut acc = [[0i32; TILE]; R];
-        for p in 0..kd {
-            let bs = &b[p * n + col..p * n + n];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = i32::from(a[(i + r) * kd + p]);
-                for (l, &bv) in bs.iter().enumerate() {
-                    accr[l] += av * i32::from(bv);
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let orow = &mut out[(i + r) * n + col..(i + r) * n + n];
-            for (l, ov) in orow.iter_mut().enumerate() {
-                *ov += accr[l];
-            }
-        }
-    }
-}
-
-/// Exact `i8·i8→i32` dot product, lane-split so the reduction vectorizes —
-/// a standalone quantized primitive for output-major consumers. (The
-/// `pit-infer` streaming step itself accumulates input-major over its
-/// transposed weight pack, which amortises loads across output channels;
-/// this is the right kernel when only one output row is needed.)
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    const LANES: usize = 16;
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let mut acc = [0i32; LANES];
-    let slabs = n / LANES;
-    for c in 0..slabs {
-        let av: &[i8; LANES] = a[c * LANES..(c + 1) * LANES].try_into().expect("a slab");
-        let bv: &[i8; LANES] = b[c * LANES..(c + 1) * LANES].try_into().expect("b slab");
-        for l in 0..LANES {
-            acc[l] += i32::from(av[l]) * i32::from(bv[l]);
-        }
-    }
-    let mut total: i32 = acc.iter().sum();
-    for p in slabs * LANES..n {
-        total += i32::from(a[p]) * i32::from(b[p]);
-    }
-    total
-}
-
-/// Offline causal dilated convolution over quantized operands:
-/// `out[n, co, t] = Σ w[co, ci, k] · x[n, ci, t − k·d]` with exact `i32`
-/// accumulation (no bias — dequantization applies bias in f32).
-///
-/// This is the whole-window (offline) form of the quantized convolution —
-/// e.g. for batch scoring or validating a quantized plan against recorded
-/// windows. The `pit-infer` streaming engine produces the same exact `i32`
-/// sums one timestep at a time (input-major per-step accumulation, and
-/// [`gemm_i8`] for batched session waves).
-///
-/// # Panics
-///
-/// Panics (by slice indexing) if the buffers are shorter than the geometry
-/// in `s` implies (`x`: `n·c_in·t`, `w`: `c_out·c_in·k`, `out`: `n·c_out·t`).
-pub fn conv1d_forward_i8(x: &[i8], w: &[i8], s: &ConvShape, out: &mut [i32]) {
-    let (n, c_in, t, c_out, k) = (s.n, s.c_in, s.t, s.c_out, s.k);
-    out[..n * c_out * t].fill(0);
-    for bn in 0..n {
-        for co in 0..c_out {
-            let out_base = (bn * c_out + co) * t;
-            for ci in 0..c_in {
-                let x_base = (bn * c_in + ci) * t;
-                let w_base = (co * c_in + ci) * k;
-                for kk in 0..k {
-                    let wv = i32::from(w[w_base + kk]);
-                    if wv == 0 {
-                        continue;
-                    }
-                    let shift = kk * s.dilation;
-                    if shift >= t {
-                        continue;
-                    }
-                    for tt in shift..t {
-                        out[out_base + tt] += wv * i32::from(x[x_base + tt - shift]);
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -979,76 +825,6 @@ mod tests {
                 }
             }
             assert!(max_diff(&fast, &school) < 1e-4, "gemm {m}x{kd}x{n}");
-        }
-    }
-
-    /// Deterministic pseudo-random i8 values covering the full range.
-    fn i8_fill(len: usize, seed: u64) -> Vec<i8> {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % 255) as i64 as i8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn gemm_i8_matches_schoolbook_exactly() {
-        for (seed, (m, kd, n)) in [(1, 1, 1), (4, 3, 16), (5, 7, 33), (9, 2, 8), (3, 8, 50)]
-            .into_iter()
-            .enumerate()
-        {
-            let a = i8_fill(m * kd, seed as u64 + 1);
-            let b = i8_fill(kd * n, seed as u64 + 100);
-            let mut fast = vec![0i32; m * n];
-            gemm_i8(m, kd, n, &a, &b, &mut fast);
-            let mut school = vec![0i32; m * n];
-            for i in 0..m {
-                for p in 0..kd {
-                    for j in 0..n {
-                        school[i * n + j] += i32::from(a[i * kd + p]) * i32::from(b[p * n + j]);
-                    }
-                }
-            }
-            // Integer arithmetic: equality is exact, not approximate.
-            assert_eq!(fast, school, "gemm_i8 {m}x{kd}x{n}");
-        }
-    }
-
-    #[test]
-    fn dot_i8_matches_schoolbook_exactly() {
-        for len in [0usize, 1, 15, 16, 17, 64, 113] {
-            let a = i8_fill(len, 7);
-            let b = i8_fill(len, 13);
-            let school: i32 = a
-                .iter()
-                .zip(b.iter())
-                .map(|(&x, &y)| i32::from(x) * i32::from(y))
-                .sum();
-            assert_eq!(dot_i8(&a, &b), school, "dot_i8 len {len}");
-        }
-    }
-
-    #[test]
-    fn conv1d_forward_i8_matches_f32_kernel_on_exact_values() {
-        // Every i8 value is exactly representable in f32, and products of
-        // i8 pairs accumulate exactly in f32 for these sizes, so the f32
-        // oracle is bit-faithful to the integer result.
-        for s in odd_shapes() {
-            let x = i8_fill(s.n * s.c_in * s.t, 21);
-            let w = i8_fill(s.c_out * s.c_in * s.k, 22);
-            let mut out_i = vec![0i32; s.n * s.c_out * s.t];
-            conv1d_forward_i8(&x, &w, &s, &mut out_i);
-            let xf: Vec<f32> = x.iter().map(|&v| f32::from(v)).collect();
-            let wf: Vec<f32> = w.iter().map(|&v| f32::from(v)).collect();
-            let mut out_f = vec![0.0f32; s.n * s.c_out * s.t];
-            naive_conv1d_forward(&xf, &wf, None, &s, &mut out_f);
-            for (i, (&qi, &qf)) in out_i.iter().zip(out_f.iter()).enumerate() {
-                assert_eq!(qi as f32, qf, "conv1d_forward_i8 slot {i} on {s:?}");
-            }
         }
     }
 

@@ -13,8 +13,8 @@
 //! 4. stream both precisions side by side through the one engine:
 //!    identical emission schedule, outputs within the bound, ~4x smaller
 //!    weights and per-stream state;
-//! 5. serve a fleet of int8 streams through a [`QuantizedSessionPool`] —
-//!    one `i8×i8→i32` GEMM wave per layer.
+//! 5. serve a fleet of int8 streams through a [`QuantizedSessionPool`],
+//!    bit-exact against solo int8 sessions.
 //!
 //! Run with: `cargo run --release --example quantized_serving`
 

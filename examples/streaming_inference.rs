@@ -10,7 +10,7 @@
 //! 3. verify streaming parity: pushing a window one sample at a time equals
 //!    the offline forward;
 //! 4. serve a fleet of concurrent PPG streams through a [`SessionPool`],
-//!    one batched kernel call per wave.
+//!    which flushes each stream's queued samples through the solo step.
 //!
 //! Run with: `cargo run --release --example streaming_inference`
 

@@ -13,6 +13,11 @@
 # the gate permanently red) and with PIT_NUM_THREADS=1, so the numbers do
 # not encode the core count of whoever refreshed them — CI pins the same.
 #
+# One --quick run spreads 30–50% on a shared VM, so each bench_json
+# baseline is the per-record median of $RUNS runs (`bench_json median`:
+# every record is the whole record of its median run). The replay baseline
+# is a single run.
+#
 # Usage: scripts/bench-baseline.sh
 set -eu
 if [ "$#" -gt 0 ]; then
@@ -21,24 +26,37 @@ if [ "$#" -gt 0 ]; then
     exit 2
 fi
 cd "$(dirname "$0")/.."
-echo "regenerating BENCH_conv.json (release build, quick suites, 1 thread)..."
-PIT_NUM_THREADS=1 cargo run --locked --release -p pit-bench --bin bench_json -- --quick --out BENCH_conv.json
-echo "regenerating BENCH_infer.json (release build, infer suite, 1 thread)..."
-PIT_NUM_THREADS=1 cargo run --locked --release -p pit-bench --bin bench_json -- --quick --suites infer --out BENCH_infer.json
-echo "regenerating BENCH_int8.json (release build, quant suite, 1 thread)..."
-PIT_NUM_THREADS=1 cargo run --locked --release -p pit-bench --bin bench_json -- --quick --suites quant --out BENCH_int8.json
-echo "regenerating BENCH_serve.json (release build, serve suite, 1 thread)..."
-PIT_NUM_THREADS=1 cargo run --locked --release -p pit-bench --bin bench_json -- --quick --suites serve --out BENCH_serve.json
-echo "regenerating BENCH_scale.json (release build, scale suite, 1 thread)..."
-PIT_NUM_THREADS=1 cargo run --locked --release -p pit-bench --bin bench_json -- --quick --suites scale --out BENCH_scale.json
+RUNS=11
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+cargo build --locked --release -p pit-bench --bin bench_json
+BENCH=target/release/bench_json
+
+# record OUT [SUITE ARGS...]: the per-record medians of $RUNS quick runs.
+record() {
+    out=$1
+    shift
+    echo "regenerating $out (median of $RUNS runs, 1 thread) $*..."
+    i=1
+    while [ "$i" -le "$RUNS" ]; do
+        PIT_NUM_THREADS=1 "$BENCH" --quick "$@" --out "$WORK/run-$i.json"
+        i=$((i + 1))
+    done
+    "$BENCH" median --out "$out" "$WORK"/run-*.json
+    rm -f "$WORK"/run-*.json
+}
+
+record BENCH_conv.json
+record BENCH_infer.json --suites infer
+record BENCH_int8.json --suites quant
+record BENCH_serve.json --suites serve
+record BENCH_scale.json --suites scale
 # The replay baseline needs a model zoo; build the same fixed-seed quick zoo
 # the CI replay job uses into a scratch dir, then record the quick replay
 # population against an in-process daemon (no TCP daemon to babysit here —
 # the in-process and external paths drive identical traffic).
 echo "regenerating BENCH_replay.json (quick zoo + replay population, 1 thread)..."
-REPLAY_ZOO=$(mktemp -d)
-trap 'rm -rf "$REPLAY_ZOO"' EXIT
-cargo run --locked --release -p pit-search -- --out "$REPLAY_ZOO" --quick
+cargo run --locked --release -p pit-search -- --out "$WORK/zoo" --quick
 PIT_NUM_THREADS=1 cargo run --locked --release -p pit-replay --bin pit-replay -- \
-    --zoo "$REPLAY_ZOO/zoo.json" --quick --bench-out BENCH_replay.json
+    --zoo "$WORK/zoo/zoo.json" --quick --bench-out BENCH_replay.json
 echo "done. review the diff and commit BENCH_conv.json + BENCH_infer.json + BENCH_int8.json + BENCH_serve.json + BENCH_scale.json + BENCH_replay.json."
