@@ -744,7 +744,7 @@ pub fn serve_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     out.push(rec);
 
     // Prometheus scrape under load: 256 open streams with seeded counters
-    // and per-shard histograms, then one full `GET /metrics` round trip
+    // and per-model histograms, then one full `GET /metrics` round trip
     // (connect → request → read to EOF) per iteration.
     const SCRAPE_STREAMS: usize = 256;
     let server = Server::bind(

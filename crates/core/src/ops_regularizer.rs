@@ -8,6 +8,7 @@
 //! the output sequence length of the layer.
 
 use crate::conv::PitConv1d;
+use crate::regularizer::{lasso_term, lasso_value};
 use pit_tensor::{Tape, Var};
 
 /// Lasso regulariser on γ weighted by the *operation count* each γ re-enables,
@@ -52,26 +53,7 @@ impl OpsRegularizer {
     ///
     /// Panics if `layers` and `seq_lens` have different lengths.
     pub fn term(&self, tape: &mut Tape, layers: &[&PitConv1d], seq_lens: &[usize]) -> Var {
-        assert_eq!(
-            layers.len(),
-            seq_lens.len(),
-            "one sequence length per layer is required"
-        );
-        let mut acc: Option<Var> = None;
-        for (layer, &t) in layers.iter().zip(seq_lens.iter()) {
-            let coeffs = Self::coefficients(layer, t);
-            if coeffs.is_empty() {
-                continue;
-            }
-            let g = tape.param(layer.gamma_param());
-            let contribution = tape.weighted_abs_sum(g, &coeffs);
-            acc = Some(match acc {
-                Some(total) => tape.add(total, contribution),
-                None => contribution,
-            });
-        }
-        let total = acc.unwrap_or_else(|| tape.constant(pit_tensor::Tensor::scalar(0.0)));
-        tape.scale(total, self.lambda)
+        lasso_term(tape, self.lambda, ops_coefficients(layers, seq_lens))
     }
 
     /// Evaluates the regulariser outside any tape (diagnostic value).
@@ -80,24 +62,28 @@ impl OpsRegularizer {
     ///
     /// Panics if `layers` and `seq_lens` have different lengths.
     pub fn value(&self, layers: &[&PitConv1d], seq_lens: &[usize]) -> f32 {
-        assert_eq!(
-            layers.len(),
-            seq_lens.len(),
-            "one sequence length per layer is required"
-        );
-        let mut total = 0.0f32;
-        for (layer, &t) in layers.iter().zip(seq_lens.iter()) {
-            let coeffs = Self::coefficients(layer, t);
-            let gamma = layer.gamma_param().value();
-            total += gamma
-                .data()
-                .iter()
-                .zip(coeffs.iter())
-                .map(|(&g, &c)| c * g.abs())
-                .sum::<f32>();
-        }
-        self.lambda * total
+        lasso_value(self.lambda, ops_coefficients(layers, seq_lens))
     }
+}
+
+/// Each layer paired with its operation-count coefficients.
+///
+/// # Panics
+///
+/// Panics if `layers` and `seq_lens` have different lengths.
+fn ops_coefficients<'a>(
+    layers: &'a [&'a PitConv1d],
+    seq_lens: &'a [usize],
+) -> impl Iterator<Item = (&'a PitConv1d, Vec<f32>)> {
+    assert_eq!(
+        layers.len(),
+        seq_lens.len(),
+        "one sequence length per layer is required"
+    );
+    layers
+        .iter()
+        .zip(seq_lens)
+        .map(|(&l, &t)| (l, OpsRegularizer::coefficients(l, t)))
 }
 
 #[cfg(test)]

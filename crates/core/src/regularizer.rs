@@ -1,4 +1,6 @@
-//! The model-size regulariser of Eq. 6.
+//! The model-size regulariser of Eq. 6, and the Lasso body it shares with
+//! [`crate::OpsRegularizer`]: both are `λ Σ_l Σ_i coeff_i^l |γ_i^l|` and
+//! differ only in where the per-γ coefficients come from.
 
 use crate::conv::PitConv1d;
 use pit_tensor::{Tape, Var};
@@ -37,38 +39,63 @@ impl SizeRegularizer {
     /// useful gradient, matching the fine-tuning phase where the term is
     /// simply dropped from the loss.
     pub fn term(&self, tape: &mut Tape, layers: &[&PitConv1d]) -> Var {
-        let mut acc: Option<Var> = None;
-        for layer in layers {
-            let coeffs = layer.regularizer_coefficients();
-            if coeffs.is_empty() {
-                continue;
-            }
-            let g = tape.param(layer.gamma_param());
-            let contribution = tape.weighted_abs_sum(g, &coeffs);
-            acc = Some(match acc {
-                Some(total) => tape.add(total, contribution),
-                None => contribution,
-            });
-        }
-        let total = acc.unwrap_or_else(|| tape.constant(pit_tensor::Tensor::scalar(0.0)));
-        tape.scale(total, self.lambda)
+        lasso_term(tape, self.lambda, size_coefficients(layers))
     }
 
     /// Evaluates the regulariser outside any tape (diagnostic value).
     pub fn value(&self, layers: &[&PitConv1d]) -> f32 {
-        let mut total = 0.0f32;
-        for layer in layers {
-            let coeffs = layer.regularizer_coefficients();
-            let gamma = layer.gamma_param().value();
-            total += gamma
-                .data()
-                .iter()
-                .zip(coeffs.iter())
-                .map(|(&g, &c)| c * g.abs())
-                .sum::<f32>();
-        }
-        self.lambda * total
+        lasso_value(self.lambda, size_coefficients(layers))
     }
+}
+
+/// Each layer paired with its Eq. 6 per-γ coefficients.
+fn size_coefficients<'a>(
+    layers: &'a [&'a PitConv1d],
+) -> impl Iterator<Item = (&'a PitConv1d, Vec<f32>)> {
+    layers.iter().map(|&l| (l, l.regularizer_coefficients()))
+}
+
+/// Records `λ · Σ_l Σ_i coeffs_i^l |γ_i^l|` on `tape` over `(layer,
+/// per-γ coefficients)` pairs: one weighted-|γ| node per layer with
+/// coefficients, summed in layer order, then scaled by `λ` (a constant
+/// zero when no layer contributes).
+pub(crate) fn lasso_term<'a>(
+    tape: &mut Tape,
+    lambda: f32,
+    layers: impl IntoIterator<Item = (&'a PitConv1d, Vec<f32>)>,
+) -> Var {
+    let mut acc: Option<Var> = None;
+    for (layer, coeffs) in layers {
+        if coeffs.is_empty() {
+            continue;
+        }
+        let g = tape.param(layer.gamma_param());
+        let contribution = tape.weighted_abs_sum(g, &coeffs);
+        acc = Some(match acc {
+            Some(total) => tape.add(total, contribution),
+            None => contribution,
+        });
+    }
+    let total = acc.unwrap_or_else(|| tape.constant(pit_tensor::Tensor::scalar(0.0)));
+    tape.scale(total, lambda)
+}
+
+/// [`lasso_term`]'s value, evaluated outside any tape.
+pub(crate) fn lasso_value<'a>(
+    lambda: f32,
+    layers: impl IntoIterator<Item = (&'a PitConv1d, Vec<f32>)>,
+) -> f32 {
+    let mut total = 0.0f32;
+    for (layer, coeffs) in layers {
+        let gamma = layer.gamma_param().value();
+        total += gamma
+            .data()
+            .iter()
+            .zip(coeffs.iter())
+            .map(|(&g, &c)| c * g.abs())
+            .sum::<f32>();
+    }
+    lambda * total
 }
 
 #[cfg(test)]

@@ -257,40 +257,6 @@ impl PitSearch {
             epochs_run: (warmup_epochs_run, search_epochs_run, finetune_epochs_run),
         }
     }
-
-    /// Runs one search per `(λ, warmup)` combination, constructing a fresh
-    /// network for each run through `make_network`, and returns all outcomes.
-    ///
-    /// This is the design-space exploration used for Fig. 4 of the paper.
-    pub fn explore<N, F>(
-        base: &PitConfig,
-        lambdas: &[f32],
-        warmups: &[usize],
-        make_network: F,
-        train: &Dataset,
-        val: &Dataset,
-        loss: LossKind,
-    ) -> Vec<PitOutcome>
-    where
-        N: SearchableNetwork,
-        F: Fn(u64) -> N,
-    {
-        let mut outcomes = Vec::with_capacity(lambdas.len() * warmups.len());
-        for (i, &lambda) in lambdas.iter().enumerate() {
-            for (j, &warmup) in warmups.iter().enumerate() {
-                let cfg = PitConfig {
-                    lambda,
-                    warmup_epochs: warmup,
-                    seed: base.seed.wrapping_add((i * warmups.len() + j) as u64),
-                    ..base.clone()
-                };
-                let net = make_network(cfg.seed);
-                let outcome = PitSearch::new(cfg).run(&net, train, val, loss);
-                outcomes.push(outcome);
-            }
-        }
-        outcomes
-    }
 }
 
 #[cfg(test)]
@@ -443,38 +409,5 @@ mod tests {
             weak.effective_params
         );
         assert_eq!(strong.dilations[0], 8);
-    }
-
-    #[test]
-    fn explore_returns_one_outcome_per_combination() {
-        let data = lag_dataset(24, 9);
-        let (train, val) = data.split(0.7);
-        let base = PitConfig {
-            warmup_epochs: 1,
-            search_epochs: 1,
-            finetune_epochs: 0,
-            patience: None,
-            batch_size: 12,
-            learning_rate: 0.01,
-            gamma_learning_rate: 0.01,
-            seed: 0,
-            lambda: 0.0,
-        };
-        let outcomes = PitSearch::explore(
-            &base,
-            &[0.0, 1.0],
-            &[0, 1],
-            LagNet::new,
-            &train,
-            &val,
-            LossKind::Mse,
-        );
-        assert_eq!(outcomes.len(), 4);
-        assert!(outcomes
-            .iter()
-            .any(|o| o.lambda == 0.0 && o.warmup_epochs == 0));
-        assert!(outcomes
-            .iter()
-            .any(|o| o.lambda == 1.0 && o.warmup_epochs == 1));
     }
 }

@@ -366,20 +366,9 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ModelStats;
-    use crate::telemetry::ModelMeta;
 
     fn test_telemetry() -> Telemetry {
-        let telemetry = Telemetry::new();
-        telemetry.install_models(
-            vec![ModelMeta {
-                name: "m".into(),
-                kind: "f32",
-                stats: Arc::new(ModelStats::default()),
-            }],
-            0,
-        );
-        telemetry
+        Telemetry::one_model("m", false)
     }
 
     fn response_text(bytes: Vec<u8>) -> String {

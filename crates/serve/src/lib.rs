@@ -25,8 +25,9 @@
 //!   eviction and graceful drain on shutdown are built in.
 //! * **Stats** ([`stats`]): a [`StatsSnapshot`] counter block (streams
 //!   open, timesteps served, wave occupancy, p50/p99/p99.9 wave latency
-//!   from log-scale histograms, aggregated across shards) served over the
-//!   STATS frame as JSON. The [`StatsSnapshot::settled`] flag and
+//!   from log-scale histograms) served over the STATS frame as JSON. Each
+//!   fact is booked once — per-model traffic in one counter block per
+//!   registry model — and the daemon totals are sums over those blocks. The [`StatsSnapshot::settled`] flag and
 //!   [`StatsSnapshot::seq`] sequence let pollers detect quiescence
 //!   without sleeping.
 //! * **Telemetry**: an always-on hub behind an optional HTTP sidecar
@@ -34,9 +35,10 @@
 //!   /metrics`, the stats JSON on `GET /stats`, lifecycle state on `GET
 //!   /healthz` (503 while booting or draining), and a per-stream event
 //!   trace ([`TraceEvent`]) on `GET /trace` and the TRACE frame
-//!   (protocol v4). The sidecar reads the same atomics the STATS frame
-//!   aggregates, so the two views can never disagree; [`http_get`] is the
-//!   matching minimal client.
+//!   (protocol v4). The hub also owns the one model registry. The sidecar
+//!   reads the same registry and atomics the STATS frame aggregates, so the
+//!   two views can never disagree; [`http_get`] is the matching minimal
+//!   client.
 //! * **Chaos** ([`chaos`]): the deterministic fault seam behind
 //!   [`ServerConfig::faults`] (`None` by default, costing one `Option`
 //!   check) and a misbehaving-client toolkit for adversarial tests.

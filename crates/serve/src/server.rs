@@ -21,6 +21,20 @@
 //!   self-pipe to flush them (see the reply-order rules in
 //!   [`crate::protocol`]).
 //!
+//! ## Registry and books
+//!
+//! The model registry lives in exactly one place, the telemetry hub
+//! (`telemetry::Registry`), which the edge, the shards and the sidecar
+//! share. The edge is its only writer (LOAD_MODEL) and reads it on OPEN,
+//! LOAD_MODEL, LIST_MODELS and STATS; the per-timestep path never locks
+//! it. An OPEN resolves the model once and caches what the hot path needs
+//! in the stream's table entry — the model's input channels and counter
+//! block — so PUSH_N admission and stream release take no lock (only a
+//! channel-count rejection reads the registry, for the model name in its
+//! message). The cache cannot go stale: a LOAD_MODEL replace is refused
+//! while the model has open streams. The server-wide stream budget is the
+//! sum of the per-model `streams_open` gauges, which only the edge writes.
+//!
 //! ## Lifecycle
 //!
 //! Streams are opened per connection (OPEN), served until CLOSE, idle
@@ -40,8 +54,8 @@ use crate::protocol::{
     ServerFrame,
 };
 use crate::shard::{Shard, ShardEvent, ShardNote};
-use crate::stats::{ModelStats, ShardStats, StatsSnapshot};
-use crate::telemetry::{ModelMeta, ServeState, Telemetry, TraceKind};
+use crate::stats::{ModelStats, StatsSnapshot};
+use crate::telemetry::{ModelEntry, Registry, ServeState, Telemetry, TraceKind};
 use pit_infer::{
     InferencePlan, PlanArtifact, QuantizedPlan, QuantizedSessionPool, SessionPool, StreamPool,
     ZooManifest,
@@ -194,18 +208,6 @@ impl ServeEngine {
     }
 }
 
-/// One registry entry at the edge: the engine and the per-model counter
-/// block every shard shares. The open-stream gauge lives in the counter
-/// block ([`ModelStats::streams_open`]) — the edge is its only writer,
-/// but the HTTP sidecar reads it from another thread.
-struct ModelEntry {
-    /// Registry name: the zoo-manifest name at boot, or the artifact's plan
-    /// name for single-artifact boots and LOAD_MODEL additions.
-    name: String,
-    engine: ServeEngine,
-    stats: Arc<ModelStats>,
-}
-
 pub(crate) type ConnId = u64;
 
 /// Stable `(connection, stream id) → shard` pinning, decided at OPEN time
@@ -221,16 +223,41 @@ fn shard_of(conn: ConnId, stream_id: u32, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
-/// One open stream in the edge's table: its registry model plus the
-/// generation stamped at OPEN. The generation disambiguates stream-id
-/// reincarnation: a shard's eviction note names the generation it evicted,
-/// so a note that arrives after the client already CLOSEd *and re-OPENed*
-/// the same id cannot release the new stream's budget slot (the
-/// double-decrement race this replaced — see [`Edge::handle_note`]).
-#[derive(Clone, Copy)]
+/// One open stream in the edge's table: its registry model, the
+/// generation stamped at OPEN, and what PUSH_N admission and release need
+/// of the model, cached at OPEN so neither takes the registry lock. The
+/// generation disambiguates stream-id reincarnation: a shard's eviction
+/// note names the generation it evicted, so a note that arrives after the
+/// client already CLOSEd *and re-OPENed* the same id cannot release the
+/// new stream's budget slot (the double-decrement race this replaced — see
+/// [`Edge::handle_note`]).
 struct OpenStream {
     model: usize,
     gen: u64,
+    /// The model's input channels.
+    channels: usize,
+    /// The model's counter block, whose `streams_open` gauge this stream
+    /// holds a slot of.
+    stats: Arc<ModelStats>,
+}
+
+impl OpenStream {
+    /// The single decrement path of the open-stream budget: gives the
+    /// stream's slot of its model's gauge back (the budget is the gauges'
+    /// sum). Every closer (CLOSE, disconnect, eviction note) removes the
+    /// entry from its connection's table and releases what it removed, so
+    /// a double decrement is structurally impossible.
+    fn release(self) {
+        let gauge = &self.stats.streams_open;
+        debug_assert!(
+            gauge.load(Ordering::Relaxed) > 0,
+            "model {} streams_open underflow",
+            self.model
+        );
+        let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            Some(v.saturating_sub(1))
+        });
+    }
 }
 
 /// Edge-side per-connection state. The socket lives here (and only here);
@@ -241,9 +268,8 @@ struct EdgeConn {
     assembler: FrameAssembler,
     out: Arc<OutBuf>,
     pending: Arc<AtomicUsize>,
-    /// Client stream ids opened (and not yet closed) on this connection,
-    /// each mapped to its registry model index and open generation — the
-    /// edge's authoritative view for duplicate/capacity checks, per-stream
+    /// Client stream ids opened (and not yet closed) on this connection —
+    /// the edge's authoritative view for duplicate checks, per-stream
     /// channel checks and budget accounting.
     streams: HashMap<u32, OpenStream>,
     /// Set when the last vectored write left bytes queued: poll for
@@ -267,20 +293,11 @@ const EDGE_POLL_MS: i32 = 100;
 
 struct Edge {
     config: ServerConfig,
-    /// The model registry, index-aligned with every shard's pool vector.
-    models: Vec<ModelEntry>,
-    /// Registry index a model-less OPEN gets.
-    default_model: usize,
     conns: HashMap<ConnId, EdgeConn>,
     shard_txs: Vec<Sender<ShardEvent>>,
-    shard_stats: Vec<Arc<ShardStats>>,
-    /// The shared telemetry hub (edge counters, trace ring, histograms) —
-    /// the same `Arc` the shards and the HTTP sidecar hold.
+    /// The shared telemetry hub (registry, counters, trace ring,
+    /// histograms) — the same `Arc` the shards and the HTTP sidecar hold.
     telemetry: Arc<Telemetry>,
-    /// Server-wide open-stream budget (edge-authoritative: incremented on
-    /// OPEN, decremented — only ever through [`Edge::release_stream`] — on
-    /// CLOSE, disconnect, and shard eviction notes).
-    total_open: usize,
     draining: bool,
     next_conn: ConnId,
     /// Generation stamped on each OPEN (see [`OpenStream::gen`]).
@@ -296,7 +313,7 @@ impl Edge {
     /// go through here (or [`Edge::broadcast`]) — the shard decrements the
     /// charge per handled event.
     fn route(&self, shard: usize, event: ShardEvent) {
-        self.shard_stats[shard]
+        self.telemetry.shards[shard]
             .inflight
             .fetch_add(1, Ordering::Relaxed);
         let _ = self.shard_txs[shard].send(event);
@@ -474,7 +491,7 @@ impl Edge {
         match frame {
             ClientFrame::Ping { token } => self.send(conn, &ServerFrame::Pong { token }),
             ClientFrame::Stats => {
-                let snapshot = self.snapshot();
+                let snapshot = self.telemetry.snapshot();
                 self.send(
                     conn,
                     &ServerFrame::StatsJson {
@@ -503,7 +520,7 @@ impl Edge {
                     );
                     return;
                 };
-                self.release_stream(open.model);
+                open.release();
                 self.route(
                     self.shard_index(conn, stream_id),
                     ShardEvent::Close { conn, stream_id },
@@ -518,14 +535,6 @@ impl Edge {
         }
     }
 
-    /// Resolves an OPEN's optional model name against the registry.
-    fn resolve_model(&self, model: &Option<String>) -> Option<usize> {
-        match model {
-            None => Some(self.default_model),
-            Some(name) => self.models.iter().position(|m| &m.name == name),
-        }
-    }
-
     fn handle_open(&mut self, conn: ConnId, stream_id: u32, model: Option<String>) {
         if self.draining {
             self.send_error(
@@ -535,7 +544,25 @@ impl Edge {
             );
             return;
         }
-        let Some(model) = self.resolve_model(&model) else {
+        // One registry read resolves the model and the stream budget.
+        let resolved = {
+            let registry = self.telemetry.registry();
+            let index = match &model {
+                None => Some(registry.default),
+                Some(name) => registry.position(name),
+            };
+            index.map(|index| {
+                let entry = &registry.models[index];
+                let open = OpenStream {
+                    model: index,
+                    gen: self.next_gen,
+                    channels: entry.engine.input_channels(),
+                    stats: Arc::clone(&entry.stats),
+                };
+                (open, registry.streams_open())
+            })
+        };
+        let Some((open, streams_open)) = resolved else {
             let name = model.unwrap_or_default();
             self.send_error(
                 conn,
@@ -555,7 +582,7 @@ impl Edge {
             );
             return;
         }
-        if self.total_open >= self.config.max_streams {
+        if streams_open >= self.config.max_streams as u64 {
             self.send_error(
                 conn,
                 ErrorCode::ServerFull,
@@ -563,14 +590,10 @@ impl Edge {
             );
             return;
         }
-        let gen = self.next_gen;
         self.next_gen += 1;
-        state.streams.insert(stream_id, OpenStream { model, gen });
-        self.total_open += 1;
-        self.models[model]
-            .stats
-            .streams_open
-            .fetch_add(1, Ordering::Relaxed);
+        open.stats.streams_open.fetch_add(1, Ordering::Relaxed);
+        let (model, gen) = (open.model, open.gen);
+        state.streams.insert(stream_id, open);
         // Reply before routing: the stream's emissions can only follow the
         // OPEN down its shard's channel, so OPENED always precedes them.
         self.send(conn, &ServerFrame::Opened { stream_id });
@@ -609,9 +632,8 @@ impl Edge {
                     break;
                 }
                 Some(open) => {
-                    let c_in = self.models[open.model].engine.input_channels();
-                    if channels as usize != c_in {
-                        mismatch = Some((sid, open.model, c_in));
+                    if channels as usize != open.channels {
+                        mismatch = Some((sid, open.model, open.channels));
                         break;
                     }
                 }
@@ -626,7 +648,7 @@ impl Edge {
             return false;
         }
         if let Some((sid, model, c_in)) = mismatch {
-            let name = &self.models[model].name;
+            let name = self.telemetry.registry().models[model].name.clone();
             let msg = format!(
                 "PUSH_N carries {channels} channels, stream {sid}'s model '{name}' takes {c_in}"
             );
@@ -715,12 +737,13 @@ impl Edge {
         };
         let engine = ServeEngine::from_artifact(artifact);
         let name = engine.name();
-        if let Some(model) = self.models.iter().position(|m| m.name == name) {
-            let open = self.models[model]
-                .stats
-                .streams_open
-                .load(Ordering::Relaxed);
+        // Update the registry under its lock, then route with it released.
+        let mut registry = self.telemetry.registry();
+        if let Some(model) = registry.position(&name) {
+            let entry = &mut registry.models[model];
+            let open = entry.stats.streams_open.load(Ordering::Relaxed);
             if open > 0 {
+                drop(registry);
                 self.send_error(
                     conn,
                     ErrorCode::StreamsActive,
@@ -728,14 +751,15 @@ impl Edge {
                 );
                 return;
             }
-            self.models[model].engine = engine.clone();
-            self.telemetry.swap_model_kind(model, engine.kind());
+            entry.engine = engine.clone();
+            drop(registry);
             self.broadcast(|| ShardEvent::Swap {
                 model,
                 engine: engine.clone(),
             });
         } else {
-            if self.models.len() >= self.config.max_models {
+            if registry.models.len() >= self.config.max_models {
+                drop(registry);
                 self.send_error(
                     conn,
                     ErrorCode::LoadFailed,
@@ -747,19 +771,15 @@ impl Edge {
                 return;
             }
             let stats = Arc::new(ModelStats::default());
-            self.broadcast(|| ShardEvent::AddModel {
+            registry.models.push(ModelEntry {
+                name: name.clone(),
                 engine: engine.clone(),
                 stats: Arc::clone(&stats),
             });
-            self.telemetry.add_model(ModelMeta {
-                name: name.clone(),
-                kind: engine.kind(),
+            drop(registry);
+            self.broadcast(|| ShardEvent::AddModel {
+                engine: engine.clone(),
                 stats: Arc::clone(&stats),
-            });
-            self.models.push(ModelEntry {
-                name: name.clone(),
-                engine,
-                stats,
             });
         }
         self.send(conn, &ServerFrame::ModelLoaded { name });
@@ -768,8 +788,10 @@ impl Edge {
     /// The MODELS_JSON payload: one object per registry entry.
     fn models_json(&self) -> String {
         let n = |v: usize| Json::Num(v as f64);
+        let registry = self.telemetry.registry();
         Json::Arr(
-            self.models
+            registry
+                .models
                 .iter()
                 .enumerate()
                 .map(|(i, m)| {
@@ -783,31 +805,12 @@ impl Edge {
                             "streams_open".into(),
                             n(m.stats.streams_open.load(Ordering::Relaxed) as usize),
                         ),
-                        ("default".into(), Json::Bool(i == self.default_model)),
+                        ("default".into(), Json::Bool(i == registry.default)),
                     ])
                 })
                 .collect(),
         )
         .render()
-    }
-
-    /// The single decrement path of the open-stream budget: releases one
-    /// slot of `total_open` and the model's gauge. Every closer (CLOSE,
-    /// disconnect, eviction note) funnels through here, and the caller
-    /// must have just removed the stream's table entry — holding the
-    /// removal and the decrement together is what makes a double
-    /// decrement structurally impossible.
-    fn release_stream(&mut self, model: usize) {
-        debug_assert!(self.total_open > 0, "stream budget release underflow");
-        self.total_open = self.total_open.saturating_sub(1);
-        let gauge = &self.models[model].stats.streams_open;
-        debug_assert!(
-            gauge.load(Ordering::Relaxed) > 0,
-            "model {model} streams_open underflow"
-        );
-        let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(1))
-        });
     }
 
     /// Removes a connection: releases its stream budget and tells every
@@ -828,8 +831,8 @@ impl Edge {
             &self.telemetry.edge.connections_errored
         };
         ended.fetch_add(1, Ordering::Relaxed);
-        for (_, open) in state.streams {
-            self.release_stream(open.model);
+        for open in state.streams.into_values() {
+            open.release();
         }
         self.broadcast(|| ShardEvent::Disconnected { conn });
         self.dead.push(conn);
@@ -849,16 +852,14 @@ impl Edge {
                 // new stream's slot and orphaned its table entry.
                 let released = self.conns.get_mut(&conn).and_then(|state| {
                     match state.streams.get(&stream_id) {
-                        Some(open) if open.gen == gen => {
-                            state.streams.remove(&stream_id).map(|open| open.model)
-                        }
+                        Some(open) if open.gen == gen => state.streams.remove(&stream_id),
                         // Already released (CLOSE/disconnect won the race)
                         // or a different generation lives under this id.
                         _ => None,
                     }
                 });
-                if let Some(model) = released {
-                    self.release_stream(model);
+                if let Some(open) = released {
+                    open.release();
                 }
             }
         }
@@ -925,10 +926,6 @@ impl Edge {
             }
         }
     }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        self.telemetry.snapshot()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -938,18 +935,12 @@ impl Edge {
 /// A bound (not yet running) serving daemon.
 pub struct Server {
     listener: TcpListener,
-    /// Boot-time registry: `(name, engine)` pairs, index order preserved.
-    models: Vec<(String, ServeEngine)>,
-    /// Per-model counter blocks, index-aligned with `models` and already
-    /// installed in the telemetry hub.
-    model_stats: Vec<Arc<ModelStats>>,
-    /// Registry index of the default model.
-    default_model: usize,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     wake_pipe: WakePipe,
     waker: Waker,
     addr: SocketAddr,
+    /// The hub that owns the registry and every counter block.
     telemetry: Arc<Telemetry>,
     /// The HTTP sidecar's bound listener, when `metrics_addr` was set.
     metrics: Option<(TcpListener, SocketAddr)>,
@@ -1015,30 +1006,20 @@ impl Server {
             }
         };
         let (wake_pipe, waker) = WakePipe::new().map_err(|e| e.to_string())?;
-        // One counter block per registry model, shared by every shard, the
-        // edge and the sidecar; the telemetry hub mirrors the registry.
-        let model_stats: Vec<Arc<ModelStats>> = models
-            .iter()
-            .map(|_| Arc::new(ModelStats::default()))
-            .collect();
-        let telemetry = Arc::new(Telemetry::new());
-        telemetry.install_models(
-            models
-                .iter()
-                .zip(&model_stats)
-                .map(|((name, engine), stats)| ModelMeta {
-                    name: name.clone(),
-                    kind: engine.kind(),
-                    stats: Arc::clone(stats),
+        let registry = Registry {
+            models: models
+                .into_iter()
+                .map(|(name, engine)| ModelEntry {
+                    name,
+                    engine,
+                    stats: Arc::default(),
                 })
                 .collect(),
-            default_model,
-        );
+            default: default_model,
+        };
+        let telemetry = Arc::new(Telemetry::new(registry, config.shards.max(1)));
         Ok(Self {
             listener,
-            models,
-            model_stats,
-            default_model,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
             wake_pipe,
@@ -1110,15 +1091,18 @@ impl Server {
     /// `(name, kind)` of every registry model in registry order, the
     /// default entry first-class nowhere — pair with [`Server::default_model_name`].
     pub fn model_names(&self) -> Vec<(String, &'static str)> {
-        self.models
+        self.telemetry
+            .registry()
+            .models
             .iter()
-            .map(|(name, engine)| (name.clone(), engine.kind()))
+            .map(|m| (m.name.clone(), m.engine.kind()))
             .collect()
     }
 
     /// Name of the model a model-less OPEN selects.
-    pub fn default_model_name(&self) -> &str {
-        &self.models[self.default_model].0
+    pub fn default_model_name(&self) -> String {
+        let registry = self.telemetry.registry();
+        registry.models[registry.default].name.clone()
     }
 
     /// Runs the daemon on a background thread, returning a handle for
@@ -1144,16 +1128,9 @@ impl Server {
     /// Returns the final stats snapshot after a graceful drain.
     pub fn run(mut self) -> StatsSnapshot {
         let telemetry = Arc::clone(&self.telemetry);
-        let shards = self.config.shards.max(1);
+        let shards = telemetry.shards.len();
         let (note_tx, note_rx) = mpsc::channel::<ShardNote>();
-        let shard_models: Vec<(ServeEngine, Arc<ModelStats>)> = self
-            .models
-            .iter()
-            .zip(&self.model_stats)
-            .map(|((_, engine), stats)| (engine.clone(), Arc::clone(stats)))
-            .collect();
         let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_stats = Vec::with_capacity(shards);
         let mut shard_threads = Vec::with_capacity(shards);
         for index in 0..shards {
             // Unbounded on purpose: the edge must never block. Depth stays
@@ -1161,22 +1138,17 @@ impl Server {
             // pending counters *before* forwarding, and control events are
             // a handful per connection.
             let (tx, rx) = mpsc::channel::<ShardEvent>();
-            let stats = Arc::new(ShardStats::default());
             let shard = Shard::new(
                 index,
-                &shard_models,
                 &self.config,
-                Arc::clone(&stats),
                 Arc::clone(&telemetry),
                 note_tx.clone(),
                 self.waker.clone(),
             );
             shard_txs.push(tx);
-            shard_stats.push(stats);
             shard_threads.push(std::thread::spawn(move || shard.run(rx)));
         }
         drop(note_tx);
-        telemetry.install_shards(shard_stats.clone());
         self.listener
             .set_nonblocking(true)
             .expect("listener nonblocking");
@@ -1195,25 +1167,11 @@ impl Server {
             sidecar = Some((stop, sidecar_waker, thread));
         }
 
-        let models: Vec<ModelEntry> = self
-            .models
-            .into_iter()
-            .zip(shard_models)
-            .map(|((name, engine), (_, stats))| ModelEntry {
-                name,
-                engine,
-                stats,
-            })
-            .collect();
         let mut edge = Edge {
             config: self.config,
-            models,
-            default_model: self.default_model,
             conns: HashMap::new(),
             shard_txs,
-            shard_stats,
             telemetry: Arc::clone(&telemetry),
-            total_open: 0,
             draining: false,
             next_conn: 0,
             next_gen: 0,
@@ -1326,7 +1284,7 @@ impl Server {
             .edge
             .connections_drained
             .fetch_add(edge.conns.len() as u64, Ordering::Relaxed);
-        let snapshot = edge.snapshot();
+        let snapshot = telemetry.snapshot();
         // 3) Hand the buffered frames to the clients, within reason.
         let deadline = Instant::now() + DRAIN_FLUSH_TIMEOUT;
         loop {

@@ -20,10 +20,15 @@
 //! the connection's [`OutBuf`] and the edge is woken through the self-pipe
 //! [`Waker`] to drain them. The little cross-thread state a shard shares is
 //! explicit: the per-connection pending-timestep counter (backpressure,
-//! edge increments / shard decrements), its [`ShardStats`] block, the
-//! per-model [`ModelStats`] blocks shared by every shard, and a note
-//! channel back to the edge so idle evictions release the server-wide
-//! stream budget.
+//! edge increments / shard decrements), a note channel back to the edge so
+//! idle evictions release the server-wide stream budget, and its books.
+//! Each fact is booked once: per-model traffic (streams opened, timesteps,
+//! emissions, waves and their latency) in the model's [`ModelStats`]
+//! block, which every shard shares; shard-local facts (settling counters,
+//! the live-slot gauge, evictions) in this shard's [`ShardStats`]; and
+//! rejections in the hub's one `frames_rejected` counter. The shard builds
+//! its pools from the hub's registry at start and follows it through
+//! AddModel/Swap events, never taking the registry lock afterwards.
 
 use crate::chaos::FaultInjector;
 use crate::edge::{OutBuf, Waker};
@@ -71,7 +76,8 @@ pub(crate) enum ShardEvent {
         samples: Vec<f32>,
     },
     /// Register one more model (broadcast): the shard appends a fresh pool
-    /// at the next registry index, mirroring the edge's table.
+    /// at the next registry index, which the edge has just added to the
+    /// hub's registry.
     AddModel {
         engine: ServeEngine,
         stats: Arc<ModelStats>,
@@ -122,9 +128,9 @@ struct StreamInfo {
 pub(crate) struct Shard {
     /// This shard's index in the edge's shard table (trace-event label).
     index: usize,
-    /// One pool per registry model, same index order as the edge's table.
+    /// One pool per registry model, in registry order.
     pools: Vec<Box<dyn StreamPool>>,
-    /// Per-model counter blocks, shared with every other shard.
+    /// The registry models' counter blocks, in registry order.
     model_stats: Vec<Arc<ModelStats>>,
     tick: Duration,
     idle_timeout: Option<Duration>,
@@ -144,26 +150,30 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// A shard serving `models` with the tick, idle timeout and fault plan
-    /// of `config`.
+    /// Shard `index` of the hub's shard table, serving the hub's registry
+    /// with the tick, idle timeout and fault plan of `config`.
     pub(crate) fn new(
         index: usize,
-        models: &[(ServeEngine, Arc<ModelStats>)],
         config: &ServerConfig,
-        stats: Arc<ShardStats>,
         telemetry: Arc<Telemetry>,
         notes: Sender<ShardNote>,
         waker: Waker,
     ) -> Self {
+        let (pools, model_stats) = telemetry
+            .registry()
+            .models
+            .iter()
+            .map(|m| (m.engine.new_pool(), Arc::clone(&m.stats)))
+            .unzip();
         Self {
             index,
-            pools: models.iter().map(|(e, _)| e.new_pool()).collect(),
-            model_stats: models.iter().map(|(_, s)| Arc::clone(s)).collect(),
+            pools,
+            model_stats,
             tick: config.tick,
             idle_timeout: config.idle_timeout,
             conns: HashMap::new(),
             streams: HashMap::new(),
-            stats,
+            stats: Arc::clone(&telemetry.shards[index]),
             telemetry,
             notes,
             waker,
@@ -193,7 +203,10 @@ impl Shard {
     }
 
     fn send_error(&mut self, conn: ConnId, code: ErrorCode, message: impl Into<String>) {
-        self.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+        self.telemetry
+            .edge
+            .frames_rejected
+            .fetch_add(1, Ordering::Relaxed);
         self.telemetry.trace.record(
             TraceKind::Error,
             conn,
@@ -282,7 +295,6 @@ impl Shard {
                 last_activity: Instant::now(),
             },
         );
-        self.stats.streams_opened.fetch_add(1, Ordering::Relaxed);
         self.model_stats[model]
             .streams_opened
             .fetch_add(1, Ordering::Relaxed);
@@ -359,9 +371,6 @@ impl Shard {
         if let Some(state) = self.conns.get_mut(&conn) {
             state.queued += count;
         }
-        self.stats
-            .timesteps_in
-            .fetch_add(count as u64, Ordering::Relaxed);
         self.model_stats[model]
             .timesteps_in
             .fetch_add(count as u64, Ordering::Relaxed);
@@ -395,9 +404,7 @@ impl Shard {
             }
             let t0 = Instant::now();
             let results = self.pools[model].flush();
-            let elapsed = t0.elapsed();
-            self.stats.record_wave(occupancy, elapsed);
-            self.model_stats[model].record_wave(occupancy, elapsed);
+            self.model_stats[model].record_wave(occupancy, t0.elapsed());
             flushed = true;
             self.route_emissions(model, results);
         }
@@ -431,9 +438,6 @@ impl Shard {
         for run in results.chunk_by(|a, b| a.0 == b.0) {
             let slot = run[0].0;
             let emitted = run.len() as u64;
-            self.stats
-                .emissions_out
-                .fetch_add(emitted, Ordering::Relaxed);
             self.model_stats[model]
                 .emissions_out
                 .fetch_add(emitted, Ordering::Relaxed);

@@ -1,23 +1,33 @@
 //! Serving counters and the snapshot the STATS frame returns.
 //!
-//! The daemon's counters live in three places, mirroring its thread and
-//! registry layout: the edge thread owns connection-lifecycle counters
-//! (`EdgeCounters` — atomics, so the HTTP sidecar can scrape them from its
-//! own thread), each wave-batcher shard owns a `ShardStats` block of
-//! atomics it updates lock-free from its own thread, and each *registry
-//! model* owns a `ModelStats` block all shards share — serving a zoo means
-//! one model's streams spread across every shard, so its traffic is
-//! accounted where the model is, not where the thread is. A STATS request
-//! aggregates all of them into one [`StatsSnapshot`] — per-shard latency
-//! histograms are merged before computing percentiles, so p50/p99 describe
-//! the whole daemon, not one shard — with one [`ModelSnapshot`] per
-//! registry entry (`pit-serve-stats/6`, the only schema the daemon writes
-//! and the only one [`StatsSnapshot::from_json_str`] reads).
+//! Each serving fact is kept in exactly one counter block:
+//!
+//! * `EdgeCounters`, in the telemetry hub: connection lifecycle, rejected
+//!   frames (the edge's and the shards' admission errors alike), dropped
+//!   replies and the outbuf high-water mark;
+//! * one `ShardStats` per wave-batcher shard: only shard-local facts — the
+//!   settling counters (`inflight`, `queued_steps`, `ticks`), the live-slot
+//!   `streams_open` gauge and idle evictions;
+//! * one `ModelStats` per *registry model*, shared by every shard: streams
+//!   opened and open, timesteps in, emissions out, waves, occupancy and the
+//!   wave-latency histogram. Serving a zoo spreads one model's streams
+//!   across every shard, so its traffic is accounted where the model is,
+//!   not where the thread is.
+//!
+//! A STATS request aggregates them into one [`StatsSnapshot`] with one
+//! [`ModelSnapshot`] per registry entry (`pit-serve-stats/6`, the only
+//! schema the daemon writes and the only one
+//! [`StatsSnapshot::from_json_str`] reads). The daemon's streams-opened,
+//! timestep, emission and wave totals are sums over the model blocks, and
+//! its wave percentiles come from the merge of the model histograms, so
+//! the totals always equal the sum of the breakdown. From the shards come
+//! only `streams_evicted`, the settling figures (`seq`, `settled`) and
+//! `streams_open`: the shards' live-slot gauges, a cross-check against the
+//! edge-written per-model gauges.
 //!
 //! Latency percentiles come from the lock-free log-scale `Histogram`s of
 //! `pit_tensor::hist` (exact counts, ≤ ~25% value quantization) and cover
-//! the whole run — the old 4096-entry rolling windows and their mutexes
-//! are gone.
+//! the whole run.
 //!
 //! ## Snapshot settling
 //!
@@ -34,6 +44,7 @@ use pit_tensor::hist::{Histogram, HistogramSnapshot};
 use pit_tensor::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A point-in-time view of the daemon's counters, as returned by the STATS
 /// frame (rendered to JSON), by `GET /stats` on the metrics sidecar, and
@@ -305,18 +316,17 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-/// One wave-batcher shard's counter block. The owning shard thread updates
-/// the atomics lock-free; the edge thread and the HTTP sidecar read them
-/// whenever a STATS request, scrape or shutdown aggregates a snapshot.
+/// One wave-batcher shard's counter block: the facts only a shard knows.
+/// The owning shard thread updates the atomics lock-free; the edge thread
+/// and the HTTP sidecar read them whenever a STATS request, scrape or
+/// shutdown aggregates a snapshot.
 #[derive(Debug, Default)]
 pub(crate) struct ShardStats {
+    /// Live pool slots on this shard. The edge's per-model gauges count the
+    /// same streams from the admission side; once the daemon settles the
+    /// two agree, which makes this gauge a cross-check on the edge's books.
     pub(crate) streams_open: AtomicU64,
-    pub(crate) streams_opened: AtomicU64,
     pub(crate) streams_evicted: AtomicU64,
-    pub(crate) timesteps_in: AtomicU64,
-    pub(crate) emissions_out: AtomicU64,
-    pub(crate) frames_rejected: AtomicU64,
-    pub(crate) waves: AtomicU64,
     /// Events the edge routed to this shard but the shard has not fully
     /// handled yet (edge increments *before* sending, shard decrements
     /// with `Release` *after* handling — including any due wave — so a
@@ -327,83 +337,45 @@ pub(crate) struct ShardStats {
     pub(crate) queued_steps: AtomicU64,
     /// Loop iterations since boot (the snapshot sequence contribution).
     pub(crate) ticks: AtomicU64,
-    occupancy_sum: AtomicU64,
-    wave_ns: Histogram,
-}
-
-impl ShardStats {
-    /// Records one flushed wave: how many streams it served and how long the
-    /// flush took.
-    pub(crate) fn record_wave(&self, occupancy: usize, elapsed: std::time::Duration) {
-        self.waves.fetch_add(1, Ordering::Relaxed);
-        self.occupancy_sum
-            .fetch_add(occupancy as u64, Ordering::Relaxed);
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.wave_ns.record(ns);
-    }
-
-    /// A copy of this shard's wave-latency histogram (Prometheus export).
-    pub(crate) fn wave_ns_snapshot(&self) -> HistogramSnapshot {
-        self.wave_ns.snapshot()
-    }
 }
 
 /// One registry model's counter block, shared by every shard (a model's
-/// streams spread across all of them). All fields are atomics; recording a
-/// wave is lock-free.
+/// streams spread across all of them): the only home of the per-model
+/// counters and of the wave-latency histogram. All fields are atomics;
+/// recording a wave is lock-free.
 #[derive(Debug, Default)]
 pub(crate) struct ModelStats {
     /// Streams currently open on this model — the edge is the only writer
-    /// (it owns admission), shards and the sidecar only read.
+    /// (it owns admission), shards and the sidecar only read. The sum over
+    /// the registry is the server-wide stream budget.
     pub(crate) streams_open: AtomicU64,
     pub(crate) streams_opened: AtomicU64,
     pub(crate) timesteps_in: AtomicU64,
     pub(crate) emissions_out: AtomicU64,
     waves: AtomicU64,
     occupancy_sum: AtomicU64,
-    wave_ns: Histogram,
+    /// Wave (pool flush) latency of this model's pools on every shard.
+    pub(crate) wave_ns: Histogram,
 }
 
 impl ModelStats {
-    /// Records one flushed wave of this model's pool on some shard.
-    pub(crate) fn record_wave(&self, occupancy: usize, elapsed: std::time::Duration) {
+    /// Records one flushed wave of this model's pool on some shard: how
+    /// many streams it served and how long the flush took.
+    pub(crate) fn record_wave(&self, occupancy: usize, elapsed: Duration) {
         self.waves.fetch_add(1, Ordering::Relaxed);
         self.occupancy_sum
             .fetch_add(occupancy as u64, Ordering::Relaxed);
         let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.wave_ns.record(ns);
     }
-
-    /// The model's breakdown entry.
-    pub(crate) fn snapshot(&self, name: &str, kind: &str) -> ModelSnapshot {
-        let waves = self.waves.load(Ordering::Relaxed);
-        let occupancy_sum = self.occupancy_sum.load(Ordering::Relaxed);
-        let hist = self.wave_ns.snapshot();
-        ModelSnapshot {
-            name: name.to_string(),
-            kind: kind.to_string(),
-            streams_open: self.streams_open.load(Ordering::Relaxed),
-            streams_opened: self.streams_opened.load(Ordering::Relaxed),
-            timesteps_in: self.timesteps_in.load(Ordering::Relaxed),
-            emissions_out: self.emissions_out.load(Ordering::Relaxed),
-            waves,
-            wave_occupancy: if waves == 0 {
-                0.0
-            } else {
-                occupancy_sum as f64 / waves as f64
-            },
-            wave_p50_ns: hist.percentile(0.50),
-            wave_p99_ns: hist.percentile(0.99),
-            wave_p999_ns: hist.percentile(0.999),
-        }
-    }
 }
 
-/// Connection-lifecycle counters. The edge thread is the only writer of
-/// most fields, but they are atomics so the HTTP sidecar can scrape them
-/// from its own thread without a lock. `replies_dropped` and `outbuf_hwm`
-/// are `Arc`s because shard threads update them too, through each
-/// connection's [`crate::edge::OutBuf`].
+/// Connection-lifecycle counters plus the daemon's rejection and reply
+/// books. The edge thread is the only writer of most fields, but they are
+/// atomics so the HTTP sidecar can scrape them from its own thread without
+/// a lock. Shards also count their rejections in `frames_rejected`, and
+/// `replies_dropped` and `outbuf_hwm` are `Arc`s because shard threads
+/// update them through each connection's [`crate::edge::OutBuf`].
 #[derive(Debug, Default)]
 pub(crate) struct EdgeCounters {
     pub(crate) connections_total: AtomicU64,
@@ -419,35 +391,74 @@ pub(crate) struct EdgeCounters {
     pub(crate) outbuf_hwm: Arc<AtomicU64>,
 }
 
-/// Aggregates the edge's counters and every shard's counters into one
-/// daemon-wide snapshot. `model`/`kind` describe the default registry
-/// entry (so pre-v3 consumers keep seeing the fields they expect);
-/// `models` is the per-model breakdown built from the registry.
-pub(crate) fn aggregate_snapshot(
-    model: &str,
-    kind: &str,
+/// Mean streams served per wave (0 before the first wave).
+fn mean_occupancy(occupancy_sum: u64, waves: u64) -> f64 {
+    if waves == 0 {
+        0.0
+    } else {
+        occupancy_sum as f64 / waves as f64
+    }
+}
+
+/// Aggregates the edge's counters, every shard's block and every registry
+/// model's block — `(name, kind, stats)` in registry order — into one
+/// daemon-wide snapshot. Each model block is read once: its breakdown
+/// entry and its share of the daemon totals come from the same loads, and
+/// the daemon wave percentiles from the merge of the model histograms.
+/// `model`/`kind` describe the `default` registry entry.
+pub(crate) fn aggregate_snapshot<'a>(
     edge: &EdgeCounters,
     shards: &[Arc<ShardStats>],
-    models: Vec<ModelSnapshot>,
+    models: impl IntoIterator<Item = (&'a str, &'a str, &'a ModelStats)>,
+    default: usize,
 ) -> StatsSnapshot {
-    let sum = |f: &dyn Fn(&ShardStats) -> &AtomicU64| -> u64 {
-        shards.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
-    };
-    let waves = sum(&|s| &s.waves);
-    let occupancy_sum = sum(&|s| &s.occupancy_sum);
-    let mut hist = HistogramSnapshot::empty();
-    for shard in shards {
-        hist.merge(&shard.wave_ns.snapshot());
-    }
-    // Acquire pairs with the shards' Release decrements/stores: a settled
-    // observation implies every counter those events touched is visible.
+    // Settling first: Acquire pairs with the shards' Release
+    // decrements/stores, so a settled observation implies every counter
+    // those events touched is visible to the loads below.
     let settled = shards.iter().all(|s| {
         s.inflight.load(Ordering::Acquire) == 0 && s.queued_steps.load(Ordering::Acquire) == 0
     });
     let seq = shards.iter().map(|s| s.ticks.load(Ordering::Acquire)).sum();
+    let mut occupancy_sum = 0;
+    let mut hist = HistogramSnapshot::empty();
+    let models: Vec<ModelSnapshot> = models
+        .into_iter()
+        .map(|(name, kind, stats)| {
+            let waves = stats.waves.load(Ordering::Relaxed);
+            let occupancy = stats.occupancy_sum.load(Ordering::Relaxed);
+            let wave_ns = stats.wave_ns.snapshot();
+            occupancy_sum += occupancy;
+            hist.merge(&wave_ns);
+            ModelSnapshot {
+                name: name.to_string(),
+                kind: kind.to_string(),
+                streams_open: stats.streams_open.load(Ordering::Relaxed),
+                streams_opened: stats.streams_opened.load(Ordering::Relaxed),
+                timesteps_in: stats.timesteps_in.load(Ordering::Relaxed),
+                emissions_out: stats.emissions_out.load(Ordering::Relaxed),
+                waves,
+                wave_occupancy: mean_occupancy(occupancy, waves),
+                wave_p50_ns: wave_ns.percentile(0.50),
+                wave_p99_ns: wave_ns.percentile(0.99),
+                wave_p999_ns: wave_ns.percentile(0.999),
+            }
+        })
+        .collect();
+    let total = |field: fn(&ModelSnapshot) -> u64| -> u64 { models.iter().map(field).sum() };
+    let waves = total(|m| m.waves);
+    let shard_sum = |field: fn(&ShardStats) -> &AtomicU64| -> u64 {
+        shards
+            .iter()
+            .map(|s| field(s).load(Ordering::Relaxed))
+            .sum()
+    };
+    let (model, kind) = models
+        .get(default)
+        .map(|m| (m.name.clone(), m.kind.clone()))
+        .unwrap_or_default();
     StatsSnapshot {
-        model: model.to_string(),
-        kind: kind.to_string(),
+        model,
+        kind,
         shards: shards.len() as u64,
         connections_total: edge.connections_total.load(Ordering::Relaxed),
         connections_open: edge.connections_open.load(Ordering::Relaxed),
@@ -455,21 +466,16 @@ pub(crate) fn aggregate_snapshot(
         connections_errored: edge.connections_errored.load(Ordering::Relaxed),
         connections_expired: edge.connections_expired.load(Ordering::Relaxed),
         connections_drained: edge.connections_drained.load(Ordering::Relaxed),
-        streams_open: sum(&|s| &s.streams_open),
-        streams_opened: sum(&|s| &s.streams_opened),
-        streams_evicted: sum(&|s| &s.streams_evicted),
-        timesteps_in: sum(&|s| &s.timesteps_in),
-        emissions_out: sum(&|s| &s.emissions_out),
-        frames_rejected: edge.frames_rejected.load(Ordering::Relaxed)
-            + sum(&|s| &s.frames_rejected),
+        streams_open: shard_sum(|s| &s.streams_open),
+        streams_opened: total(|m| m.streams_opened),
+        streams_evicted: shard_sum(|s| &s.streams_evicted),
+        timesteps_in: total(|m| m.timesteps_in),
+        emissions_out: total(|m| m.emissions_out),
+        frames_rejected: edge.frames_rejected.load(Ordering::Relaxed),
         replies_dropped: edge.replies_dropped.load(Ordering::Relaxed),
         outbuf_hwm_bytes: edge.outbuf_hwm.load(Ordering::Relaxed),
         waves,
-        wave_occupancy: if waves == 0 {
-            0.0
-        } else {
-            occupancy_sum as f64 / waves as f64
-        },
+        wave_occupancy: mean_occupancy(occupancy_sum, waves),
         wave_p50_ns: hist.percentile(0.50),
         wave_p99_ns: hist.percentile(0.99),
         wave_p999_ns: hist.percentile(0.999),
@@ -482,7 +488,6 @@ pub(crate) fn aggregate_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn snapshot_aggregates_shards_and_roundtrips_through_json() {
@@ -490,32 +495,35 @@ mod tests {
         edge.connections_total.store(3, Ordering::Relaxed);
         edge.connections_open.store(2, Ordering::Relaxed);
         edge.connections_closed.store(1, Ordering::Relaxed);
-        edge.frames_rejected.store(1, Ordering::Relaxed);
+        // Edge and shard rejections share the one counter.
+        edge.frames_rejected.store(3, Ordering::Relaxed);
         edge.replies_dropped.store(7, Ordering::Relaxed);
         edge.outbuf_hwm.store(12_345, Ordering::Relaxed);
         let shards: Vec<Arc<ShardStats>> =
             (0..2).map(|_| Arc::new(ShardStats::default())).collect();
         for (i, shard) in shards.iter().enumerate() {
             shard.streams_open.store(2, Ordering::Relaxed);
-            shard.streams_opened.store(5, Ordering::Relaxed);
-            shard.timesteps_in.store(500, Ordering::Relaxed);
-            shard.emissions_out.store(60 + i as u64, Ordering::Relaxed);
-            shard.frames_rejected.store(1, Ordering::Relaxed);
+            shard.streams_evicted.store(i as u64, Ordering::Relaxed);
             shard.ticks.store(10, Ordering::Relaxed);
-            for j in 0..50u64 {
-                shard.record_wave(4, Duration::from_nanos(1000 + j));
-            }
         }
-        let model_stats = ModelStats::default();
-        model_stats.streams_open.store(4, Ordering::Relaxed);
-        model_stats.streams_opened.store(5, Ordering::Relaxed);
-        model_stats.timesteps_in.store(400, Ordering::Relaxed);
-        model_stats.emissions_out.store(40, Ordering::Relaxed);
-        model_stats.record_wave(3, Duration::from_nanos(2000));
-        let breakdown = vec![model_stats.snapshot("TEMPONet-plan", "f32")];
-        let snap = aggregate_snapshot("TEMPONet-plan", "f32", &edge, &shards, breakdown);
+        let fp = ModelStats::default();
+        fp.streams_open.store(4, Ordering::Relaxed);
+        fp.streams_opened.store(5, Ordering::Relaxed);
+        fp.timesteps_in.store(400, Ordering::Relaxed);
+        fp.emissions_out.store(40, Ordering::Relaxed);
+        fp.record_wave(4, Duration::from_nanos(2000));
+        let q8 = ModelStats::default();
+        q8.streams_opened.store(5, Ordering::Relaxed);
+        q8.timesteps_in.store(600, Ordering::Relaxed);
+        q8.emissions_out.store(81, Ordering::Relaxed);
+        for j in 0..99u64 {
+            q8.record_wave(4, Duration::from_nanos(1000 + j));
+        }
+        let models = [("fp", "f32", &fp), ("q8", "i8", &q8)];
+        let snap = aggregate_snapshot(&edge, &shards, models, 0);
+        assert_eq!((snap.model.as_str(), snap.kind.as_str()), ("fp", "f32"));
         assert_eq!(snap.shards, 2);
-        assert_eq!(snap.models.len(), 1);
+        assert_eq!(snap.models.len(), 2);
         assert_eq!(snap.models[0].streams_open, 4);
         assert_eq!(snap.models[0].timesteps_in, 400);
         assert_eq!(snap.models[0].waves, 1);
@@ -526,11 +534,16 @@ mod tests {
             "p50={}",
             snap.models[0].wave_p50_ns
         );
+        assert_eq!(snap.models[1].kind, "i8");
+        assert_eq!(snap.models[1].waves, 99);
+        // The live-slot gauge comes from the shards; every other stream,
+        // timestep, emission and wave total is the sum over the models.
         assert_eq!(snap.streams_open, 4);
         assert_eq!(snap.streams_opened, 10);
+        assert_eq!(snap.streams_evicted, 1);
         assert_eq!(snap.timesteps_in, 1000);
         assert_eq!(snap.emissions_out, 121);
-        assert_eq!(snap.frames_rejected, 3, "edge + shard rejections");
+        assert_eq!(snap.frames_rejected, 3);
         assert_eq!(snap.replies_dropped, 7);
         assert_eq!(snap.connections_closed, 1);
         assert_eq!(snap.outbuf_hwm_bytes, 12_345);
@@ -558,33 +571,27 @@ mod tests {
     fn inflight_events_or_queued_steps_unsettle_the_snapshot() {
         let shards: Vec<Arc<ShardStats>> =
             (0..2).map(|_| Arc::new(ShardStats::default())).collect();
-        let snap = aggregate_snapshot("m", "f32", &EdgeCounters::default(), &shards, vec![]);
+        let snap = aggregate_snapshot(&EdgeCounters::default(), &shards, [], 0);
         assert!(snap.settled);
         shards[1].inflight.store(1, Ordering::Relaxed);
-        let snap = aggregate_snapshot("m", "f32", &EdgeCounters::default(), &shards, vec![]);
+        let snap = aggregate_snapshot(&EdgeCounters::default(), &shards, [], 0);
         assert!(!snap.settled, "a routed event keeps the snapshot unsettled");
         shards[1].inflight.store(0, Ordering::Relaxed);
         shards[0].queued_steps.store(8, Ordering::Relaxed);
-        let snap = aggregate_snapshot("m", "f32", &EdgeCounters::default(), &shards, vec![]);
+        let snap = aggregate_snapshot(&EdgeCounters::default(), &shards, [], 0);
         assert!(!snap.settled, "queued timesteps owe a wave");
     }
 
     #[test]
     fn latency_percentiles_span_the_whole_run() {
-        let stats = ShardStats::default();
+        let stats = ModelStats::default();
         for _ in 0..1000 {
             stats.record_wave(1, Duration::from_nanos(10));
         }
         for _ in 0..1000 {
             stats.record_wave(1, Duration::from_nanos(1_000_000));
         }
-        let snap = aggregate_snapshot(
-            "m",
-            "f32",
-            &EdgeCounters::default(),
-            &[Arc::new(stats)],
-            vec![],
-        );
+        let snap = aggregate_snapshot(&EdgeCounters::default(), &[], [("m", "f32", &stats)], 0);
         // Half fast, half slow: the rank convention puts the p50 on the
         // first slow observation, and unlike the old rolling window the
         // histogram never forgets the early fast waves (p0 stays fast).

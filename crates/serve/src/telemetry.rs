@@ -1,14 +1,25 @@
-//! The daemon's telemetry hub: lock-free latency histograms, the always-on
-//! per-stream event trace ring, and the Prometheus text renderer behind
-//! `GET /metrics`.
+//! The daemon's telemetry hub: the model registry, lock-free latency
+//! histograms, the always-on per-stream event trace ring, and the
+//! Prometheus text renderer behind `GET /metrics`.
 //!
-//! Everything here is designed for the serving hot path: recording a wave
+//! Everything on the serving hot path is lock-free: recording a wave
 //! latency or a trace event is a handful of relaxed atomic stores — no
 //! locks, no allocation — so telemetry can stay on unconditionally. The
 //! [`Telemetry`] struct is the one shared hub: the edge thread, every
 //! shard thread and the HTTP sidecar all hold the same `Arc<Telemetry>`,
 //! and a scrape aggregates the same counter blocks the binary-protocol
 //! STATS frame reads, so the two views can never disagree about totals.
+//!
+//! ## The registry
+//!
+//! The hub owns the daemon's one model registry ([`Registry`]): one
+//! `(name, engine, stats)` entry per served model, index-aligned with every
+//! shard's pool vector, plus the default index. It sits behind a mutex that
+//! is held only to read or update entries. The edge reads it on OPEN,
+//! LOAD_MODEL, LIST_MODELS and STATS and is its only writer; the sidecar
+//! reads it per scrape. Nothing on the per-timestep path takes the lock:
+//! each open stream caches its model's input channels and counter block at
+//! OPEN, and each shard holds its models' pools and counter blocks.
 //!
 //! ## Histogram layout
 //!
@@ -19,7 +30,8 @@
 //! the `pit-replay` load driver share the daemon's exact bucket layout;
 //! it is re-exported at the crate root as `pit_serve::hist`. Histograms
 //! never roll over: p50/p99/p99.9 describe the whole run, not the recent
-//! past.
+//! past. Wave latency is kept per registry model and exported as
+//! `pit_serve_wave_flush_ns{model,kind}`.
 //!
 //! ## Trace ring
 //!
@@ -30,11 +42,12 @@
 //! readers detect and skip slots torn by a concurrent wrap. The ring is
 //! served as JSON over `GET /trace` and the TRACE debug frame.
 
+use crate::server::ServeEngine;
 use crate::stats::{EdgeCounters, ModelStats, ShardStats, StatsSnapshot};
 use pit_tensor::hist::{Histogram, HistogramSnapshot};
 use pit_tensor::json::Json;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -331,12 +344,38 @@ impl ServeState {
     }
 }
 
-/// One registry model's telemetry identity: the name and kind labels plus
-/// the shared counter block.
-pub(crate) struct ModelMeta {
+/// One registry entry: the name an OPEN selects it by, the engine its
+/// pools run, and its counter block.
+pub(crate) struct ModelEntry {
+    /// Registry name: the zoo-manifest name at boot, or the artifact's plan
+    /// name for single-artifact boots and LOAD_MODEL additions.
     pub(crate) name: String,
-    pub(crate) kind: &'static str,
+    pub(crate) engine: ServeEngine,
+    /// Shared by every shard; survives a LOAD_MODEL replace, so a model's
+    /// books key the entry, not the engine instance.
     pub(crate) stats: Arc<ModelStats>,
+}
+
+/// The daemon's model registry: entries in registry order (index-aligned
+/// with every shard's pool vector) and the entry a model-less OPEN gets.
+pub(crate) struct Registry {
+    pub(crate) models: Vec<ModelEntry>,
+    pub(crate) default: usize,
+}
+
+impl Registry {
+    /// Index of the entry named `name`.
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
+        self.models.iter().position(|m| m.name == name)
+    }
+
+    /// Streams open across every model: the server-wide stream budget.
+    pub(crate) fn streams_open(&self) -> u64 {
+        self.models
+            .iter()
+            .map(|m| m.stats.streams_open.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
 /// The shared telemetry hub: one `Arc<Telemetry>` is held by the edge
@@ -346,7 +385,7 @@ pub(crate) struct ModelMeta {
 pub(crate) struct Telemetry {
     boot: Instant,
     state: AtomicU8,
-    /// Connection lifecycle counters (edge is the only writer).
+    /// Connection lifecycle, rejection and reply counters.
     pub(crate) edge: EdgeCounters,
     /// The global per-stream event ring.
     pub(crate) trace: TraceRing,
@@ -354,13 +393,14 @@ pub(crate) struct Telemetry {
     pub(crate) edge_poll_ns: Histogram,
     /// Edge loop: time spent accepting/reading/dispatching per iteration.
     pub(crate) edge_dispatch_ns: Histogram,
-    shards: Mutex<Vec<Arc<ShardStats>>>,
-    models: Mutex<Vec<ModelMeta>>,
-    default_model: AtomicUsize,
+    /// One counter block per wave-batcher shard, in shard order.
+    pub(crate) shards: Vec<Arc<ShardStats>>,
+    registry: Mutex<Registry>,
 }
 
 impl Telemetry {
-    pub(crate) fn new() -> Self {
+    /// A hub serving `registry` with `shards` wave-batcher shards.
+    pub(crate) fn new(registry: Registry, shards: usize) -> Self {
         Self {
             boot: Instant::now(),
             state: AtomicU8::new(ServeState::Booting as u8),
@@ -368,9 +408,8 @@ impl Telemetry {
             trace: TraceRing::default(),
             edge_poll_ns: Histogram::default(),
             edge_dispatch_ns: Histogram::default(),
-            shards: Mutex::new(Vec::new()),
-            models: Mutex::new(Vec::new()),
-            default_model: AtomicUsize::new(0),
+            shards: (0..shards).map(|_| Arc::default()).collect(),
+            registry: Mutex::new(registry),
         }
     }
 
@@ -391,66 +430,35 @@ impl Telemetry {
         }
     }
 
-    /// Installs the boot-time registry mirror (called once at bind).
-    pub(crate) fn install_models(&self, models: Vec<ModelMeta>, default_model: usize) {
-        *self.models.lock().expect("telemetry models lock") = models;
-        self.default_model.store(default_model, Ordering::Relaxed);
-    }
-
-    /// Mirrors a LOAD_MODEL addition.
-    pub(crate) fn add_model(&self, meta: ModelMeta) {
-        self.models
-            .lock()
-            .expect("telemetry models lock")
-            .push(meta);
-    }
-
-    /// Mirrors a LOAD_MODEL in-place replacement (the kind may change).
-    pub(crate) fn swap_model_kind(&self, model: usize, kind: &'static str) {
-        if let Some(meta) = self
-            .models
-            .lock()
-            .expect("telemetry models lock")
-            .get_mut(model)
-        {
-            meta.kind = kind;
-        }
-    }
-
-    /// Installs the per-shard counter blocks (called once by `run`).
-    pub(crate) fn install_shards(&self, shards: Vec<Arc<ShardStats>>) {
-        *self.shards.lock().expect("telemetry shards lock") = shards;
-    }
-
-    /// Resolves a trace event's model index to its registry name.
-    fn model_name(&self, model: Option<usize>) -> String {
-        let models = self.models.lock().expect("telemetry models lock");
-        model
-            .and_then(|m| models.get(m))
-            .map(|m| m.name.clone())
-            .unwrap_or_default()
+    /// Locks the registry. Hold the guard only to read or update entries —
+    /// never across a shard route or an outbuf write.
+    pub(crate) fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect("registry lock")
     }
 
     /// Aggregates the same snapshot the STATS frame returns.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let models = self.models.lock().expect("telemetry models lock");
-        let shards = self.shards.lock().expect("telemetry shards lock");
-        let default = self.default_model.load(Ordering::Relaxed);
-        let (name, kind) = models
-            .get(default)
-            .map(|m| (m.name.clone(), m.kind))
-            .unwrap_or_default();
-        let breakdown = models
+        self.aggregate(&self.registry())
+    }
+
+    fn aggregate(&self, registry: &Registry) -> StatsSnapshot {
+        let models = registry
+            .models
             .iter()
-            .map(|m| m.stats.snapshot(&m.name, m.kind))
-            .collect();
-        crate::stats::aggregate_snapshot(&name, kind, &self.edge, &shards, breakdown)
+            .map(|m| (m.name.as_str(), m.engine.kind(), &*m.stats));
+        crate::stats::aggregate_snapshot(&self.edge, &self.shards, models, registry.default)
     }
 
     /// Renders the trace ring (optionally filtered) as a
     /// `pit-serve-trace/1` JSON document.
     pub(crate) fn trace_json(&self, conn: Option<u64>, stream: Option<u32>) -> String {
         let events = self.trace.collect(conn, stream);
+        let names: Vec<String> = self
+            .registry()
+            .models
+            .iter()
+            .map(|m| m.name.clone())
+            .collect();
         let recorded = self.trace.recorded();
         let dropped = recorded.saturating_sub(TRACE_RING_SLOTS as u64);
         let n = |v: u64| Json::Num(v as f64);
@@ -469,7 +477,8 @@ impl Telemetry {
                 if let Some(shard) = ev.shard {
                     fields.push(("shard".into(), n(u64::from(shard))));
                 }
-                fields.push(("model".into(), Json::Str(self.model_name(ev.model))));
+                let model = ev.model.and_then(|m| names.get(m)).cloned();
+                fields.push(("model".into(), Json::Str(model.unwrap_or_default())));
                 fields.push(("count".into(), n(ev.count)));
                 Json::Obj(fields)
             })
@@ -486,9 +495,16 @@ impl Telemetry {
     /// Renders the Prometheus text exposition (`/metrics` body).
     pub(crate) fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(8 * 1024);
-        let snap = self.snapshot();
-        let shards = self.shards.lock().expect("telemetry shards lock").clone();
-        let models = self.models.lock().expect("telemetry models lock");
+        let (snap, wave_ns) = {
+            let registry = self.registry();
+            let snap = self.aggregate(&registry);
+            let wave_ns: Vec<HistogramSnapshot> = registry
+                .models
+                .iter()
+                .map(|m| m.stats.wave_ns.snapshot())
+                .collect();
+            (snap, wave_ns)
+        };
 
         gauge(
             &mut out,
@@ -605,12 +621,12 @@ impl Telemetry {
             snap.wave_occupancy,
         );
         // Daemon-wide wave-latency quantiles as a Prometheus summary: the
-        // same shard-merged histogram the STATS frame's wave_p*_ns fields
+        // same model-merged histogram the STATS frame's wave_p*_ns fields
         // are computed from, so the two views agree by construction.
         help_type(
             &mut out,
             "pit_serve_wave_latency_ns",
-            "Wave (pool flush) latency quantiles over all shards, nanoseconds.",
+            "Wave (pool flush) latency quantiles over all models and shards, nanoseconds.",
             "summary",
         );
         for (q, v) in [
@@ -715,7 +731,6 @@ impl Telemetry {
                 m.waves as f64,
             );
         }
-        drop(models);
 
         // Latency histograms. Boundaries are the histogram's own exact
         // integer bucket bounds (nanoseconds), not the seconds convention —
@@ -723,17 +738,11 @@ impl Telemetry {
         help_type(
             &mut out,
             "pit_serve_wave_flush_ns",
-            "Wave (pool flush) latency per shard, nanoseconds.",
+            "Wave (pool flush) latency per registry model, nanoseconds.",
             "histogram",
         );
-        for (i, shard) in shards.iter().enumerate() {
-            let label = format!("shard=\"{i}\"");
-            histogram_series(
-                &mut out,
-                "pit_serve_wave_flush_ns",
-                &label,
-                &shard.wave_ns_snapshot(),
-            );
+        for (m, hist) in snap.models.iter().zip(&wave_ns) {
+            histogram_series(&mut out, "pit_serve_wave_flush_ns", &model_labels(m), hist);
         }
         help_type(
             &mut out,
@@ -880,6 +889,35 @@ fn histogram_series(out: &mut String, name: &str, labels: &str, snap: &Histogram
 }
 
 #[cfg(test)]
+impl Telemetry {
+    /// A one-shard hub over a one-model registry named `name`: a 1×1
+    /// per-step plan, lowered to int8 when `int8` is set.
+    pub(crate) fn one_model(name: &str, int8: bool) -> Self {
+        use pit_infer::{CompiledConv, InferencePlan, PlanHead, QuantizedPlan};
+        use pit_tensor::Tensor;
+        let conv = CompiledConv::new(Tensor::ones(&[1, 1, 1]), Tensor::zeros(&[1]), 1);
+        let plan = InferencePlan::new(name, 1, Vec::new(), PlanHead::PerStep(conv));
+        let engine = if int8 {
+            let window = Tensor::ones(&[1, 1, 4]);
+            let plan = QuantizedPlan::quantize(&plan, &[window]).expect("quantizes");
+            ServeEngine::I8(Arc::new(plan))
+        } else {
+            ServeEngine::F32(Arc::new(plan))
+        };
+        let entry = ModelEntry {
+            name: name.into(),
+            engine,
+            stats: Arc::default(),
+        };
+        let registry = Registry {
+            models: vec![entry],
+            default: 0,
+        };
+        Self::new(registry, 1)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -914,15 +952,7 @@ mod tests {
 
     #[test]
     fn trace_json_roundtrips_through_the_public_parser() {
-        let telemetry = Telemetry::new();
-        telemetry.install_models(
-            vec![ModelMeta {
-                name: "fp".into(),
-                kind: "f32",
-                stats: Arc::new(ModelStats::default()),
-            }],
-            0,
-        );
+        let telemetry = Telemetry::one_model("fp", false);
         telemetry
             .trace
             .record(TraceKind::Open, 5, Some(1), Some(0), Some(0), 0, 100);
@@ -955,22 +985,15 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_wellformed_for_an_idle_daemon() {
-        let telemetry = Telemetry::new();
-        telemetry.install_models(
-            vec![ModelMeta {
-                name: "m".into(),
-                kind: "i8",
-                stats: Arc::new(ModelStats::default()),
-            }],
-            0,
-        );
-        telemetry.install_shards(vec![Arc::new(ShardStats::default())]);
+        let telemetry = Telemetry::one_model("m", true);
         let text = telemetry.render_prometheus();
         assert!(text.contains("# TYPE pit_serve_timesteps_total counter"));
         assert!(text.contains("# TYPE pit_serve_wave_flush_ns histogram"));
         assert!(text.contains("# TYPE pit_serve_wave_latency_ns summary"));
         assert!(text.contains("pit_serve_wave_latency_ns{quantile=\"0.999\"} 0"));
-        assert!(text.contains("pit_serve_wave_flush_ns_bucket{shard=\"0\",le=\"+Inf\"} 0"));
+        assert!(
+            text.contains("pit_serve_wave_flush_ns_bucket{model=\"m\",kind=\"i8\",le=\"+Inf\"} 0")
+        );
         assert!(text.contains("pit_serve_model_timesteps_total{model=\"m\",kind=\"i8\"} 0"));
         assert!(text.ends_with('\n'));
     }

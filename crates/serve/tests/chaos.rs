@@ -18,6 +18,9 @@
 //! target tmpdir) before asserting, so CI can upload the schedule that
 //! broke.
 
+mod common;
+
+use common::expect_error;
 use pit_infer::{compile_temponet, QuantizedPlan, QuantizedSession};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
@@ -149,13 +152,6 @@ fn collect_tally(client: &mut Client, want: usize) -> HashMap<u32, Vec<Vec<f32>>
         }
     }
     out
-}
-
-fn expect_error(client: &mut Client, want: ErrorCode) {
-    match client.recv_timeout(RECV_TIMEOUT).expect("transport") {
-        Some(ServerFrame::Error { code, .. }) => assert_eq!(code, want),
-        other => panic!("expected {want:?} error, got {other:?}"),
-    }
 }
 
 /// Blocks (with frame-by-frame polling) until the next server frame on a

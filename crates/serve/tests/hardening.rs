@@ -3,6 +3,9 @@
 //! daemon panic. Each scenario is followed by a proof of life (a fresh
 //! connection that PINGs successfully).
 
+mod common;
+
+use common::expect_error;
 use pit_infer::{compile_generic, InferencePlan};
 use pit_models::{GenericTcn, GenericTcnConfig};
 use pit_nas::SearchableNetwork;
@@ -44,13 +47,6 @@ fn assert_alive(addr: SocketAddr) {
         ),
         "daemon must keep serving after hostile input"
     );
-}
-
-fn expect_error(client: &mut Client, want: ErrorCode) {
-    match client.recv_timeout(RECV_TIMEOUT).expect("transport") {
-        Some(ServerFrame::Error { code, .. }) => assert_eq!(code, want),
-        other => panic!("expected {want:?} error, got {other:?}"),
-    }
 }
 
 #[test]

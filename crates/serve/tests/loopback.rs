@@ -2,15 +2,15 @@
 //! clients, and emissions checked against solo `Session` /
 //! `QuantizedSession` runs — within 1e-5 for f32, bit-for-bit for int8.
 
-use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan, QuantizedSession, Session};
-use pit_models::{TempoNet, TempoNetConfig};
-use pit_nas::SearchableNetwork;
+mod common;
+
+use common::{collect_emissions, quantized_plan, searched_plan};
+use pit_infer::{QuantizedSession, Session};
 use pit_serve::protocol::entry_runs;
 use pit_serve::{
     Client, ClientFrame, CloseReason, ErrorCode, ServeEngine, Server, ServerConfig, ServerFrame,
     StatsSnapshot,
 };
-use pit_tensor::init;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -19,45 +19,8 @@ use std::time::Duration;
 const C: usize = 4;
 const RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn searched_plan(seed: u64) -> Arc<InferencePlan> {
-    let cfg = TempoNetConfig::scaled(8, 64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let net = TempoNet::new(&mut rng, &cfg);
-    net.set_dilations(&cfg.hand_tuned_dilations());
-    Arc::new(compile_temponet(&net))
-}
-
-fn quantized_plan(plan: &InferencePlan, seed: u64) -> Arc<QuantizedPlan> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let x = init::uniform(&mut rng, &[1, C, 64], 1.0);
-    Arc::new(QuantizedPlan::quantize(plan, std::slice::from_ref(&x)).unwrap())
-}
-
 fn random_stream(rng: &mut StdRng, steps: usize) -> Vec<f32> {
     (0..steps * C).map(|_| rng.gen::<f32>() - 0.5).collect()
-}
-
-/// Drains EMIT_N frames for one single-stream client until `want` output
-/// vectors arrived (OPENED and CLOSED frames are skipped).
-fn collect_emissions(client: &mut Client, want: usize, dim: usize) -> Vec<Vec<f32>> {
-    let mut out = Vec::new();
-    while out.len() < want {
-        match client
-            .recv_timeout(RECV_TIMEOUT)
-            .expect("transport healthy")
-            .expect("emissions arrive before the timeout")
-        {
-            ServerFrame::EmitN { outputs, .. } => {
-                for chunk in outputs.chunks_exact(dim) {
-                    out.push(chunk.to_vec());
-                }
-            }
-            ServerFrame::Opened { .. } | ServerFrame::Closed { .. } => {}
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
-    assert_eq!(out.len(), want, "no extra emissions expected");
-    out
 }
 
 fn assert_f32_close(got: &[Vec<f32>], want: &[Vec<f32>], label: &str) {
@@ -115,6 +78,7 @@ fn sixteen_ragged_streams(
                 }
                 let want = steps / 8; // three stride-2 pools → emit every 8
                 let out = collect_emissions(&mut client, want, dim);
+                assert_eq!(out.len(), want, "no extra emissions expected");
                 client.close(i as u32).expect("close");
                 out
             })
@@ -198,7 +162,9 @@ fn i8_sixteen_ragged_streams_match_solo_sessions_bit_for_bit() {
                 client.open(900 + i as u32).expect("open");
                 let steps = input.len() / C;
                 client.push(900 + i as u32, C as u32, &input).expect("push");
-                collect_emissions(&mut client, steps / 8, 1)
+                let out = collect_emissions(&mut client, steps / 8, 1);
+                assert_eq!(out.len(), steps / 8, "no extra emissions expected");
+                out
             })
         })
         .collect();
@@ -647,7 +613,8 @@ fn stats_frame_reports_live_counters() {
     client
         .push(0, C as u32, &random_stream(&mut rng, 16))
         .expect("push");
-    let _ = collect_emissions(&mut client, 2, 1);
+    let out = collect_emissions(&mut client, 2, 1);
+    assert_eq!(out.len(), 2, "no extra emissions expected");
     client.ping(0xDEAD).expect("ping");
     assert!(matches!(
         client.recv_timeout(RECV_TIMEOUT).unwrap(),
@@ -758,6 +725,7 @@ fn server_boots_from_artifact_file_and_hot_swaps_models() {
     let input = random_stream(&mut rng, 8);
     client.push(1, C as u32, &input).expect("push");
     let got = collect_emissions(&mut client, 1, 1);
+    assert_eq!(got.len(), 1, "no extra emissions expected");
     let mut session = QuantizedSession::new(qplan);
     let want: Vec<Vec<f32>> = input.chunks(C).filter_map(|s| session.push(s)).collect();
     assert_eq!(got, want, "added model must serve bit-exactly");

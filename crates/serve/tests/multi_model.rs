@@ -4,15 +4,15 @@
 //! stats must break down per model, and per-stream channel validation must
 //! follow each stream's own model.
 
-use pit_infer::{
-    compile_generic, compile_temponet, InferencePlan, QuantizedPlan, QuantizedSession, Session,
-};
-use pit_models::{GenericTcn, GenericTcnConfig, TempoNet, TempoNetConfig};
+mod common;
+
+use common::{collect_emissions, quantized_plan, searched_plan};
+use pit_infer::{compile_generic, QuantizedSession, Session};
+use pit_models::{GenericTcn, GenericTcnConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::{
     Client, ClientFrame, ErrorCode, ServeEngine, Server, ServerConfig, ServerFrame, StatsSnapshot,
 };
-use pit_tensor::init;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -21,44 +21,10 @@ use std::time::{Duration, Instant};
 const C: usize = 4;
 const RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn searched_plan(seed: u64) -> Arc<InferencePlan> {
-    let cfg = TempoNetConfig::scaled(8, 64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let net = TempoNet::new(&mut rng, &cfg);
-    net.set_dilations(&cfg.hand_tuned_dilations());
-    Arc::new(compile_temponet(&net))
-}
-
-fn quantized_plan(plan: &InferencePlan, seed: u64) -> Arc<QuantizedPlan> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let x = init::uniform(&mut rng, &[1, C, 64], 1.0);
-    Arc::new(QuantizedPlan::quantize(plan, std::slice::from_ref(&x)).unwrap())
-}
-
 fn random_stream(rng: &mut StdRng, steps: usize, channels: usize) -> Vec<f32> {
     (0..steps * channels)
         .map(|_| rng.gen::<f32>() - 0.5)
         .collect()
-}
-
-fn collect_emissions(client: &mut Client, want: usize, dim: usize) -> Vec<Vec<f32>> {
-    let mut out = Vec::new();
-    while out.len() < want {
-        match client
-            .recv_timeout(RECV_TIMEOUT)
-            .expect("transport healthy")
-            .expect("emissions arrive before the timeout")
-        {
-            ServerFrame::EmitN { outputs, .. } => {
-                for chunk in outputs.chunks_exact(dim) {
-                    out.push(chunk.to_vec());
-                }
-            }
-            ServerFrame::Opened { .. } | ServerFrame::Closed { .. } => {}
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
-    out
 }
 
 /// Two models — the f32 plan and its int8 lowering — in one registry;

@@ -4,11 +4,12 @@
 //! STATS frame, the per-stream trace over the TRACE frame, sidecar
 //! hardening, and the Prometheus exposition format itself.
 
-use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan};
-use pit_models::{TempoNet, TempoNetConfig};
-use pit_nas::SearchableNetwork;
-use pit_serve::{http_get, Client, ServeEngine, Server, ServerConfig, ServerFrame, StatsSnapshot};
-use pit_tensor::init;
+mod common;
+
+use common::{quantized_plan, searched_plan};
+use pit_serve::{
+    http_get, Client, ClientFrame, ServeEngine, Server, ServerConfig, ServerFrame, StatsSnapshot,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -18,20 +19,6 @@ use std::time::{Duration, Instant};
 
 const C: usize = 4;
 const RECV_TIMEOUT: Duration = Duration::from_secs(10);
-
-fn searched_plan(seed: u64) -> Arc<InferencePlan> {
-    let cfg = TempoNetConfig::scaled(8, 64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let net = TempoNet::new(&mut rng, &cfg);
-    net.set_dilations(&cfg.hand_tuned_dilations());
-    Arc::new(compile_temponet(&net))
-}
-
-fn quantized_plan(plan: &InferencePlan, seed: u64) -> Arc<QuantizedPlan> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let x = init::uniform(&mut rng, &[1, C, 64], 1.0);
-    Arc::new(QuantizedPlan::quantize(plan, std::slice::from_ref(&x)).unwrap())
-}
 
 fn metrics_config() -> ServerConfig {
     ServerConfig {
@@ -225,7 +212,7 @@ fn metrics_totals_match_the_stats_frame_exactly() {
         );
         assert!(m.timesteps_in > 0, "both models saw traffic");
     }
-    // Wave-latency histogram counts sum to the wave counter across shards.
+    // Wave-latency histogram counts sum to the wave counter across models.
     let bucket_count: u64 = metrics_text
         .lines()
         .filter(|l| l.starts_with("pit_serve_wave_flush_ns_count{"))
@@ -340,6 +327,7 @@ fn prometheus_exposition_format_is_wellformed() {
             got += entries.iter().map(|&(_, n)| n as usize).sum::<usize>();
         }
     }
+    let snap = settled_stats(&mut client, |_| true);
 
     let (status, text) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
     assert_eq!(status, 200);
@@ -400,9 +388,12 @@ fn prometheus_exposition_format_is_wellformed() {
             }
         }
     }
-    // Histogram buckets: cumulative in le, +Inf equals _count.
-    for shard_label in ["shard=\"0\""] {
-        let prefix = format!("pit_serve_wave_flush_ns_bucket{{{shard_label},le=");
+    // Wave histograms, one per registry model: buckets cumulative in le,
+    // +Inf equals _count, and _count equals the model's STATS waves.
+    assert!(!snap.models.is_empty());
+    for m in &snap.models {
+        let model_label = format!("model=\"{}\",kind=\"{}\"", m.name, m.kind);
+        let prefix = format!("pit_serve_wave_flush_ns_bucket{{{model_label},le=");
         let mut lastv = 0.0;
         let mut inf = None;
         for line in text.lines() {
@@ -417,9 +408,14 @@ fn prometheus_exposition_format_is_wellformed() {
         }
         let count = metric(
             &text,
-            &format!("pit_serve_wave_flush_ns_count{{{shard_label}}}"),
+            &format!("pit_serve_wave_flush_ns_count{{{model_label}}}"),
         );
         assert_eq!(inf, Some(count), "+Inf bucket equals _count");
+        assert_eq!(
+            count as u64, m.waves,
+            "{}: flush histogram counts its waves",
+            m.name
+        );
     }
 
     // The wave-latency summary carries all three quantiles, non-decreasing
@@ -440,6 +436,113 @@ fn prometheus_exposition_format_is_wellformed() {
     );
 
     handle.shutdown();
+}
+
+/// `(name, kind)` of every series of a `{model,kind}`-labelled sample, in
+/// exposition order.
+fn model_series(text: &str, sample: &str) -> Vec<(String, String)> {
+    let prefix = format!("{sample}{{model=\"");
+    text.lines()
+        .filter_map(|line| {
+            let (name, rest) = line.strip_prefix(&prefix)?.split_once("\",kind=\"")?;
+            let (kind, _) = rest.split_once("\"}")?;
+            Some((name.to_string(), kind.to_string()))
+        })
+        .collect()
+}
+
+/// Every view of the registry — LIST_MODELS, the `/stats` breakdown and
+/// its default-model fields, and the per-model `/metrics` series — names
+/// exactly `want` (`(name, kind)` in registry order, default first).
+fn assert_registry_views(client: &mut Client, metrics_addr: SocketAddr, want: &[(&str, &str)]) {
+    let want: Vec<(String, String)> = want
+        .iter()
+        .map(|&(name, kind)| (name.to_string(), kind.to_string()))
+        .collect();
+    let listed: Vec<(String, String)> = client
+        .list_models()
+        .expect("list models")
+        .into_iter()
+        .map(|m| (m.name, m.kind))
+        .collect();
+    assert_eq!(listed, want, "LIST_MODELS");
+    let (status, body) = http_get(metrics_addr, "/stats").expect("sidecar reachable");
+    assert_eq!(status, 200);
+    let stats = StatsSnapshot::from_json_str(&body).expect("stats parse");
+    assert_eq!((stats.model, stats.kind), want[0], "/stats default model");
+    let breakdown: Vec<(String, String)> =
+        stats.models.into_iter().map(|m| (m.name, m.kind)).collect();
+    assert_eq!(breakdown, want, "/stats models[]");
+    let (status, text) = http_get(metrics_addr, "/metrics").expect("sidecar reachable");
+    assert_eq!(status, 200);
+    for sample in [
+        "pit_serve_model_streams_open",
+        "pit_serve_wave_flush_ns_count",
+    ] {
+        assert_eq!(model_series(&text, sample), want, "/metrics {sample}");
+    }
+}
+
+/// Sends LOAD_MODEL for `path` and returns the registry name it loaded
+/// under.
+fn load_model(client: &mut Client, path: &std::path::Path) -> String {
+    client
+        .send(&ClientFrame::LoadModel {
+            path: path.display().to_string(),
+        })
+        .expect("send");
+    match client.recv_timeout(RECV_TIMEOUT).expect("transport") {
+        Some(ServerFrame::ModelLoaded { name }) => name,
+        other => panic!("expected MODEL_LOADED, got {other:?}"),
+    }
+}
+
+/// One registry, seen the same everywhere: after boot, a LOAD_MODEL add
+/// and a LOAD_MODEL replace that changes an entry's kind, LIST_MODELS,
+/// `/stats` and `/metrics` agree on every model's name and kind.
+#[test]
+fn one_registry_is_seen_the_same_everywhere() {
+    let plan = searched_plan(74);
+    let added = quantized_plan(&plan, 75);
+    let replacement = (*added).clone().with_name("fp");
+    let dir = std::env::temp_dir().join(format!("pit-serve-registry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let add_path = dir.join("add_i8.json");
+    std::fs::write(&add_path, added.to_artifact_string()).expect("write add artifact");
+    let replace_path = dir.join("replace_i8.json");
+    std::fs::write(&replace_path, replacement.to_artifact_string())
+        .expect("write replace artifact");
+
+    let server = Server::bind_models(
+        vec![("fp".into(), ServeEngine::F32(plan))],
+        "fp",
+        metrics_config(),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let metrics_addr = server.metrics_addr().expect("sidecar bound");
+    let handle = server.spawn();
+    let mut client = Client::connect(addr).expect("connect");
+    assert_registry_views(&mut client, metrics_addr, &[("fp", "f32")]);
+
+    let added_name = load_model(&mut client, &add_path);
+    assert_eq!(added_name, added.name(), "an unseen name adds an entry");
+    assert_registry_views(
+        &mut client,
+        metrics_addr,
+        &[("fp", "f32"), (added_name.as_str(), "i8")],
+    );
+
+    let replaced_name = load_model(&mut client, &replace_path);
+    assert_eq!(replaced_name, "fp", "a known name replaces its entry");
+    assert_registry_views(
+        &mut client,
+        metrics_addr,
+        &[("fp", "i8"), (added_name.as_str(), "i8")],
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Model names land in label values escaped, never truncating the scrape.

@@ -1,7 +1,7 @@
 //! A lock-free fixed-bucket log-scale histogram for latency recording.
 //!
 //! Extracted from `pit-serve`'s telemetry layer so every measurement
-//! surface in the workspace — the daemon's per-shard wave timers, the
+//! surface in the workspace — the daemon's per-model wave timers, the
 //! bench harness, the `pit-replay` load driver — shares one bucket
 //! layout and one quantile convention, and snapshots taken on either
 //! side of the wire can be merged or compared directly.
