@@ -4,19 +4,20 @@
 //! PIT paper's evaluation section on top of the synthetic substrates of this
 //! workspace.
 //!
-//! | Paper artefact | Binary | Criterion bench |
-//! |----------------|--------|-----------------|
-//! | Fig. 4 (Pareto frontiers, both seeds) | `fig4_pareto` | `benches/pareto.rs` |
-//! | Table I (learned dilations) | `table1_dilations` | — |
-//! | Table II (PIT vs ProxylessNAS) | `table2_proxyless` | — |
-//! | Fig. 5 (search-time comparison) | `fig5_search_cost` | `benches/search_cost.rs` |
-//! | Table III (GAP8 deployment) | `table3_gap8` | `benches/gap8_latency.rs` |
-//! | masked-conv training-cost ablation | `ablation_warmup` | `benches/conv_masking.rs` |
+//! | Paper artefact | Binary |
+//! |----------------|--------|
+//! | Fig. 4 (Pareto frontiers, both seeds) | `fig4_pareto` |
+//! | Table I (learned dilations) | `table1_dilations` |
+//! | Table II (PIT vs ProxylessNAS) | `table2_proxyless` |
+//! | Fig. 5 (search-time comparison) | `fig5_search_cost` |
+//! | Table III (GAP8 deployment) | `table3_gap8` |
+//! | masked-conv training-cost ablation | `ablation_warmup` |
 //!
 //! Every binary accepts `--full` for the paper-scale configuration and runs
 //! a scaled-down "quick" configuration by default, so the whole suite can be
-//! executed on a laptop in minutes. Results print as aligned text tables and
-//! are recorded in the repository's `EXPERIMENTS.md`.
+//! executed on a laptop in minutes. Results print as aligned text tables;
+//! `docs/experimental_setup.md` lists the fixed seeds and the commands that
+//! regenerate every committed number.
 //!
 //! The crate also hosts the machine-readable perf harness: the `bench_json`
 //! binary runs the [`perf`] suites (conv kernels, masked training,

@@ -6,8 +6,8 @@
 //!
 //! * **quick** (default) — scaled-down datasets and seed networks with the
 //!   same topology, dilation search space and loss functions; finishes in
-//!   minutes on a laptop and is what the CI-style runs in `EXPERIMENTS.md`
-//!   report;
+//!   minutes on a laptop (`docs/experimental_setup.md` lists the fixed
+//!   seeds and the commands behind every committed number);
 //! * **full** (`--full`) — paper-sized seeds (150-channel ResTCN,
 //!   32/64/128-channel TEMPONet, 256-sample windows) and longer schedules;
 //!   only the patient should run this through the interpreter-free but

@@ -13,8 +13,12 @@
 //! int8 — the file's `kind` field decides the engine) **or** from a whole
 //! `pit-zoo/1` artifact library written by `pit-search`, registering every
 //! listed model so clients pick one per stream at OPEN (protocol v3). The
-//! daemon then serves the frame protocol of `pit_serve::protocol` until the
-//! process is terminated. `--check` validates the boot source — manifest,
+//! daemon then serves the frame protocol of `pit_serve::protocol` until it
+//! gets SIGTERM or SIGINT, which start a graceful drain: `/healthz` turns
+//! `draining` for `--drain-grace-ms` while reads are still served, queued
+//! timesteps become final emissions, every stream gets a CLOSED frame, the
+//! final stats print as a `drained —` line and the process exits 0.
+//! `--check` validates the boot source — manifest,
 //! artifacts, registry — prints the model table and exits without serving.
 //! `--metrics-addr` boots the HTTP telemetry sidecar beside the daemon:
 //! Prometheus text on `GET /metrics`, stats JSON on `GET /stats`, liveness
@@ -23,6 +27,44 @@
 use pit_serve::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// SIGTERM/SIGINT handling. The workspace denies `unsafe_code`; this
+/// submodule is the binary's one audited exception, declared against the C
+/// ABI like `edge::sys` in the library (no `libc` crate is vendored).
+mod signals {
+    #![allow(unsafe_code)]
+
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+
+    static REQUESTED: AtomicBool = AtomicBool::new(false);
+
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+
+    extern "C" fn on_signal(_signum: i32) {
+        REQUESTED.store(true, Ordering::SeqCst);
+    }
+
+    /// Routes SIGTERM and SIGINT to the flag [`requested`] reads.
+    pub fn install() {
+        for signum in [SIGTERM, SIGINT] {
+            // SAFETY: `on_signal` has the C ABI `signal` expects and only
+            // stores to an atomic, which is async-signal-safe.
+            unsafe {
+                signal(signum, on_signal);
+            }
+        }
+    }
+
+    /// Whether SIGTERM or SIGINT has arrived since [`install`].
+    pub fn requested() -> bool {
+        REQUESTED.load(Ordering::SeqCst)
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -40,7 +82,8 @@ fn usage() -> ExitCode {
          \u{20} --check         validate the boot source, print models, exit\n\
          \u{20} --addr          bind address (default 127.0.0.1:7878)\n\
          \u{20} --max-streams   concurrent stream cap (default 4096)\n\
-         \u{20} --tick-us       wave-batching tick in microseconds (default 200)\n\
+         \u{20} --tick-us       flush cadence in microseconds: each shard flushes\n\
+         \u{20}                 its queued timesteps at most once per tick (default 200)\n\
          \u{20} --idle-ms       evict streams idle this long; 0 = never (default 0)\n\
          \u{20} --max-pending   per-connection queued-timestep cap (default 4096)\n\
          \u{20} --shards        wave-batcher shard threads (default: CPU count, max 8)\n\
@@ -178,6 +221,8 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
+    // Before the `listening on` line: a signal sent once it shows drains.
+    signals::install();
     eprintln!(
         "pit-serve: listening on {} ({} models from {source}, default {})",
         server.local_addr(),
@@ -187,7 +232,11 @@ fn main() -> ExitCode {
     if let Some(metrics) = server.metrics_addr() {
         eprintln!("pit-serve: telemetry sidecar on http://{metrics}");
     }
-    let stats = server.run();
+    let handle = server.spawn();
+    while !signals::requested() {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let stats = handle.shutdown();
     eprintln!("pit-serve: drained — {stats}");
     ExitCode::SUCCESS
 }

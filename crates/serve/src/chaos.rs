@@ -11,9 +11,8 @@
 //!   *inside* the daemon, wired through [`crate::ServerConfig::faults`]:
 //!   forced `WouldBlock`/`Interrupted` outcomes on edge reads, skipped
 //!   write flushes (forcing the `POLLOUT` re-arm path), delayed shard
-//!   wakeups, artificial wave-flush stalls, and delayed shard→edge
-//!   eviction notes. Every fault fires on a fixed counter cadence, so a
-//!   failing schedule replays exactly.
+//!   wakeups and artificial wave-flush stalls. Every fault fires on a
+//!   fixed counter cadence, so a failing schedule replays exactly.
 //! * **Misbehaving clients** — helpers the chaos suite drives against a
 //!   live daemon from the outside: [`drip`] (slow-loris byte writer),
 //!   [`partial_frame_header`] (header-then-stall), [`rst_close`] (abort
@@ -123,10 +122,6 @@ pub struct FaultPlan {
     /// Artificial stall at the top of every wave flush (covers the
     /// flush-before-close path too).
     pub wave_stall: Option<Duration>,
-    /// Holds each shard→edge note (idle-eviction stream releases) for this
-    /// long before the edge applies it — the window in which a CLOSE, a
-    /// reopen, or a disconnect can race a stale eviction.
-    pub note_delay: Option<Duration>,
 }
 
 impl FaultPlan {

@@ -71,22 +71,23 @@
 //! |--------------|------------|------|
 //! | OPENED       | edge  | the OPEN is admitted (before it is routed to the shard) |
 //! | PONG, STATS_JSON, MODELS_JSON, TRACE_JSON, MODEL_LOADED | edge | the request is handled |
-//! | ERROR        | edge  | a request is malformed or refused at admission (every code) |
-//! | ERROR        | shard | `UnknownStream` only: a PUSH_N or CLOSE raced an idle eviction |
+//! | ERROR        | edge  | a request is malformed or refused (every code) |
 //! | EMIT_N       | shard | a wave flushed the stream's timesteps |
 //! | CLOSED       | shard | after the stream's final EMIT_N (CLOSE, idle eviction, drain) |
 //!
 //! The order that holds on one connection:
 //!
 //! * Replies the edge writes follow request order: the reply to request
-//!   *N* precedes the reply to request *N + 1*.
+//!   *N* precedes the reply to request *N + 1*. Every ERROR is one of
+//!   them, including the `UnknownStream` of a PUSH_N or CLOSE that names a
+//!   stream the edge has already evicted.
 //! * For one stream, OPENED comes before its EMIT_N entries, and those come
 //!   before its CLOSED.
-//! * Frames a shard writes (EMIT_N, CLOSED, the eviction-race
-//!   `UnknownStream`) have no fixed order against later replies from the
-//!   edge: a PONG can overtake the emissions of an earlier PUSH_N, and the
-//!   OPENED of a re-used stream id can overtake the CLOSED of its previous
-//!   incarnation — wait for CLOSED before re-opening an id.
+//! * Frames a shard writes (EMIT_N, CLOSED) have no fixed order against
+//!   later replies from the edge: a PONG can overtake the emissions of an
+//!   earlier PUSH_N, and the OPENED of a re-used stream id can overtake the
+//!   CLOSED of its previous incarnation — wait for CLOSED before
+//!   re-opening an id.
 //!
 //! Decoding is defensive by construction: bodies are bounded by
 //! [`MAX_FRAME_BODY`] before any allocation, every multi-byte field checks

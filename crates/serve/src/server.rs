@@ -9,9 +9,10 @@
 //!   4096 streams cost 4096 sockets, not 8192 stacks. The edge reassembles
 //!   and decodes frames, answers PING/STATS/LOAD_MODEL in place, admits
 //!   OPEN (duplicates, server capacity; it writes the OPENED reply itself)
-//!   and PUSH_N (channel count, backpressure), and routes stream work to
-//!   shards. Outbound frames accumulate in bounded per-connection outbufs
-//!   drained with vectored writes whenever the socket accepts them.
+//!   and PUSH_N (channel count, backpressure), ends streams (CLOSE, idle
+//!   eviction), and routes stream work to shards. Outbound frames
+//!   accumulate in bounded per-connection outbufs drained with vectored
+//!   writes whenever the socket accepts them.
 //! * **Shards** ([`ServerConfig::shards`] wave-batcher threads): each owns
 //!   one session-pool shard behind the [`pit_infer::StreamPool`] trait —
 //!   one generic batcher for both precisions. A stream is pinned to
@@ -39,7 +40,10 @@
 //!
 //! Streams are opened per connection (OPEN), served until CLOSE, idle
 //! eviction ([`ServerConfig::idle_timeout`]) or disconnect, and their pool
-//! slots are recycled shard-side. [`ServerHandle::shutdown`] drains
+//! slots are recycled shard-side. The edge alone decides when a stream
+//! ends: it takes the stream out of its table, releases its budget slot
+//! and routes the close, and the shard flushes the stream's queued
+//! timesteps and replies CLOSED. [`ServerHandle::shutdown`] drains
 //! gracefully: the edge sweeps already-arrived bytes, shards flush queued
 //! timesteps into final emissions, every stream gets a CLOSED frame, and
 //! the aggregated [`crate::StatsSnapshot`] is returned.
@@ -50,10 +54,10 @@ use crate::edge::{
 };
 use crate::http;
 use crate::protocol::{
-    decode_client, encode_server, entry_runs, ClientFrame, ErrorCode, FrameAssembler, FrameError,
-    ServerFrame,
+    decode_client, encode_server, entry_runs, ClientFrame, CloseReason, ErrorCode, FrameAssembler,
+    FrameError, ServerFrame,
 };
-use crate::shard::{Shard, ShardEvent, ShardNote};
+use crate::shard::{Shard, ShardEvent};
 use crate::stats::{ModelStats, StatsSnapshot};
 use crate::telemetry::{ModelEntry, Registry, ServeState, Telemetry, TraceKind};
 use pit_infer::{
@@ -86,7 +90,12 @@ pub struct ServerConfig {
     /// model. The tick only sets how often a shard flushes and how many
     /// emissions a frame merges; it gathers no compute batch.
     pub tick: Duration,
-    /// Evict streams with no client activity for this long (`None` = never).
+    /// Evict streams with no client activity (an OPEN or a PUSH_N naming
+    /// the stream) for this long; `None` (the default) never evicts. The
+    /// edge sweeps for idle streams on every loop iteration, so an eviction
+    /// fires within `EDGE_POLL_MS` (100 ms) of its deadline; the stream's
+    /// queued timesteps still become final emissions ahead of its
+    /// `CLOSED(IdleEvicted)`.
     pub idle_timeout: Option<Duration>,
     /// Wave-batcher shards (threads), each owning one pool shard per
     /// registry model. Defaults to the machine's available parallelism,
@@ -118,8 +127,11 @@ pub struct ServerConfig {
     pub read_progress_timeout: Option<Duration>,
     /// Deterministic fault injection (chaos testing): forced
     /// `WouldBlock`/`Interrupted` edge reads, skipped flushes, delayed
-    /// shard wakeups, wave-flush stalls, delayed eviction notes. `None`
-    /// (the default) injects nothing; see [`crate::chaos::FaultPlan`].
+    /// shard wakeups and wave-flush stalls. `None` (the default) injects
+    /// nothing; see [`crate::chaos::FaultPlan`]. The faults delay shards,
+    /// not the edge's idle clock: an eviction still fires within
+    /// `EDGE_POLL_MS` of its deadline, and only its CLOSED reply waits for
+    /// the delayed shard.
     pub faults: Option<Arc<FaultInjector>>,
 }
 
@@ -223,17 +235,13 @@ fn shard_of(conn: ConnId, stream_id: u32, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
-/// One open stream in the edge's table: its registry model, the
-/// generation stamped at OPEN, and what PUSH_N admission and release need
-/// of the model, cached at OPEN so neither takes the registry lock. The
-/// generation disambiguates stream-id reincarnation: a shard's eviction
-/// note names the generation it evicted, so a note that arrives after the
-/// client already CLOSEd *and re-OPENed* the same id cannot release the
-/// new stream's budget slot (the double-decrement race this replaced — see
-/// [`Edge::handle_note`]).
+/// One open stream in the edge's table: its registry model, its idle
+/// clock, and what PUSH_N admission and release need of the model, cached
+/// at OPEN so neither takes the registry lock.
 struct OpenStream {
     model: usize,
-    gen: u64,
+    /// The last OPEN or PUSH_N naming the stream: its idle-eviction clock.
+    last_activity: Instant,
     /// The model's input channels.
     channels: usize,
     /// The model's counter block, whose `streams_open` gauge this stream
@@ -244,7 +252,7 @@ struct OpenStream {
 impl OpenStream {
     /// The single decrement path of the open-stream budget: gives the
     /// stream's slot of its model's gauge back (the budget is the gauges'
-    /// sum). Every closer (CLOSE, disconnect, eviction note) removes the
+    /// sum). Every closer (CLOSE, disconnect, idle eviction) removes the
     /// entry from its connection's table and releases what it removed, so
     /// a double decrement is structurally impossible.
     fn release(self) {
@@ -288,7 +296,8 @@ struct EdgeConn {
 /// CLOSED frames to slow clients before giving up.
 const DRAIN_FLUSH_TIMEOUT: Duration = Duration::from_secs(5);
 /// Edge poll timeout: the latency floor for noticing a shutdown requested
-/// without a waker (e.g. a signal handler flipping the flag).
+/// without a waker (e.g. a signal handler flipping the flag), and the most
+/// an idle eviction fires after its deadline.
 const EDGE_POLL_MS: i32 = 100;
 
 struct Edge {
@@ -300,8 +309,6 @@ struct Edge {
     telemetry: Arc<Telemetry>,
     draining: bool,
     next_conn: ConnId,
-    /// Generation stamped on each OPEN (see [`OpenStream::gen`]).
-    next_gen: u64,
     read_buf: Vec<u8>,
     dead: Vec<ConnId>,
 }
@@ -376,11 +383,6 @@ impl Edge {
                 Arc::clone(&self.telemetry.edge.outbuf_hwm),
             ));
             let pending = Arc::new(AtomicUsize::new(0));
-            self.broadcast(|| ShardEvent::Connected {
-                conn,
-                out: Arc::clone(&out),
-                pending: Arc::clone(&pending),
-            });
             self.telemetry
                 .edge
                 .connections_total
@@ -523,7 +525,11 @@ impl Edge {
                 open.release();
                 self.route(
                     self.shard_index(conn, stream_id),
-                    ShardEvent::Close { conn, stream_id },
+                    ShardEvent::Close {
+                        conn,
+                        stream_id,
+                        reason: CloseReason::ByClient,
+                    },
                 );
             }
             ClientFrame::PushN {
@@ -555,7 +561,7 @@ impl Edge {
                 let entry = &registry.models[index];
                 let open = OpenStream {
                     model: index,
-                    gen: self.next_gen,
+                    last_activity: Instant::now(),
                     channels: entry.engine.input_channels(),
                     stats: Arc::clone(&entry.stats),
                 };
@@ -590,29 +596,27 @@ impl Edge {
             );
             return;
         }
-        self.next_gen += 1;
         open.stats.streams_open.fetch_add(1, Ordering::Relaxed);
-        let (model, gen) = (open.model, open.gen);
+        let event = ShardEvent::Open {
+            conn,
+            stream_id,
+            model: open.model,
+            out: Arc::clone(&state.out),
+            pending: Arc::clone(&state.pending),
+        };
         state.streams.insert(stream_id, open);
         // Reply before routing: the stream's emissions can only follow the
         // OPEN down its shard's channel, so OPENED always precedes them.
         self.send(conn, &ServerFrame::Opened { stream_id });
-        self.route(
-            self.shard_index(conn, stream_id),
-            ShardEvent::Open {
-                conn,
-                stream_id,
-                model,
-                gen,
-            },
-        );
+        self.route(self.shard_index(conn, stream_id), event);
     }
 
     /// Admission for a PUSH_N, all-or-nothing: the channel count must
     /// match *each named stream's own model* (streams of differently-shaped
     /// models cannot share one frame), every stream must be open on this
     /// connection, and the connection must be under its pending-timestep
-    /// cap. On success charges `count` to the pending counter.
+    /// cap. On success charges `count` to the pending counter. Every open
+    /// stream the frame names counts as active, admitted or not.
     fn admit_push(
         &mut self,
         conn: ConnId,
@@ -620,18 +624,20 @@ impl Edge {
         channels: u32,
         count: usize,
     ) -> bool {
-        let Some(state) = self.conns.get(&conn) else {
+        let Some(state) = self.conns.get_mut(&conn) else {
             return false;
         };
+        let now = Instant::now();
         let mut unknown = None;
         let mut mismatch = None;
         for &(sid, _) in entries {
-            match state.streams.get(&sid) {
+            match state.streams.get_mut(&sid) {
                 None => {
                     unknown = Some(sid);
                     break;
                 }
                 Some(open) => {
+                    open.last_activity = now;
                     if channels as usize != open.channels {
                         mismatch = Some((sid, open.model, open.channels));
                         break;
@@ -838,30 +844,36 @@ impl Edge {
         self.dead.push(conn);
     }
 
-    fn handle_note(&mut self, note: ShardNote) {
-        match note {
-            ShardNote::StreamClosed {
-                conn,
-                stream_id,
-                gen,
-            } => {
-                // Only release the generation the shard actually evicted.
-                // Matching on the id alone double-decremented when a CLOSE
-                // raced the eviction *and* the client re-OPENed the same
-                // id before this note arrived: the note then released the
-                // new stream's slot and orphaned its table entry.
-                let released = self.conns.get_mut(&conn).and_then(|state| {
-                    match state.streams.get(&stream_id) {
-                        Some(open) if open.gen == gen => state.streams.remove(&stream_id),
-                        // Already released (CLOSE/disconnect won the race)
-                        // or a different generation lives under this id.
-                        _ => None,
-                    }
-                });
-                if let Some(open) = released {
-                    open.release();
-                }
-            }
+    /// Enforces [`ServerConfig::idle_timeout`]: every stream no OPEN or
+    /// PUSH_N has named for the timeout leaves its connection's table,
+    /// gives its budget slot back and is closed on its shard with
+    /// `IdleEvicted`.
+    fn evict_idle(&mut self) {
+        let Some(timeout) = self.config.idle_timeout else {
+            return;
+        };
+        let now = Instant::now();
+        let mut idle: Vec<(ConnId, u32, OpenStream)> = Vec::new();
+        for (&conn, state) in &mut self.conns {
+            let expired = state
+                .streams
+                .extract_if(|_, open| now.duration_since(open.last_activity) >= timeout);
+            idle.extend(expired.map(|(stream_id, open)| (conn, stream_id, open)));
+        }
+        for (conn, stream_id, open) in idle {
+            open.release();
+            self.telemetry
+                .edge
+                .streams_evicted
+                .fetch_add(1, Ordering::Relaxed);
+            self.route(
+                self.shard_index(conn, stream_id),
+                ShardEvent::Close {
+                    conn,
+                    stream_id,
+                    reason: CloseReason::IdleEvicted,
+                },
+            );
         }
     }
 
@@ -870,7 +882,7 @@ impl Edge {
     /// slow-loris shape: a header then a stall, or a one-byte drip that
     /// never finishes a frame) and streamless connections that completed
     /// no frame within it. Connections with open streams and clean frame
-    /// boundaries are the idle-eviction path's business, not ours.
+    /// boundaries are [`Edge::evict_idle`]'s business, not ours.
     fn expire_stalled(&mut self) {
         let Some(timeout) = self.config.read_progress_timeout else {
             return;
@@ -1129,7 +1141,6 @@ impl Server {
     pub fn run(mut self) -> StatsSnapshot {
         let telemetry = Arc::clone(&self.telemetry);
         let shards = telemetry.shards.len();
-        let (note_tx, note_rx) = mpsc::channel::<ShardNote>();
         let mut shard_txs = Vec::with_capacity(shards);
         let mut shard_threads = Vec::with_capacity(shards);
         for index in 0..shards {
@@ -1142,13 +1153,11 @@ impl Server {
                 index,
                 &self.config,
                 Arc::clone(&telemetry),
-                note_tx.clone(),
                 self.waker.clone(),
             );
             shard_txs.push(tx);
             shard_threads.push(std::thread::spawn(move || shard.run(rx)));
         }
-        drop(note_tx);
         self.listener
             .set_nonblocking(true)
             .expect("listener nonblocking");
@@ -1174,7 +1183,6 @@ impl Server {
             telemetry: Arc::clone(&telemetry),
             draining: false,
             next_conn: 0,
-            next_gen: 0,
             read_buf: vec![0u8; 64 * 1024],
             dead: Vec::new(),
         };
@@ -1185,11 +1193,6 @@ impl Server {
         // When set, a graceful drain is underway: keep reading and
         // flushing (OPENs are already refused) until the grace deadline.
         let mut drain_deadline: Option<Instant> = None;
-        // Shard notes held back by the chaos `note_delay` fault, due-time
-        // ordered (the channel delivers in send order and the delay is
-        // constant, so pushing back keeps the front oldest).
-        let mut delayed_notes: std::collections::VecDeque<(Instant, ShardNote)> =
-            std::collections::VecDeque::new();
         loop {
             fds.clear();
             ids.clear();
@@ -1210,25 +1213,6 @@ impl Server {
                 .edge_poll_ns
                 .record(dispatch_start.duration_since(poll_start).as_nanos() as u64);
             self.wake_pipe.drain();
-            let note_delay = edge
-                .config
-                .faults
-                .as_ref()
-                .and_then(|f| f.plan().note_delay);
-            while let Ok(note) = note_rx.try_recv() {
-                if let Some(delay) = note_delay {
-                    delayed_notes.push_back((Instant::now() + delay, note));
-                    continue;
-                }
-                edge.handle_note(note);
-            }
-            while delayed_notes
-                .front()
-                .is_some_and(|&(due, _)| Instant::now() >= due)
-            {
-                let (_, note) = delayed_notes.pop_front().expect("front checked");
-                edge.handle_note(note);
-            }
             if self.shutdown.load(Ordering::SeqCst) && drain_deadline.is_none() {
                 // Flip to draining *before* tearing anything down: load
                 // balancers polling /healthz see 503 while reads are still
@@ -1251,6 +1235,7 @@ impl Server {
                 }
             }
             edge.expire_stalled();
+            edge.evict_idle();
             edge.flush_writes();
             edge.dead.clear();
             telemetry
@@ -1258,14 +1243,9 @@ impl Server {
                 .record(dispatch_start.elapsed().as_nanos() as u64);
         }
 
-        // Graceful drain. 0) Apply notes the chaos delay was still holding
-        // so the final accounting matches what the shards reported.
-        for (_, note) in delayed_notes {
-            edge.handle_note(note);
-        }
-        // 1) Sweep bytes clients already got onto the wire so queued
-        // PUSHes become final emissions (new OPENs and swaps are refused
-        // from here).
+        // Graceful drain. 1) Sweep bytes clients already got onto the wire
+        // so queued PUSHes become final emissions (new OPENs and swaps are
+        // refused from here).
         edge.draining = true;
         telemetry.set_state(ServeState::Draining);
         let ids: Vec<ConnId> = edge.conns.keys().copied().collect();

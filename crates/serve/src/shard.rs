@@ -18,54 +18,56 @@
 //!
 //! Shards never touch a socket: EMIT_N and CLOSED frames are encoded into
 //! the connection's [`OutBuf`] and the edge is woken through the self-pipe
-//! [`Waker`] to drain them. The little cross-thread state a shard shares is
-//! explicit: the per-connection pending-timestep counter (backpressure,
-//! edge increments / shard decrements), a note channel back to the edge so
-//! idle evictions release the server-wide stream budget, and its books.
-//! Each fact is booked once: per-model traffic (streams opened, timesteps,
-//! emissions, waves and their latency) in the model's [`ModelStats`]
-//! block, which every shard shares; shard-local facts (settling counters,
-//! the live-slot gauge, evictions) in this shard's [`ShardStats`]; and
-//! rejections in the hub's one `frames_rejected` counter. The shard builds
-//! its pools from the hub's registry at start and follows it through
+//! [`Waker`] to drain them. The edge owns every stream's lifetime: a shard
+//! opens, closes and evicts a stream only when the edge routes it an
+//! event, and apart from the final drain never ends one on its own, so it
+//! needs no clock per timestep and never writes an ERROR frame. The little
+//! cross-thread state a shard shares is explicit: the per-connection
+//! pending-timestep counter (backpressure, edge increments / shard
+//! decrements), which the first OPEN of a connection routed here hands
+//! over with the connection's [`OutBuf`], and its books. Each fact is
+//! booked once: per-model traffic (streams opened, timesteps, emissions,
+//! waves and their latency) in the model's [`ModelStats`] block, which
+//! every shard shares, and shard-local facts (settling counters, the
+//! live-slot gauge) in this shard's [`ShardStats`]. The shard builds its
+//! pools from the hub's registry at start and follows it through
 //! AddModel/Swap events, never taking the registry lock afterwards.
 
 use crate::chaos::FaultInjector;
 use crate::edge::{OutBuf, Waker};
-use crate::protocol::{encode_server, CloseReason, ErrorCode, ServerFrame, MAX_FRAME_BODY};
+use crate::protocol::{encode_server, CloseReason, ServerFrame, MAX_FRAME_BODY};
 use crate::server::{ConnId, ServeEngine, ServerConfig};
 use crate::stats::{ModelStats, ShardStats};
 use crate::telemetry::{Telemetry, TraceKind};
 use pit_infer::StreamPool;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What the edge routes to a shard.
 pub(crate) enum ShardEvent {
-    /// A connection exists (broadcast to every shard on accept): the
-    /// handles a shard needs to reply to it and account for it.
-    Connected {
-        conn: ConnId,
-        out: Arc<OutBuf>,
-        pending: Arc<AtomicUsize>,
-    },
     /// The connection is gone (broadcast): close its streams on this shard.
     Disconnected { conn: ConnId },
     /// OPEN, admitted (and already answered with OPENED) by the edge, with
-    /// `model` resolved against the registry. `gen` is the edge's open
-    /// generation, echoed back in eviction notes so the edge can tell an
-    /// eviction of *this* incarnation of the stream id from a later one.
+    /// `model` resolved against the registry. It carries the handles a
+    /// shard needs to reply to the connection and account for it; the
+    /// connection's first OPEN routed here installs them.
     Open {
         conn: ConnId,
         stream_id: u32,
         model: usize,
-        gen: u64,
+        out: Arc<OutBuf>,
+        pending: Arc<AtomicUsize>,
     },
-    /// CLOSE, pre-validated by the edge (the stream was open there).
-    Close { conn: ConnId, stream_id: u32 },
+    /// End a stream the edge has already taken out of its table: a client
+    /// CLOSE (`ByClient`) or the edge's idle sweep (`IdleEvicted`).
+    Close {
+        conn: ConnId,
+        stream_id: u32,
+        reason: CloseReason,
+    },
     /// `count` timesteps for one stream (one entry of a PUSH_N). The edge
     /// already validated channels and charged `count` to the connection's
     /// pending counter.
@@ -92,19 +94,6 @@ pub(crate) enum ShardEvent {
 /// connection that is already gone.
 const CLOSE_DISCONNECTED: u64 = 3;
 
-/// What a shard reports back to the edge (processed on each wakeup).
-pub(crate) enum ShardNote {
-    /// A stream ended shard-side (idle eviction): the edge must release
-    /// its slot in the server-wide stream budget. `gen` names the open
-    /// generation that was evicted — the edge ignores the note when the
-    /// id has since been closed and reopened under a newer generation.
-    StreamClosed {
-        conn: ConnId,
-        stream_id: u32,
-        gen: u64,
-    },
-}
-
 struct ShardConn {
     out: Arc<OutBuf>,
     /// Connection-wide queued-timestep counter (shared with the edge,
@@ -120,9 +109,6 @@ struct ShardConn {
 struct StreamInfo {
     conn: ConnId,
     client_id: u32,
-    /// The edge's open generation, echoed in eviction notes.
-    gen: u64,
-    last_activity: Instant,
 }
 
 pub(crate) struct Shard {
@@ -133,13 +119,11 @@ pub(crate) struct Shard {
     /// The registry models' counter blocks, in registry order.
     model_stats: Vec<Arc<ModelStats>>,
     tick: Duration,
-    idle_timeout: Option<Duration>,
     conns: HashMap<ConnId, ShardConn>,
     /// `(model, pool slot)` → owner.
     streams: HashMap<(usize, usize), StreamInfo>,
     stats: Arc<ShardStats>,
     telemetry: Arc<Telemetry>,
-    notes: Sender<ShardNote>,
     waker: Waker,
     /// Set when this iteration queued reply bytes: ring the edge once per
     /// iteration, not once per frame.
@@ -151,12 +135,11 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Shard `index` of the hub's shard table, serving the hub's registry
-    /// with the tick, idle timeout and fault plan of `config`.
+    /// with the tick and fault plan of `config`.
     pub(crate) fn new(
         index: usize,
         config: &ServerConfig,
         telemetry: Arc<Telemetry>,
-        notes: Sender<ShardNote>,
         waker: Waker,
     ) -> Self {
         let (pools, model_stats) = telemetry
@@ -170,12 +153,10 @@ impl Shard {
             pools,
             model_stats,
             tick: config.tick,
-            idle_timeout: config.idle_timeout,
             conns: HashMap::new(),
             streams: HashMap::new(),
             stats: Arc::clone(&telemetry.shards[index]),
             telemetry,
-            notes,
             waker,
             wrote: false,
             faults: config.faults.clone(),
@@ -202,42 +183,8 @@ impl Shard {
         }
     }
 
-    fn send_error(&mut self, conn: ConnId, code: ErrorCode, message: impl Into<String>) {
-        self.telemetry
-            .edge
-            .frames_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        self.telemetry.trace.record(
-            TraceKind::Error,
-            conn,
-            None,
-            Some(self.index),
-            None,
-            code as u64,
-            self.telemetry.now_us(),
-        );
-        self.send(
-            conn,
-            &ServerFrame::Error {
-                code,
-                message: message.into(),
-            },
-        );
-    }
-
     fn handle(&mut self, event: ShardEvent) {
         match event {
-            ShardEvent::Connected { conn, out, pending } => {
-                self.conns.insert(
-                    conn,
-                    ShardConn {
-                        out,
-                        pending,
-                        streams: HashMap::new(),
-                        queued: 0,
-                    },
-                );
-            }
             ShardEvent::Disconnected { conn } => {
                 if let Some(state) = self.conns.remove(&conn) {
                     state.pending.fetch_sub(state.queued, Ordering::Relaxed);
@@ -255,9 +202,14 @@ impl Shard {
                 conn,
                 stream_id,
                 model,
-                gen,
-            } => self.handle_open(conn, stream_id, model, gen),
-            ShardEvent::Close { conn, stream_id } => self.handle_close(conn, stream_id),
+                out,
+                pending,
+            } => self.handle_open(conn, stream_id, model, out, pending),
+            ShardEvent::Close {
+                conn,
+                stream_id,
+                reason,
+            } => self.handle_close(conn, stream_id, reason),
             ShardEvent::Push {
                 conn,
                 stream_id,
@@ -280,10 +232,20 @@ impl Shard {
         }
     }
 
-    fn handle_open(&mut self, conn: ConnId, stream_id: u32, model: usize, gen: u64) {
-        let Some(state) = self.conns.get_mut(&conn) else {
-            return;
-        };
+    fn handle_open(
+        &mut self,
+        conn: ConnId,
+        stream_id: u32,
+        model: usize,
+        out: Arc<OutBuf>,
+        pending: Arc<AtomicUsize>,
+    ) {
+        let state = self.conns.entry(conn).or_insert_with(|| ShardConn {
+            out,
+            pending,
+            streams: HashMap::new(),
+            queued: 0,
+        });
         let slot = self.pools[model].open_stream();
         state.streams.insert(stream_id, (model, slot));
         self.streams.insert(
@@ -291,8 +253,6 @@ impl Shard {
             StreamInfo {
                 conn,
                 client_id: stream_id,
-                gen,
-                last_activity: Instant::now(),
             },
         );
         self.model_stats[model]
@@ -304,24 +264,24 @@ impl Shard {
         self.trace(TraceKind::Open, conn, stream_id, model, 0);
     }
 
-    fn handle_close(&mut self, conn: ConnId, stream_id: u32) {
+    /// The one way a stream ends with a reply, whatever the reason (a
+    /// client CLOSE, an edge idle eviction, the drain): its queued
+    /// timesteps become final emissions, its slot is freed, the close is
+    /// traced with the reason code as its count, and CLOSED follows the
+    /// final EMIT_N.
+    fn handle_close(&mut self, conn: ConnId, stream_id: u32, reason: CloseReason) {
+        // The edge routes a close only for a stream it admitted, down the
+        // same channel as the OPEN, so the stream is always here.
         let Some((model, slot)) = self
             .conns
             .get_mut(&conn)
             .and_then(|c| c.streams.remove(&stream_id))
         else {
-            // The edge validated liveness against its own table, but an
-            // idle eviction can race the CLOSE: the stream is simply gone.
-            self.send_error(
-                conn,
-                ErrorCode::UnknownStream,
-                format!("stream {stream_id} is not open"),
-            );
             return;
         };
-        // CLOSE is an orderly end, not an abort: timesteps the stream
-        // already pushed must become final emissions, not vanish depending
-        // on where the tick happened to land.
+        // An orderly end, not an abort: timesteps the stream already
+        // pushed become final emissions, not vanish depending on where the
+        // tick happened to land.
         if self.pools[model].pending_for(slot) > 0 {
             self.run_wave();
         }
@@ -330,54 +290,32 @@ impl Shard {
         self.stats
             .streams_open
             .store(self.streams.len() as u64, Ordering::Relaxed);
-        self.trace(
-            TraceKind::Close,
-            conn,
-            stream_id,
-            model,
-            CloseReason::ByClient as u64,
-        );
-        self.send(
-            conn,
-            &ServerFrame::Closed {
-                stream_id,
-                reason: CloseReason::ByClient,
-            },
-        );
+        let kind = match reason {
+            CloseReason::IdleEvicted => TraceKind::Evict,
+            CloseReason::ByClient | CloseReason::Drained => TraceKind::Close,
+        };
+        self.trace(kind, conn, stream_id, model, reason as u64);
+        self.send(conn, &ServerFrame::Closed { stream_id, reason });
     }
 
     fn handle_push(&mut self, conn: ConnId, stream_id: u32, count: usize, samples: &[f32]) {
-        let Some(&(model, slot)) = self
-            .conns
-            .get(&conn)
-            .and_then(|c| c.streams.get(&stream_id))
-        else {
-            // Evicted (or closed) between the edge's check and now: refund
-            // the pending charge the edge made and tell the client.
-            if let Some(state) = self.conns.get(&conn) {
-                state.pending.fetch_sub(count, Ordering::Relaxed);
-            }
-            self.send_error(
-                conn,
-                ErrorCode::UnknownStream,
-                format!("stream {stream_id} is not open"),
-            );
+        // The edge routes a PUSH only for a stream open in its table, ahead
+        // of any close of it, so the stream is always here.
+        let Some(state) = self.conns.get_mut(&conn) else {
             return;
         };
+        let Some(&(model, slot)) = state.streams.get(&stream_id) else {
+            return;
+        };
+        state.queued += count;
         let c_in = self.pools[model].input_channels();
         for sample in samples.chunks_exact(c_in) {
             self.pools[model].push(slot, sample);
-        }
-        if let Some(state) = self.conns.get_mut(&conn) {
-            state.queued += count;
         }
         self.model_stats[model]
             .timesteps_in
             .fetch_add(count as u64, Ordering::Relaxed);
         self.trace(TraceKind::Push, conn, stream_id, model, count as u64);
-        if let Some(info) = self.streams.get_mut(&(model, slot)) {
-            info.last_activity = Instant::now();
-        }
     }
 
     /// One wave: flush every model pool with queued timesteps and route
@@ -467,111 +405,41 @@ impl Shard {
         }
     }
 
-    fn evict_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        let stale: Vec<(usize, usize)> = self
-            .streams
-            .iter()
-            .filter(|(_, info)| now.duration_since(info.last_activity) > timeout)
-            .map(|(&key, _)| key)
-            .collect();
-        for (model, slot) in stale {
-            let Some(info) = self.streams.remove(&(model, slot)) else {
-                continue;
-            };
-            let dropped = self.pools[model].pending_for(slot);
-            self.pools[model].close_stream(slot);
-            if let Some(state) = self.conns.get_mut(&info.conn) {
-                state.streams.remove(&info.client_id);
-                state.queued = state.queued.saturating_sub(dropped);
-                state.pending.fetch_sub(dropped, Ordering::Relaxed);
-            }
-            self.stats.streams_evicted.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .streams_open
-                .store(self.streams.len() as u64, Ordering::Relaxed);
-            self.trace(
-                TraceKind::Evict,
-                info.conn,
-                info.client_id,
-                model,
-                dropped as u64,
-            );
-            // Release the edge's stream budget before the client learns —
-            // a reopen after CLOSED must find the slot free.
-            let _ = self.notes.send(ShardNote::StreamClosed {
-                conn: info.conn,
-                stream_id: info.client_id,
-                gen: info.gen,
-            });
-            self.send(
-                info.conn,
-                &ServerFrame::Closed {
-                    stream_id: info.client_id,
-                    reason: CloseReason::IdleEvicted,
-                },
-            );
-        }
-    }
-
     /// Timesteps queued across every model pool on this shard.
     fn pending_steps(&self) -> usize {
         self.pools.iter().map(|p| p.pending_steps()).sum()
     }
 
-    /// Graceful drain: flush whatever is queued, deliver the final
-    /// emissions, and tell every stream it is over.
+    /// Graceful drain: every stream still open ends down the one close
+    /// path, so its queued timesteps become final emissions ahead of its
+    /// CLOSED.
     fn drain(&mut self) {
-        if self.pending_steps() > 0 {
-            self.run_wave();
+        let open: Vec<(ConnId, u32)> = self
+            .streams
+            .values()
+            .map(|info| (info.conn, info.client_id))
+            .collect();
+        for (conn, stream_id) in open {
+            self.handle_close(conn, stream_id, CloseReason::Drained);
         }
-        let open: Vec<(usize, usize)> = self.streams.keys().copied().collect();
-        for (model, slot) in open {
-            let Some(info) = self.streams.remove(&(model, slot)) else {
-                continue;
-            };
-            self.pools[model].close_stream(slot);
-            if let Some(state) = self.conns.get_mut(&info.conn) {
-                state.streams.remove(&info.client_id);
-            }
-            self.trace(
-                TraceKind::Close,
-                info.conn,
-                info.client_id,
-                model,
-                CloseReason::Drained as u64,
-            );
-            self.send(
-                info.conn,
-                &ServerFrame::Closed {
-                    stream_id: info.client_id,
-                    reason: CloseReason::Drained,
-                },
-            );
-        }
-        self.stats.streams_open.store(0, Ordering::Relaxed);
     }
 
     /// The shard thread: collect routed events, run at most one wave per
-    /// tick, evict idle streams, and drain when the edge closes the
-    /// channel.
+    /// tick, and drain when the edge closes the channel. With nothing
+    /// queued it blocks until the edge routes the next event.
     pub(crate) fn run(mut self, rx: Receiver<ShardEvent>) {
         let mut next_wave = Instant::now();
         loop {
-            let timeout = if self.pending_steps() > 0 {
-                next_wave.saturating_duration_since(Instant::now())
+            let received = if self.pending_steps() > 0 {
+                rx.recv_timeout(next_wave.saturating_duration_since(Instant::now()))
             } else {
-                // Idle: wake occasionally for eviction checks.
-                Duration::from_millis(5)
+                rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
             };
             let mut disconnected = false;
             // Events fully handled this iteration — balanced against the
             // `inflight` charges the edge made when routing them.
             let mut handled = 0u64;
-            match rx.recv_timeout(timeout) {
+            match received {
                 Ok(event) => {
                     // Chaos: sleep between receiving and handling, so the
                     // edge's view and this shard's view stay divergent for
@@ -602,7 +470,6 @@ impl Shard {
                 self.run_wave();
                 next_wave = Instant::now() + self.tick;
             }
-            self.evict_idle();
             // Settling order matters: publish the pool backlog first, then
             // release the inflight charges. A snapshot that observes
             // `inflight == 0` (Acquire) therefore also observes the queued

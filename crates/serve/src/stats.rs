@@ -2,12 +2,12 @@
 //!
 //! Each serving fact is kept in exactly one counter block:
 //!
-//! * `EdgeCounters`, in the telemetry hub: connection lifecycle, rejected
-//!   frames (the edge's and the shards' admission errors alike), dropped
-//!   replies and the outbuf high-water mark;
+//! * `EdgeCounters`, in the telemetry hub: connection lifecycle, idle
+//!   evictions, rejected frames, dropped replies and the outbuf high-water
+//!   mark;
 //! * one `ShardStats` per wave-batcher shard: only shard-local facts — the
-//!   settling counters (`inflight`, `queued_steps`, `ticks`), the live-slot
-//!   `streams_open` gauge and idle evictions;
+//!   settling counters (`inflight`, `queued_steps`, `ticks`) and the
+//!   live-slot `streams_open` gauge;
 //! * one `ModelStats` per *registry model*, shared by every shard: streams
 //!   opened and open, timesteps in, emissions out, waves, occupancy and the
 //!   wave-latency histogram. Serving a zoo spreads one model's streams
@@ -21,9 +21,9 @@
 //! timestep, emission and wave totals are sums over the model blocks, and
 //! its wave percentiles come from the merge of the model histograms, so
 //! the totals always equal the sum of the breakdown. From the shards come
-//! only `streams_evicted`, the settling figures (`seq`, `settled`) and
-//! `streams_open`: the shards' live-slot gauges, a cross-check against the
-//! edge-written per-model gauges.
+//! only the settling figures (`seq`, `settled`) and `streams_open`: the
+//! shards' live-slot gauges, a cross-check against the edge-written
+//! per-model gauges.
 //!
 //! Latency percentiles come from the lock-free log-scale `Histogram`s of
 //! `pit_tensor::hist` (exact counts, ≤ ~25% value quantization) and cover
@@ -99,9 +99,10 @@ pub struct StatsSnapshot {
     pub wave_p99_ns: u64,
     /// 99.9th-percentile wave latency in nanoseconds since boot.
     pub wave_p999_ns: u64,
-    /// Total shard loop iterations: a monotone sequence number that keeps
-    /// advancing while shards are alive, so two equal-`seq` snapshots were
-    /// taken between the same pair of shard ticks.
+    /// Total shard loop iterations: a monotone sequence number that
+    /// advances each time a shard handles routed events or flushes (an
+    /// idle shard blocks), so two equal-`seq` snapshots were taken between
+    /// the same pair of shard ticks.
     pub seq: u64,
     /// True when no routed-but-unhandled events or queued-but-unflushed
     /// timesteps were pending at snapshot time — every counter has caught
@@ -326,7 +327,6 @@ pub(crate) struct ShardStats {
     /// same streams from the admission side; once the daemon settles the
     /// two agree, which makes this gauge a cross-check on the edge's books.
     pub(crate) streams_open: AtomicU64,
-    pub(crate) streams_evicted: AtomicU64,
     /// Events the edge routed to this shard but the shard has not fully
     /// handled yet (edge increments *before* sending, shard decrements
     /// with `Release` *after* handling — including any due wave — so a
@@ -370,12 +370,12 @@ impl ModelStats {
     }
 }
 
-/// Connection-lifecycle counters plus the daemon's rejection and reply
-/// books. The edge thread is the only writer of most fields, but they are
-/// atomics so the HTTP sidecar can scrape them from its own thread without
-/// a lock. Shards also count their rejections in `frames_rejected`, and
-/// `replies_dropped` and `outbuf_hwm` are `Arc`s because shard threads
-/// update them through each connection's [`crate::edge::OutBuf`].
+/// Connection-lifecycle counters plus the daemon's eviction, rejection and
+/// reply books. The edge thread is the only writer of most fields, but
+/// they are atomics so the HTTP sidecar can scrape them from its own
+/// thread without a lock. `replies_dropped` and `outbuf_hwm` are `Arc`s
+/// because shard threads update them through each connection's
+/// [`crate::edge::OutBuf`].
 #[derive(Debug, Default)]
 pub(crate) struct EdgeCounters {
     pub(crate) connections_total: AtomicU64,
@@ -385,6 +385,8 @@ pub(crate) struct EdgeCounters {
     /// Read-progress-deadline kills; also counted in `connections_errored`.
     pub(crate) connections_expired: AtomicU64,
     pub(crate) connections_drained: AtomicU64,
+    /// Streams the edge's idle sweep ended.
+    pub(crate) streams_evicted: AtomicU64,
     pub(crate) frames_rejected: AtomicU64,
     pub(crate) replies_dropped: Arc<AtomicU64>,
     /// High-water mark of bytes queued toward any single connection.
@@ -446,12 +448,6 @@ pub(crate) fn aggregate_snapshot<'a>(
         .collect();
     let total = |field: fn(&ModelSnapshot) -> u64| -> u64 { models.iter().map(field).sum() };
     let waves = total(|m| m.waves);
-    let shard_sum = |field: fn(&ShardStats) -> &AtomicU64| -> u64 {
-        shards
-            .iter()
-            .map(|s| field(s).load(Ordering::Relaxed))
-            .sum()
-    };
     let (model, kind) = models
         .get(default)
         .map(|m| (m.name.clone(), m.kind.clone()))
@@ -466,9 +462,12 @@ pub(crate) fn aggregate_snapshot<'a>(
         connections_errored: edge.connections_errored.load(Ordering::Relaxed),
         connections_expired: edge.connections_expired.load(Ordering::Relaxed),
         connections_drained: edge.connections_drained.load(Ordering::Relaxed),
-        streams_open: shard_sum(|s| &s.streams_open),
+        streams_open: shards
+            .iter()
+            .map(|s| s.streams_open.load(Ordering::Relaxed))
+            .sum(),
         streams_opened: total(|m| m.streams_opened),
-        streams_evicted: shard_sum(|s| &s.streams_evicted),
+        streams_evicted: edge.streams_evicted.load(Ordering::Relaxed),
         timesteps_in: total(|m| m.timesteps_in),
         emissions_out: total(|m| m.emissions_out),
         frames_rejected: edge.frames_rejected.load(Ordering::Relaxed),
@@ -495,15 +494,14 @@ mod tests {
         edge.connections_total.store(3, Ordering::Relaxed);
         edge.connections_open.store(2, Ordering::Relaxed);
         edge.connections_closed.store(1, Ordering::Relaxed);
-        // Edge and shard rejections share the one counter.
+        edge.streams_evicted.store(1, Ordering::Relaxed);
         edge.frames_rejected.store(3, Ordering::Relaxed);
         edge.replies_dropped.store(7, Ordering::Relaxed);
         edge.outbuf_hwm.store(12_345, Ordering::Relaxed);
         let shards: Vec<Arc<ShardStats>> =
             (0..2).map(|_| Arc::new(ShardStats::default())).collect();
-        for (i, shard) in shards.iter().enumerate() {
+        for shard in &shards {
             shard.streams_open.store(2, Ordering::Relaxed);
-            shard.streams_evicted.store(i as u64, Ordering::Relaxed);
             shard.ticks.store(10, Ordering::Relaxed);
         }
         let fp = ModelStats::default();
@@ -536,8 +534,9 @@ mod tests {
         );
         assert_eq!(snap.models[1].kind, "i8");
         assert_eq!(snap.models[1].waves, 99);
-        // The live-slot gauge comes from the shards; every other stream,
-        // timestep, emission and wave total is the sum over the models.
+        // The live-slot gauge comes from the shards, evictions from the
+        // edge; every other stream, timestep, emission and wave total is
+        // the sum over the models.
         assert_eq!(snap.streams_open, 4);
         assert_eq!(snap.streams_opened, 10);
         assert_eq!(snap.streams_evicted, 1);

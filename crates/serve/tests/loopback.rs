@@ -504,13 +504,18 @@ fn graceful_drain_delivers_pending_emissions_and_closed_frames() {
     assert_f32_close(&outputs, &want, "drained stream");
 }
 
+/// The edge's idle clock: an idle stream is evicted (traced as one `evict`
+/// whose count is the close reason) and its id is free again, while a
+/// stream on another connection that pushes every third of the timeout,
+/// for more than three timeouts, is never evicted.
 #[test]
 fn idle_streams_are_evicted_and_slots_recycled() {
+    const IDLE: Duration = Duration::from_millis(150);
     let plan = searched_plan(5);
     let server = Server::bind(
         ServeEngine::F32(plan),
         ServerConfig {
-            idle_timeout: Some(Duration::from_millis(50)),
+            idle_timeout: Some(IDLE),
             ..ServerConfig::default()
         },
     )
@@ -524,6 +529,36 @@ fn idle_streams_are_evicted_and_slots_recycled() {
         client.recv_timeout(RECV_TIMEOUT).unwrap(),
         Some(ServerFrame::Opened { stream_id: 1 })
     ));
+    let active = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.open(2).expect("open");
+        let mut rng = StdRng::seed_from_u64(55);
+        const PUSHES: usize = 10;
+        for _ in 0..PUSHES {
+            client
+                .push(2, C as u32, &random_stream(&mut rng, 8))
+                .expect("push");
+            std::thread::sleep(IDLE / 3);
+        }
+        // Every frame until the CLOSE is acknowledged: OPENED, emissions,
+        // and no eviction.
+        client.close(2).expect("close");
+        let mut emitted = 0;
+        loop {
+            match client.recv_timeout(RECV_TIMEOUT).unwrap() {
+                Some(ServerFrame::Opened { stream_id: 2 }) => {}
+                Some(ServerFrame::EmitN { dim, outputs, .. }) => {
+                    emitted += outputs.len() / dim as usize
+                }
+                Some(ServerFrame::Closed {
+                    stream_id: 2,
+                    reason: CloseReason::ByClient,
+                }) => break,
+                other => panic!("active stream got {other:?}"),
+            }
+        }
+        assert_eq!(emitted, PUSHES, "one emission per 8-step push");
+    });
     // Stop pushing; the stream must be evicted.
     let frame = client.recv_timeout(RECV_TIMEOUT).unwrap();
     assert!(
@@ -536,6 +571,11 @@ fn idle_streams_are_evicted_and_slots_recycled() {
         ),
         "expected eviction, got {frame:?}"
     );
+    let events = client.trace(1).expect("trace");
+    let evictions: Vec<_> = events.iter().filter(|e| e.event == "evict").collect();
+    assert_eq!(evictions.len(), 1, "{events:?}");
+    assert_eq!(evictions[0].count, CloseReason::IdleEvicted as u64);
+    active.join().expect("active stream");
     // The id is free again on this connection.
     client.open(1).expect("reopen");
     assert!(matches!(
@@ -544,7 +584,7 @@ fn idle_streams_are_evicted_and_slots_recycled() {
     ));
     let stats = handle.shutdown();
     assert_eq!(stats.streams_evicted, 1);
-    assert_eq!(stats.streams_opened, 2);
+    assert_eq!(stats.streams_opened, 3);
 }
 
 #[test]
