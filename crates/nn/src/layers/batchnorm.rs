@@ -153,6 +153,18 @@ mod tests {
     }
 
     #[test]
+    fn forward_records_gamma_beta_and_one_norm_node() {
+        let bn = BatchNorm1d::new(2);
+        for mode in [Mode::Train, Mode::Eval] {
+            let mut tape = Tape::new();
+            let vx = tape.constant(Tensor::ones(&[2, 2, 4]));
+            let before = tape.len();
+            let _ = bn.forward(&mut tape, vx, mode);
+            assert_eq!(tape.len() - before, 3, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn exposes_two_params() {
         let bn = BatchNorm1d::new(3);
         assert_eq!(bn.params().len(), 2);

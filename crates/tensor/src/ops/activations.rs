@@ -6,10 +6,9 @@ use crate::tensor::Tensor;
 impl Tape {
     /// Rectified linear unit: `max(x, 0)`.
     pub fn relu(&mut self, x: Var) -> Var {
-        let xv = self.value(x).clone();
-        let value = xv.map(|v| v.max(0.0));
-        self.push_unary(x, value, move |g| {
-            g.zip_map(&xv, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+        let value = self.value(x).map(|v| v.max(0.0));
+        self.push_unary(x, value, |g, x, _| {
+            g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
                 .expect("relu backward shape")
         })
     }
@@ -17,9 +16,8 @@ impl Tape {
     /// Logistic sigmoid `1 / (1 + exp(-x))`.
     pub fn sigmoid(&mut self, x: Var) -> Var {
         let value = self.value(x).map(|v| 1.0 / (1.0 + (-v).exp()));
-        let out = value.clone();
-        self.push_unary(x, value, move |g| {
-            g.zip_map(&out, |gi, yi| gi * yi * (1.0 - yi))
+        self.push_unary(x, value, |g, _, y| {
+            g.zip_map(y, |gi, yi| gi * yi * (1.0 - yi))
                 .expect("sigmoid backward shape")
         })
     }
@@ -27,9 +25,8 @@ impl Tape {
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: Var) -> Var {
         let value = self.value(x).map(f32::tanh);
-        let out = value.clone();
-        self.push_unary(x, value, move |g| {
-            g.zip_map(&out, |gi, yi| gi * (1.0 - yi * yi))
+        self.push_unary(x, value, |g, _, y| {
+            g.zip_map(y, |gi, yi| gi * (1.0 - yi * yi))
                 .expect("tanh backward shape")
         })
     }
@@ -49,7 +46,7 @@ impl Tape {
             .value(x)
             .mul(&mask)
             .unwrap_or_else(|e| panic!("dropout_with_mask: {e}"));
-        self.push_unary(x, value, move |g| {
+        self.push_unary(x, value, move |g, _, _| {
             g.mul(&mask).expect("dropout backward shape")
         })
     }

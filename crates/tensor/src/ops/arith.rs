@@ -2,6 +2,37 @@
 
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
+use std::ops::Range;
+
+/// The rows of a `[N, C, T]` buffer in memory order (batch-major): each
+/// row's channel and the index range of its `T` values.
+pub(crate) fn channel_rows(dims: &[usize]) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let (n, c, t) = (dims[0], dims[1], dims[2]);
+    (0..n * c).map(move |row| (row % c, row * t..(row + 1) * t))
+}
+
+/// `f(c, v)` for every value `v` of `a` in channel `c`, with `a`'s buffer
+/// read as `[N, C, T]` with `dims`; the result has `a`'s shape.
+pub(crate) fn map_channels(a: &Tensor, dims: &[usize], f: impl Fn(usize, f32) -> f32) -> Tensor {
+    let mut out = Tensor::zeros(a.dims());
+    for (cc, row) in channel_rows(dims) {
+        for (o, &v) in out.data_mut()[row.clone()].iter_mut().zip(&a.data()[row]) {
+            *o = f(cc, v);
+        }
+    }
+    out
+}
+
+/// Per-channel sums over a `[N, C, T]` buffer (`dims`): channel `c` adds
+/// `term(c, i)` for each of its indices `i` in one f32 chain, batch-major,
+/// then over time.
+pub(crate) fn channel_sums(dims: &[usize], term: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut sums = vec![0.0f32; dims[1]];
+    for (cc, row) in channel_rows(dims) {
+        sums[cc] = row.fold(sums[cc], |acc, i| acc + term(cc, i));
+    }
+    sums
+}
 
 impl Tape {
     /// Element-wise addition of two nodes with identical shapes.
@@ -14,7 +45,7 @@ impl Tape {
             .value(a)
             .add(self.value(b))
             .unwrap_or_else(|e| panic!("tape add: {e}"));
-        self.push_binary(a, b, value, |g| (g.clone(), g.clone()))
+        self.push_binary(a, b, value, |g, _, _| (g.clone(), g.clone()))
     }
 
     /// Element-wise subtraction `a - b` of two nodes with identical shapes.
@@ -27,7 +58,7 @@ impl Tape {
             .value(a)
             .sub(self.value(b))
             .unwrap_or_else(|e| panic!("tape sub: {e}"));
-        self.push_binary(a, b, value, |g| (g.clone(), g.neg()))
+        self.push_binary(a, b, value, |g, _, _| (g.clone(), g.neg()))
     }
 
     /// Element-wise multiplication of two nodes with identical shapes.
@@ -36,13 +67,14 @@ impl Tape {
     ///
     /// Panics if the shapes differ.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let value = av.mul(&bv).unwrap_or_else(|e| panic!("tape mul: {e}"));
-        self.push_binary(a, b, value, move |g| {
+        let value = self
+            .value(a)
+            .mul(self.value(b))
+            .unwrap_or_else(|e| panic!("tape mul: {e}"));
+        self.push_binary(a, b, value, |g, a, b| {
             (
-                g.mul(&bv).expect("mul backward shape"),
-                g.mul(&av).expect("mul backward shape"),
+                g.mul(b).expect("mul backward shape"),
+                g.mul(a).expect("mul backward shape"),
             )
         })
     }
@@ -50,27 +82,26 @@ impl Tape {
     /// Multiplies every element of `a` by the constant `s`.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let value = self.value(a).mul_scalar(s);
-        self.push_unary(a, value, move |g| g.mul_scalar(s))
+        self.push_unary(a, value, move |g, _, _| g.mul_scalar(s))
     }
 
     /// Adds the constant `s` to every element of `a`.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
         let value = self.value(a).add_scalar(s);
-        self.push_unary(a, value, |g| g.clone())
+        self.push_unary(a, value, |g, _, _| g.clone())
     }
 
     /// Element-wise negation.
     pub fn neg(&mut self, a: Var) -> Var {
         let value = self.value(a).neg();
-        self.push_unary(a, value, |g| g.neg())
+        self.push_unary(a, value, |g, _, _| g.neg())
     }
 
     /// Element-wise absolute value (sub-gradient 0 at 0).
     pub fn abs(&mut self, a: Var) -> Var {
-        let av = self.value(a).clone();
-        let value = av.abs();
-        self.push_unary(a, value, move |g| {
-            g.zip_map(&av, |gi, xi| {
+        let value = self.value(a).abs();
+        self.push_unary(a, value, |g, x, _| {
+            g.zip_map(x, |gi, xi| {
                 gi * xi.signum() * if xi == 0.0 { 0.0 } else { 1.0 }
             })
             .expect("abs backward shape")
@@ -79,10 +110,9 @@ impl Tape {
 
     /// Element-wise square.
     pub fn square(&mut self, a: Var) -> Var {
-        let av = self.value(a).clone();
-        let value = av.map(|x| x * x);
-        self.push_unary(a, value, move |g| {
-            g.zip_map(&av, |gi, xi| gi * 2.0 * xi)
+        let value = self.value(a).map(|x| x * x);
+        self.push_unary(a, value, |g, x, _| {
+            g.zip_map(x, |gi, xi| gi * 2.0 * xi)
                 .expect("square backward shape")
         })
     }
@@ -93,40 +123,14 @@ impl Tape {
     ///
     /// Panics if `x` is not rank 3 or the bias length does not match `C`.
     pub fn add_bias_channels(&mut self, x: Var, b: Var) -> Var {
-        let xv = self.value(x).clone();
-        let bv = self.value(b).clone();
-        assert_eq!(xv.dims().len(), 3, "add_bias_channels expects [N, C, T]");
-        let (n, c, t) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
+        let dims = self.dims(x);
+        assert_eq!(dims.len(), 3, "add_bias_channels expects [N, C, T]");
         assert_eq!(
-            bv.dims(),
-            [c],
+            self.value(b).dims(),
+            [dims[1]],
             "add_bias_channels: bias must have shape [C]"
         );
-        let mut out = xv.clone();
-        for bn in 0..n {
-            for cc in 0..c {
-                let base = (bn * c + cc) * t;
-                let bias = bv.data()[cc];
-                for tt in 0..t {
-                    out.data_mut()[base + tt] += bias;
-                }
-            }
-        }
-        self.push_binary(x, b, out, move |g| {
-            let mut gb = vec![0.0f32; c];
-            for bn in 0..n {
-                for cc in 0..c {
-                    let base = (bn * c + cc) * t;
-                    for tt in 0..t {
-                        gb[cc] += g.data()[base + tt];
-                    }
-                }
-            }
-            (
-                g.clone(),
-                Tensor::from_vec(gb, &[c]).expect("bias grad shape"),
-            )
-        })
+        self.add_channel_bias(x, b, [dims[0], dims[1], dims[2]])
     }
 
     /// Adds a row bias `b` of shape `[F]` to a `[N, F]` activation.
@@ -135,27 +139,26 @@ impl Tape {
     ///
     /// Panics if `x` is not rank 2 or the bias length does not match `F`.
     pub fn add_bias_rows(&mut self, x: Var, b: Var) -> Var {
-        let xv = self.value(x).clone();
-        let bv = self.value(b).clone();
-        assert_eq!(xv.dims().len(), 2, "add_bias_rows expects [N, F]");
-        let (n, f) = (xv.dims()[0], xv.dims()[1]);
-        assert_eq!(bv.dims(), [f], "add_bias_rows: bias must have shape [F]");
-        let mut out = xv.clone();
-        for bn in 0..n {
-            for ff in 0..f {
-                out.data_mut()[bn * f + ff] += bv.data()[ff];
-            }
-        }
-        self.push_binary(x, b, out, move |g| {
-            let mut gb = vec![0.0f32; f];
-            for bn in 0..n {
-                for ff in 0..f {
-                    gb[ff] += g.data()[bn * f + ff];
-                }
-            }
+        let dims = self.dims(x);
+        assert_eq!(dims.len(), 2, "add_bias_rows expects [N, F]");
+        assert_eq!(
+            self.value(b).dims(),
+            [dims[1]],
+            "add_bias_rows: bias must have shape [F]"
+        );
+        self.add_channel_bias(x, b, [dims[0], dims[1], 1])
+    }
+
+    /// Adds `b[c]` to channel `c` of `x`, whose buffer is read as `[N, C, T]`
+    /// with `dims`; the bias gradient sums each channel batch-major.
+    fn add_channel_bias(&mut self, x: Var, b: Var, dims: [usize; 3]) -> Var {
+        let bv = self.value(b);
+        let out = map_channels(self.value(x), &dims, |cc, v| v + bv.data()[cc]);
+        self.push_binary(x, b, out, move |g, _, b| {
+            let gb = channel_sums(&dims, |_, i| g.data()[i]);
             (
                 g.clone(),
-                Tensor::from_vec(gb, &[f]).expect("bias grad shape"),
+                Tensor::from_vec(gb, b.dims()).expect("bias grad shape"),
             )
         })
     }

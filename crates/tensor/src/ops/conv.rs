@@ -1,5 +1,6 @@
 //! Causal dilated 1-D convolution with reverse-mode gradients.
 
+use super::mask::split_time_mask_grad;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -18,17 +19,14 @@ impl Tape {
     ///
     /// Panics on shape mismatches or `dilation == 0`.
     pub fn conv1d_causal(&mut self, x: Var, w: Var, bias: Option<Var>, dilation: usize) -> Var {
-        let xv = self.value(x).clone();
-        let wv = self.value(w).clone();
-        let value = xv
-            .conv1d_causal(&wv, None, dilation)
+        let value = self
+            .value(x)
+            .conv1d_causal(self.value(w), None, dilation)
             .unwrap_or_else(|e| panic!("tape conv1d_causal: {e}"));
-        let x_dims = xv.dims().to_vec();
-        let k = wv.dims()[2];
-        let conv = self.push_binary(x, w, value, move |g| {
-            let gx = Tensor::conv1d_causal_grad_input(g, &wv, &x_dims, dilation)
+        let conv = self.push_binary(x, w, value, move |g, x, w| {
+            let gx = Tensor::conv1d_causal_grad_input(g, w, x.dims(), dilation)
                 .expect("conv1d backward input");
-            let gw = Tensor::conv1d_causal_grad_weight(&xv, g, k, dilation)
+            let gw = Tensor::conv1d_causal_grad_weight(x, g, w.dims()[2], dilation)
                 .expect("conv1d backward weight");
             (gx, gw)
         });
@@ -68,32 +66,17 @@ impl Tape {
         bias: Option<Var>,
         dilation: usize,
     ) -> Var {
-        let xv = self.value(x).clone();
-        let wv = self.value(w).clone();
-        let mv = self.value(m).clone();
-        let value = xv
-            .conv1d_causal_masked(&wv, &mv, None, dilation)
+        let value = self
+            .value(x)
+            .conv1d_causal_masked(self.value(w), self.value(m), None, dilation)
             .unwrap_or_else(|e| panic!("tape conv1d_causal_masked: {e}"));
-        let x_dims = xv.dims().to_vec();
-        let (c_out, c_in, k) = (wv.dims()[0], wv.dims()[1], wv.dims()[2]);
-        let conv = self.push_ternary(x, w, m, value, move |g| {
-            let gx = Tensor::conv1d_causal_masked_grad_input(g, &wv, &mv, &x_dims, dilation)
+        let conv = self.push_ternary(x, w, m, value, move |g, x, w, m| {
+            let gx = Tensor::conv1d_causal_masked_grad_input(g, w, m, x.dims(), dilation)
                 .expect("masked conv backward input");
-            let gwm = Tensor::conv1d_causal_grad_weight(&xv, g, k, dilation)
+            let gwm = Tensor::conv1d_causal_grad_weight(x, g, w.dims()[2], dilation)
                 .expect("masked conv backward weight");
-            // Split d(w ⊙ m) into the two factors' gradients.
-            let mut gw = gwm.clone();
-            let mut gm = vec![0.0f32; k];
-            for co in 0..c_out {
-                for ci in 0..c_in {
-                    let base = (co * c_in + ci) * k;
-                    for kk in 0..k {
-                        gm[kk] += gwm.data()[base + kk] * wv.data()[base + kk];
-                        gw.data_mut()[base + kk] = gwm.data()[base + kk] * mv.data()[kk];
-                    }
-                }
-            }
-            (gx, gw, Tensor::from_vec(gm, &[k]).expect("mask grad shape"))
+            let (gw, gm) = split_time_mask_grad(gwm, w, m);
+            (gx, gw, gm)
         });
         match bias {
             Some(b) => self.add_bias_channels(conv, b),

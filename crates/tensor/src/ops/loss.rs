@@ -10,23 +10,30 @@ use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
 impl Tape {
+    /// `pred − target` for the loss `op`.
+    fn residual(&self, pred: Var, target: &Tensor, op: &str) -> Tensor {
+        let pv = self.value(pred);
+        assert!(
+            pv.shape().same_as(target.shape()),
+            "{op}: prediction shape {} vs target shape {}",
+            pv.shape(),
+            target.shape()
+        );
+        pv.sub(target).expect("loss residual")
+    }
+
     /// Mean squared error between a prediction node and a constant target.
     ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
     pub fn mse_loss(&mut self, pred: Var, target: &Tensor) -> Var {
-        let pv = self.value(pred).clone();
-        assert!(
-            pv.shape().same_as(target.shape()),
-            "mse_loss: prediction shape {} vs target shape {}",
-            pv.shape(),
-            target.shape()
-        );
-        let n = pv.len().max(1) as f32;
-        let diff = pv.sub(target).expect("mse diff");
+        let diff = self.residual(pred, target, "mse_loss");
+        let n = diff.len().max(1) as f32;
         let value = Tensor::scalar(diff.data().iter().map(|d| d * d).sum::<f32>() / n);
-        self.push_unary(pred, value, move |g| diff.mul_scalar(2.0 * g.item() / n))
+        self.push_unary(pred, value, move |g, _, _| {
+            diff.mul_scalar(2.0 * g.item() / n)
+        })
     }
 
     /// Mean absolute error between a prediction node and a constant target.
@@ -37,17 +44,10 @@ impl Tape {
     ///
     /// Panics if the shapes differ.
     pub fn mae_loss(&mut self, pred: Var, target: &Tensor) -> Var {
-        let pv = self.value(pred).clone();
-        assert!(
-            pv.shape().same_as(target.shape()),
-            "mae_loss: prediction shape {} vs target shape {}",
-            pv.shape(),
-            target.shape()
-        );
-        let n = pv.len().max(1) as f32;
-        let diff = pv.sub(target).expect("mae diff");
+        let diff = self.residual(pred, target, "mae_loss");
+        let n = diff.len().max(1) as f32;
         let value = Tensor::scalar(diff.data().iter().map(|d| d.abs()).sum::<f32>() / n);
-        self.push_unary(pred, value, move |g| {
+        self.push_unary(pred, value, move |g, _, _| {
             diff.map(|d| if d == 0.0 { 0.0 } else { d.signum() })
                 .mul_scalar(g.item() / n)
         })
@@ -64,7 +64,7 @@ impl Tape {
     ///
     /// Panics if the shapes differ.
     pub fn bce_with_logits_loss(&mut self, logits: Var, target: &Tensor) -> Var {
-        let zv = self.value(logits).clone();
+        let zv = self.value(logits);
         assert!(
             zv.shape().same_as(target.shape()),
             "bce_with_logits_loss: logits shape {} vs target shape {}",
@@ -78,10 +78,10 @@ impl Tape {
         }
         let value = Tensor::scalar(total / n);
         let target = target.clone();
-        self.push_unary(logits, value, move |g| {
+        self.push_unary(logits, value, move |g, z, _| {
             // d/dz = sigmoid(z) - y
             let scale = g.item() / n;
-            zv.zip_map(&target, |z, y| (1.0 / (1.0 + (-z).exp()) - y) * scale)
+            z.zip_map(&target, |z, y| (1.0 / (1.0 + (-z).exp()) - y) * scale)
                 .expect("bce backward shape")
         })
     }

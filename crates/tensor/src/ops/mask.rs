@@ -37,6 +37,30 @@ pub fn gamma_index_for_tap(i: usize, l: usize) -> usize {
     (i.trailing_zeros() as usize).min(l - 1)
 }
 
+/// The full γ vector: the constant `γ₀ = 1`, then the trainable tail.
+fn full_gamma(tail: &Tensor) -> Vec<f32> {
+    let mut g = Vec::with_capacity(tail.len() + 1);
+    g.push(1.0);
+    g.extend_from_slice(tail.data());
+    g
+}
+
+/// Splits the gradient `gwm` of a masked `[C_out, C_in, K]` filter bank
+/// `w ⊙ m` into the factors' gradients: `dw = gwm ⊙ m` and
+/// `dm[k] = Σ_{co, ci} gwm[co, ci, k] · w[co, ci, k]`.
+pub(crate) fn split_time_mask_grad(mut gwm: Tensor, w: &Tensor, m: &Tensor) -> (Tensor, Tensor) {
+    let mut gm = vec![0.0f32; m.len()];
+    let taps = m.data().iter().enumerate().cycle();
+    for ((gi, &wi), (kk, &mk)) in gwm.data_mut().iter_mut().zip(w.data()).zip(taps) {
+        gm[kk] += *gi * wi;
+        *gi *= mk;
+    }
+    (
+        gwm,
+        Tensor::from_vec(gm, m.dims()).expect("mask grad shape"),
+    )
+}
+
 impl Tape {
     /// Straight-through binarisation (Eq. 2 of the paper).
     ///
@@ -46,7 +70,7 @@ impl Tape {
         let value = self
             .value(x)
             .map(|v| if v >= threshold { 1.0 } else { 0.0 });
-        self.push_unary(x, value, |g| g.clone())
+        self.push_unary(x, value, |g, _, _| g.clone())
     }
 
     /// Builds the PIT time mask `M` (length `rf_max`) from the trainable tail
@@ -60,7 +84,7 @@ impl Tape {
     /// Panics if the γ tail length is not `L − 1` for the given `rf_max`.
     pub fn pit_time_mask(&mut self, gamma_tail: Var, rf_max: usize) -> Var {
         let l = gamma_len(rf_max);
-        let gt = self.value(gamma_tail).clone();
+        let gt = self.value(gamma_tail);
         assert_eq!(
             gt.dims(),
             [l - 1],
@@ -69,28 +93,19 @@ impl Tape {
             rf_max,
             gt.dims()
         );
-        // Full gamma vector with the constant gamma_0 = 1 prepended.
-        let full_gamma = |tail: &Tensor| -> Vec<f32> {
-            let mut g = Vec::with_capacity(l);
-            g.push(1.0);
-            g.extend_from_slice(tail.data());
-            g
-        };
-        let g = full_gamma(&gt);
+        let g = full_gamma(gt);
         // Gamma products: Gamma_j = prod_{k=0}^{l-1-j} g[k].
-        let gamma_products = |g: &[f32]| -> Vec<f32> {
-            (0..l)
-                .map(|j| g[..=(l - 1 - j)].iter().product::<f32>())
-                .collect()
-        };
-        let big_gamma = gamma_products(&g);
+        let big_gamma: Vec<f32> = (0..l)
+            .map(|j| g[..=(l - 1 - j)].iter().product::<f32>())
+            .collect();
         let mut m = vec![0.0f32; rf_max];
         m[0] = 1.0;
         for (i, slot) in m.iter_mut().enumerate().skip(1) {
             *slot = big_gamma[gamma_index_for_tap(i, l)];
         }
         let value = Tensor::from_vec(m, &[rf_max]).expect("mask shape");
-        self.push_unary(gamma_tail, value, move |grad_m| {
+        self.push_unary(gamma_tail, value, move |grad_m, tail, _| {
+            let g = full_gamma(tail);
             // dGamma_j accumulated from all taps it gates.
             let mut d_big_gamma = vec![0.0f32; l];
             for i in 1..rf_max {
@@ -120,38 +135,22 @@ impl Tape {
     ///
     /// Panics if `w` is not rank 3 or the mask length differs from `K`.
     pub fn mul_time_mask(&mut self, w: Var, m: Var) -> Var {
-        let wv = self.value(w).clone();
-        let mv = self.value(m).clone();
+        let (wv, mv) = (self.value(w), self.value(m));
         assert_eq!(
             wv.dims().len(),
             3,
             "mul_time_mask expects [C_out, C_in, K] weights"
         );
-        let (c_out, c_in, k) = (wv.dims()[0], wv.dims()[1], wv.dims()[2]);
+        let k = wv.dims()[2];
         assert_eq!(mv.dims(), [k], "mul_time_mask: mask must have shape [K]");
-        let mut out = wv.clone();
-        for co in 0..c_out {
-            for ci in 0..c_in {
-                let base = (co * c_in + ci) * k;
-                for kk in 0..k {
-                    out.data_mut()[base + kk] *= mv.data()[kk];
-                }
-            }
-        }
-        self.push_binary(w, m, out, move |g| {
-            let mut gw = g.clone();
-            let mut gm = vec![0.0f32; k];
-            for co in 0..c_out {
-                for ci in 0..c_in {
-                    let base = (co * c_in + ci) * k;
-                    for kk in 0..k {
-                        gm[kk] += g.data()[base + kk] * wv.data()[base + kk];
-                        gw.data_mut()[base + kk] = g.data()[base + kk] * mv.data()[kk];
-                    }
-                }
-            }
-            (gw, Tensor::from_vec(gm, &[k]).expect("mask grad shape"))
-        })
+        let data = wv
+            .data()
+            .iter()
+            .zip(mv.data().iter().cycle())
+            .map(|(&v, &mk)| v * mk)
+            .collect();
+        let value = Tensor::from_vec(data, wv.dims()).expect("masked weight shape");
+        self.push_binary(w, m, value, |g, w, m| split_time_mask_grad(g.clone(), w, m))
     }
 
     /// Weighted Lasso term `Σ_i coeffs[i] · |x_i|`, producing a scalar node.
@@ -163,7 +162,7 @@ impl Tape {
     ///
     /// Panics if `coeffs.len()` differs from the number of elements of `x`.
     pub fn weighted_abs_sum(&mut self, x: Var, coeffs: &[f32]) -> Var {
-        let xv = self.value(x).clone();
+        let xv = self.value(x);
         assert_eq!(
             coeffs.len(),
             xv.len(),
@@ -179,10 +178,9 @@ impl Tape {
             .sum();
         let value = Tensor::scalar(total);
         let coeffs = coeffs.to_vec();
-        let dims = xv.dims().to_vec();
-        self.push_unary(x, value, move |g| {
+        self.push_unary(x, value, move |g, x, _| {
             let scale = g.item();
-            let data: Vec<f32> = xv
+            let data: Vec<f32> = x
                 .data()
                 .iter()
                 .zip(coeffs.iter())
@@ -194,7 +192,7 @@ impl Tape {
                     }
                 })
                 .collect();
-            Tensor::from_vec(data, &dims).expect("weighted abs grad shape")
+            Tensor::from_vec(data, x.dims()).expect("weighted abs grad shape")
         })
     }
 }

@@ -11,14 +11,13 @@ impl Tape {
     ///
     /// Panics if either operand is not rank 2 or the inner dimensions differ.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let value = av
-            .matmul(&bv)
+        let value = self
+            .value(a)
+            .matmul(self.value(b))
             .unwrap_or_else(|e| panic!("tape matmul: {e}"));
-        self.push_binary(a, b, value, move |g| {
-            let bt = bv.transpose2().expect("matmul backward transpose");
-            let at = av.transpose2().expect("matmul backward transpose");
+        self.push_binary(a, b, value, |g, a, b| {
+            let bt = b.transpose2().expect("matmul backward transpose");
+            let at = a.transpose2().expect("matmul backward transpose");
             let ga = g.matmul(&bt).expect("matmul backward dA");
             let gb = at.matmul(g).expect("matmul backward dB");
             (ga, gb)

@@ -1,5 +1,6 @@
 //! Batch normalisation over `[N, C, T]` activations.
 
+use super::arith::{channel_rows, channel_sums, map_channels};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -25,108 +26,61 @@ impl Tape {
     ///
     /// Panics on rank/shape mismatches.
     pub fn batch_norm1d(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> (Var, BatchStats) {
-        let xv = self.value(x).clone();
-        let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
+        let (xv, gv, bv) = (self.value(x), self.value(gamma), self.value(beta));
         assert_eq!(xv.dims().len(), 3, "batch_norm1d expects [N, C, T]");
         let (n, c, t) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
         assert_eq!(gv.dims(), [c], "batch_norm1d: gamma must have shape [C]");
         assert_eq!(bv.dims(), [c], "batch_norm1d: beta must have shape [C]");
         let m = (n * t) as f32;
 
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for cc in 0..c {
-            let mut acc = 0.0f32;
-            for bn in 0..n {
-                let base = (bn * c + cc) * t;
-                for tt in 0..t {
-                    acc += xv.data()[base + tt];
-                }
-            }
-            mean[cc] = acc / m;
-            let mut vacc = 0.0f32;
-            for bn in 0..n {
-                let base = (bn * c + cc) * t;
-                for tt in 0..t {
-                    let d = xv.data()[base + tt] - mean[cc];
-                    vacc += d * d;
-                }
-            }
-            var[cc] = vacc / m;
-        }
-
-        let mut xhat = vec![0.0f32; xv.len()];
-        let mut out = vec![0.0f32; xv.len()];
-        for cc in 0..c {
-            let inv_std = 1.0 / (var[cc] + eps).sqrt();
-            for bn in 0..n {
-                let base = (bn * c + cc) * t;
-                for tt in 0..t {
-                    let h = (xv.data()[base + tt] - mean[cc]) * inv_std;
-                    xhat[base + tt] = h;
-                    out[base + tt] = gv.data()[cc] * h + bv.data()[cc];
-                }
-            }
-        }
+        let dims = xv.dims();
+        let mut mean = channel_sums(dims, |_, i| xv.data()[i]);
+        mean.iter_mut().for_each(|mu| *mu /= m);
+        let mut var = channel_sums(dims, |cc, i| {
+            let d = xv.data()[i] - mean[cc];
+            d * d
+        });
+        var.iter_mut().for_each(|v| *v /= m);
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
+        let xhat = map_channels(xv, dims, |cc, v| (v - mean[cc]) * inv_std[cc]);
+        let out = map_channels(&xhat, dims, |cc, h| gv.data()[cc] * h + bv.data()[cc]);
 
         let stats = BatchStats {
-            mean: Tensor::from_vec(mean.clone(), &[c]).expect("bn mean shape"),
-            var: Tensor::from_vec(var.clone(), &[c]).expect("bn var shape"),
+            mean: Tensor::from_vec(mean, &[c]).expect("bn mean shape"),
+            var: Tensor::from_vec(var, &[c]).expect("bn var shape"),
         };
-        let xhat_t = Tensor::from_vec(xhat, &[n, c, t]).expect("bn xhat shape");
-        let value = Tensor::from_vec(out, &[n, c, t]).expect("bn out shape");
-
-        let node = self.push(
-            value,
-            vec![x.0, gamma.0, beta.0],
-            Some(Box::new(move |g| {
-                // Standard batch-norm backward over (N, T) per channel.
-                let mut gx = Tensor::zeros(&[n, c, t]);
-                let mut ggamma = vec![0.0f32; c];
-                let mut gbeta = vec![0.0f32; c];
-                for cc in 0..c {
-                    let inv_std = 1.0 / (var[cc] + eps).sqrt();
-                    let gm = gv.data()[cc];
-                    let mut sum_dy = 0.0f32;
-                    let mut sum_dy_xhat = 0.0f32;
-                    for bn in 0..n {
-                        let base = (bn * c + cc) * t;
-                        for tt in 0..t {
-                            let dy = g.data()[base + tt];
-                            let h = xhat_t.data()[base + tt];
-                            sum_dy += dy;
-                            sum_dy_xhat += dy * h;
-                        }
-                    }
-                    ggamma[cc] = sum_dy_xhat;
-                    gbeta[cc] = sum_dy;
-                    for bn in 0..n {
-                        let base = (bn * c + cc) * t;
-                        for tt in 0..t {
-                            let dy = g.data()[base + tt];
-                            let h = xhat_t.data()[base + tt];
-                            gx.data_mut()[base + tt] =
-                                gm * inv_std / m * (m * dy - sum_dy - h * sum_dy_xhat);
-                        }
-                    }
+        let node = self.push_ternary(x, gamma, beta, out, move |g, _, gamma, _| {
+            // Standard batch-norm backward over (N, T) per channel.
+            let sum_dy = channel_sums(g.dims(), |_, i| g.data()[i]);
+            let sum_dy_xhat = channel_sums(g.dims(), |_, i| g.data()[i] * xhat.data()[i]);
+            let mut gx = Tensor::zeros(g.dims());
+            for (cc, row) in channel_rows(g.dims()) {
+                let k = gamma.data()[cc] * inv_std[cc] / m;
+                let (dy, h) = (&g.data()[row.clone()], &xhat.data()[row.clone()]);
+                for ((o, &dy), &h) in gx.data_mut()[row].iter_mut().zip(dy).zip(h) {
+                    *o = k * (m * dy - sum_dy[cc] - h * sum_dy_xhat[cc]);
                 }
-                vec![
-                    gx,
-                    Tensor::from_vec(ggamma, &[c]).expect("bn dgamma shape"),
-                    Tensor::from_vec(gbeta, &[c]).expect("bn dbeta shape"),
-                ]
-            })),
-            None,
-        );
+            }
+            (
+                gx,
+                Tensor::from_vec(sum_dy_xhat, &[c]).expect("bn dgamma shape"),
+                Tensor::from_vec(sum_dy, &[c]).expect("bn dbeta shape"),
+            )
+        });
         (node, stats)
     }
 
-    /// Inference-mode batch normalisation using fixed (running) statistics.
+    /// Inference-mode batch normalisation using fixed (running) statistics,
+    /// recorded as one node:
+    ///
+    /// `y = (x·s_c + h_c)·γ_c + β_c`, with `s_c = 1/√(var_c + ε)` and
+    /// `h_c = −mean_c·s_c`.
     ///
     /// `running_mean` / `running_var` are constants of shape `[C]`; gradients
     /// still flow into `x`, `gamma` and `beta` (useful for fine-tuning with
-    /// frozen statistics).
+    /// frozen statistics): `dx = (g·γ_c)·s_c`, `dγ_c = Σ g·x̂` with
+    /// `x̂ = x·s_c + h_c`, and `dβ_c = Σ g`, each channel summed batch-major,
+    /// then over time.
     ///
     /// # Panics
     ///
@@ -140,73 +94,43 @@ impl Tape {
         running_var: &Tensor,
         eps: f32,
     ) -> Var {
-        let xv = self.value(x).clone();
+        let (xv, gv, bv) = (self.value(x), self.value(gamma), self.value(beta));
         assert_eq!(
             xv.dims().len(),
             3,
             "batch_norm1d_inference expects [N, C, T]"
         );
-        let (n, c, t) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
-        assert_eq!(running_mean.dims(), [c]);
-        assert_eq!(running_var.dims(), [c]);
-        // y = gamma * (x - mu) * inv_std + beta, with mu / inv_std constant:
-        // implement via existing ops so gradients are exact and simple.
-        let mut scale = vec![0.0f32; c];
-        let mut shift = vec![0.0f32; c];
-        for cc in 0..c {
-            let inv_std = 1.0 / (running_var.data()[cc] + eps).sqrt();
-            scale[cc] = inv_std;
-            shift[cc] = -running_mean.data()[cc] * inv_std;
+        let c = xv.dims()[1];
+        for stat in [gv, bv, running_mean, running_var] {
+            assert_eq!(stat.dims(), [c], "batch_norm1d_inference: [C] operands");
         }
-        // x_hat = x * scale_c + shift_c  (per channel), then y = gamma_c * x_hat + beta_c
-        let scale_t = Tensor::from_vec(scale, &[c]).expect("bn scale shape");
-        let shift_t = Tensor::from_vec(shift, &[c]).expect("bn shift shape");
-        let vscale = self.constant(broadcast_channels(&scale_t, n, c, t));
-        let vshift = self.constant(broadcast_channels(&shift_t, n, c, t));
-        let gammab = {
-            let gv = self.value(gamma).clone();
-            self.broadcast_channels_node(gamma, &gv, n, t)
-        };
-        let betab = {
-            let bv = self.value(beta).clone();
-            self.broadcast_channels_node(beta, &bv, n, t)
-        };
-        let xs = self.mul(x, vscale);
-        let xhat = self.add(xs, vshift);
-        let scaled = self.mul(xhat, gammab);
-        self.add(scaled, betab)
-    }
-
-    /// Expands a `[C]` node into `[N, C, T]` by repetition (gradient sums back).
-    fn broadcast_channels_node(&mut self, v: Var, vv: &Tensor, n: usize, t: usize) -> Var {
-        let c = vv.dims()[0];
-        let value = broadcast_channels(vv, n, c, t);
-        self.push_unary(v, value, move |g| {
-            let mut out = vec![0.0f32; c];
-            for bn in 0..n {
-                for cc in 0..c {
-                    let base = (bn * c + cc) * t;
-                    for tt in 0..t {
-                        out[cc] += g.data()[base + tt];
-                    }
-                }
-            }
-            Tensor::from_vec(out, &[c]).expect("broadcast backward shape")
+        let scale: Vec<f32> = running_var
+            .data()
+            .iter()
+            .map(|&v| 1.0 / (v + eps).sqrt())
+            .collect();
+        let shift: Vec<f32> = running_mean
+            .data()
+            .iter()
+            .zip(&scale)
+            .map(|(&mu, &s)| -mu * s)
+            .collect();
+        let out = map_channels(xv, xv.dims(), |cc, v| {
+            (v * scale[cc] + shift[cc]) * gv.data()[cc] + bv.data()[cc]
+        });
+        self.push_ternary(x, gamma, beta, out, move |g, x, gamma, _| {
+            let gx = map_channels(g, g.dims(), |cc, dy| dy * gamma.data()[cc] * scale[cc]);
+            let ggamma = channel_sums(g.dims(), |cc, i| {
+                g.data()[i] * (x.data()[i] * scale[cc] + shift[cc])
+            });
+            let gbeta = channel_sums(g.dims(), |_, i| g.data()[i]);
+            (
+                gx,
+                Tensor::from_vec(ggamma, &[c]).expect("bn dgamma shape"),
+                Tensor::from_vec(gbeta, &[c]).expect("bn dbeta shape"),
+            )
         })
     }
-}
-
-fn broadcast_channels(v: &Tensor, n: usize, c: usize, t: usize) -> Tensor {
-    let mut out = vec![0.0f32; n * c * t];
-    for bn in 0..n {
-        for cc in 0..c {
-            let base = (bn * c + cc) * t;
-            for tt in 0..t {
-                out[base + tt] = v.data()[cc];
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, t]).expect("broadcast shape")
 }
 
 #[cfg(test)]
@@ -313,10 +237,90 @@ mod tests {
         let yv = tape.value(y);
         assert!((yv.data()[0] - (-1.0)).abs() < 1e-5);
         assert!((yv.data()[1] - 1.0).abs() < 1e-5);
-        // Gradient flows back into gamma via the broadcast path.
+        // Gradient flows back into gamma and beta through the one node.
         let loss = tape.sum(y);
         tape.backward(loss);
         assert_eq!(gamma.grad().data(), &[0.0]); // xhat values sum to zero here
         assert_eq!(beta.grad().data(), &[2.0]);
+    }
+
+    /// Eval-mode batch norm of `[2, 2, 4]` random inputs: `sum(y²)` and, with
+    /// `backward`, its gradients accumulated into the params.
+    fn inference_loss(x: &Param, gamma: &Param, beta: &Param, backward: bool) -> f32 {
+        let running_mean = Tensor::from_vec(vec![0.3, -0.2], &[2]).unwrap();
+        let running_var = Tensor::from_vec(vec![0.5, 2.0], &[2]).unwrap();
+        let mut tape = Tape::new();
+        let (vx, vg, vb) = (tape.param(x), tape.param(gamma), tape.param(beta));
+        let y = tape.batch_norm1d_inference(vx, vg, vb, &running_mean, &running_var, 1e-5);
+        let sq = tape.square(y);
+        let loss = tape.sum(sq);
+        if backward {
+            tape.backward(loss);
+        }
+        tape.value(loss).item()
+    }
+
+    #[test]
+    fn inference_gradients_match_finite_differences() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = Param::new(init::uniform(&mut rng, &[2, 2, 4], 1.0), "x");
+        let gamma = Param::new(init::uniform(&mut rng, &[2], 1.0), "gamma");
+        let beta = Param::new(init::uniform(&mut rng, &[2], 1.0), "beta");
+        let forward = || inference_loss(&x, &gamma, &beta, false);
+        inference_loss(&x, &gamma, &beta, true);
+        for (name, p) in [("dX", &x), ("dGamma", &gamma), ("dBeta", &beta)] {
+            let err = check_param_grad(p, &p.grad(), &forward, 1e-3);
+            assert!(err < 1e-2, "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn inference_node_matches_the_old_composition_bit_for_bit() {
+        // The arithmetic of the 8-node composition this node replaced,
+        // written out: y = ((x * s) + h) * gamma + beta, dx = (g * gamma) * s,
+        // and each channel's dgamma / dbeta summed batch-major, then over time.
+        let mut rng = StdRng::seed_from_u64(4);
+        let (n, c, t) = (3, 4, 5);
+        let x = Param::new(init::uniform(&mut rng, &[n, c, t], 2.0), "x");
+        let gamma = Param::new(init::uniform(&mut rng, &[c], 1.5), "gamma");
+        let beta = Param::new(init::uniform(&mut rng, &[c], 1.0), "beta");
+        let mean = init::uniform(&mut rng, &[c], 1.0);
+        let var = init::uniform(&mut rng, &[c], 1.0).map(|v| v.abs() + 0.1);
+        let g = init::uniform(&mut rng, &[n, c, t], 1.0);
+        let eps = 1e-5;
+        let mut tape = Tape::new();
+        let (vx, vg, vb) = (tape.param(&x), tape.param(&gamma), tape.param(&beta));
+        let y = tape.batch_norm1d_inference(vx, vg, vb, &mean, &var, eps);
+        let got_y = tape.value(y).clone();
+        tape.backward_with_seed(y, g.clone());
+
+        let (xv, gv, bv) = (x.value(), gamma.value(), beta.value());
+        let mut want = [
+            vec![0.0f32; n * c * t],
+            vec![0.0; n * c * t],
+            vec![0.0; c],
+            vec![0.0; c],
+        ];
+        for bn in 0..n {
+            for cc in 0..c {
+                let s = 1.0 / (var.data()[cc] + eps).sqrt();
+                let h = -mean.data()[cc] * s;
+                for i in (bn * c + cc) * t..(bn * c + cc + 1) * t {
+                    let xhat = xv.data()[i] * s + h;
+                    want[0][i] = xhat * gv.data()[cc] + bv.data()[cc];
+                    want[1][i] = g.data()[i] * gv.data()[cc] * s;
+                    want[2][cc] += g.data()[i] * xhat;
+                    want[3][cc] += g.data()[i];
+                }
+            }
+        }
+        let got = [got_y, x.grad(), gamma.grad(), beta.grad()];
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (name, (got, want)) in ["y", "dX", "dGamma", "dBeta"]
+            .iter()
+            .zip(got.iter().zip(&want))
+        {
+            assert_eq!(bits(got.data()), bits(want), "{name}");
+        }
     }
 }

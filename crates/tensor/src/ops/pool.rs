@@ -1,5 +1,6 @@
 //! Pooling operations over the time axis.
 
+use super::arith::channel_rows;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -12,13 +13,12 @@ impl Tape {
     ///
     /// Panics on invalid kernel/stride or rank mismatch.
     pub fn avg_pool1d(&mut self, x: Var, kernel: usize, stride: usize) -> Var {
-        let xv = self.value(x).clone();
-        let value = xv
+        let value = self
+            .value(x)
             .avg_pool1d(kernel, stride)
             .unwrap_or_else(|e| panic!("tape avg_pool1d: {e}"));
-        let in_dims = xv.dims().to_vec();
-        self.push_unary(x, value, move |g| {
-            Tensor::avg_pool1d_grad(g, &in_dims, kernel, stride).expect("avg_pool1d backward")
+        self.push_unary(x, value, move |g, x, _| {
+            Tensor::avg_pool1d_grad(g, x.dims(), kernel, stride).expect("avg_pool1d backward")
         })
     }
 
@@ -28,34 +28,20 @@ impl Tape {
     ///
     /// Panics if `x` is not rank 3.
     pub fn global_avg_pool_time(&mut self, x: Var) -> Var {
-        let xv = self.value(x).clone();
+        let xv = self.value(x);
         assert_eq!(xv.dims().len(), 3, "global_avg_pool_time expects [N, C, T]");
         let (n, c, t) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
-        let mut out = vec![0.0f32; n * c];
-        for bn in 0..n {
-            for cc in 0..c {
-                let base = (bn * c + cc) * t;
-                let mut acc = 0.0f32;
-                for tt in 0..t {
-                    acc += xv.data()[base + tt];
-                }
-                out[bn * c + cc] = acc / t as f32;
-            }
-        }
+        let out = channel_rows(xv.dims())
+            .map(|(_, row)| xv.data()[row].iter().fold(0.0f32, |acc, &v| acc + v) / t as f32)
+            .collect();
         let value = Tensor::from_vec(out, &[n, c]).expect("gap shape");
-        self.push_unary(x, value, move |g| {
-            let mut gx = vec![0.0f32; n * c * t];
+        self.push_unary(x, value, move |g, x, _| {
+            let mut gx = Tensor::zeros(x.dims());
             let inv = 1.0 / t as f32;
-            for bn in 0..n {
-                for cc in 0..c {
-                    let base = (bn * c + cc) * t;
-                    let gv = g.data()[bn * c + cc] * inv;
-                    for tt in 0..t {
-                        gx[base + tt] = gv;
-                    }
-                }
+            for (r, (_, row)) in channel_rows(x.dims()).enumerate() {
+                gx.data_mut()[row].fill(g.data()[r] * inv);
             }
-            Tensor::from_vec(gx, &[n, c, t]).expect("gap backward shape")
+            gx
         })
     }
 }

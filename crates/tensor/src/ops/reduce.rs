@@ -6,19 +6,16 @@ use crate::tensor::Tensor;
 impl Tape {
     /// Sum of all elements, producing a scalar node.
     pub fn sum(&mut self, x: Var) -> Var {
-        let xv = self.value(x).clone();
-        let value = Tensor::scalar(xv.sum_all());
-        let dims = xv.dims().to_vec();
-        self.push_unary(x, value, move |g| Tensor::full(&dims, g.item()))
+        let value = Tensor::scalar(self.value(x).sum_all());
+        self.push_unary(x, value, |g, x, _| Tensor::full(x.dims(), g.item()))
     }
 
     /// Mean of all elements, producing a scalar node.
     pub fn mean(&mut self, x: Var) -> Var {
-        let xv = self.value(x).clone();
-        let n = xv.len().max(1) as f32;
-        let value = Tensor::scalar(xv.mean_all());
-        let dims = xv.dims().to_vec();
-        self.push_unary(x, value, move |g| Tensor::full(&dims, g.item() / n))
+        let value = Tensor::scalar(self.value(x).mean_all());
+        self.push_unary(x, value, |g, x, _| {
+            Tensor::full(x.dims(), g.item() / x.len().max(1) as f32)
+        })
     }
 }
 

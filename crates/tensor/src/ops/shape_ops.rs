@@ -9,13 +9,12 @@ impl Tape {
     ///
     /// Panics if the volumes differ.
     pub fn reshape(&mut self, x: Var, shape: &[usize]) -> Var {
-        let xv = self.value(x).clone();
-        let value = xv
+        let value = self
+            .value(x)
             .reshape(shape)
             .unwrap_or_else(|e| panic!("tape reshape: {e}"));
-        let orig = xv.dims().to_vec();
-        self.push_unary(x, value, move |g| {
-            g.reshape(&orig).expect("reshape backward")
+        self.push_unary(x, value, |g, x, _| {
+            g.reshape(x.dims()).expect("reshape backward")
         })
     }
 

@@ -98,12 +98,6 @@ impl Param {
         inner.value = value;
     }
 
-    /// Applies `f` to the parameter value in place.
-    pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
-        let mut inner = self.inner.lock();
-        f(&mut inner.value);
-    }
-
     /// Adds `grad` to the accumulated gradient.
     ///
     /// # Panics
@@ -143,12 +137,6 @@ impl Param {
         for (v, g) in value.data_mut().iter_mut().zip(grad.data().iter()) {
             *v -= lr * (g + weight_decay * *v);
         }
-    }
-
-    /// Runs `f` with read access to value and gradient without cloning.
-    pub fn with_value_and_grad<R>(&self, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
-        let inner = self.inner.lock();
-        f(&inner.value, &inner.grad)
     }
 
     /// Runs `f` with mutable access to the value and read access to the gradient.

@@ -5,6 +5,12 @@
 //! [`Tape::backward`] walks the nodes in reverse creation order, propagates
 //! the adjoints and accumulates gradients into every [`Param`] leaf.
 //!
+//! The tape is the only owner of forward values. An op borrows its operands
+//! while it computes its output, and its backward closure reads them from the
+//! tape again: [`Tape::backward`] hands each closure its parents' values and
+//! its own. A closure keeps only what the forward pass derived (saved
+//! statistics, masks, loss residuals, scalars).
+//!
 //! A fresh tape is created for every forward pass (training step); parameters
 //! persist outside the tape.
 
@@ -26,9 +32,12 @@ impl Var {
     }
 }
 
-/// Backward closure: maps the adjoint of this node to the adjoints of its
-/// parents (one tensor per parent, in the same order as `parents`).
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor>>;
+/// Backward closure: maps the adjoint of this node, the forward values of its
+/// parents (in `parents` order) and its own forward value to the adjoints of
+/// its parents (one tensor per parent, in the same order as `parents`).
+///
+/// The operands come from the tape, so a closure captures none of them.
+pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[&Tensor], &Tensor) -> Vec<Tensor>>;
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
@@ -118,51 +127,57 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
+    /// Records a node with one parent; `backward` gets `(g, x, y)`: the
+    /// adjoint, the parent's value and this node's value.
     pub(crate) fn push_unary(
         &mut self,
         parent: Var,
         value: Tensor,
-        backward: impl Fn(&Tensor) -> Tensor + 'static,
+        backward: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
     ) -> Var {
         self.push(
             value,
             vec![parent.0],
-            Some(Box::new(move |g| vec![backward(g)])),
+            Some(Box::new(move |g, xs, y| vec![backward(g, xs[0], y)])),
             None,
         )
     }
 
+    /// Records a node with two parents; `backward` gets `(g, a, b)`: the
+    /// adjoint and the parents' values.
     pub(crate) fn push_binary(
         &mut self,
         a: Var,
         b: Var,
         value: Tensor,
-        backward: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
+        backward: impl Fn(&Tensor, &Tensor, &Tensor) -> (Tensor, Tensor) + 'static,
     ) -> Var {
         self.push(
             value,
             vec![a.0, b.0],
-            Some(Box::new(move |g| {
-                let (ga, gb) = backward(g);
+            Some(Box::new(move |g, xs, _| {
+                let (ga, gb) = backward(g, xs[0], xs[1]);
                 vec![ga, gb]
             })),
             None,
         )
     }
 
+    /// Records a node with three parents; `backward` gets `(g, a, b, c)`:
+    /// the adjoint and the parents' values.
     pub(crate) fn push_ternary(
         &mut self,
         a: Var,
         b: Var,
         c: Var,
         value: Tensor,
-        backward: impl Fn(&Tensor) -> (Tensor, Tensor, Tensor) + 'static,
+        backward: impl Fn(&Tensor, &Tensor, &Tensor, &Tensor) -> (Tensor, Tensor, Tensor) + 'static,
     ) -> Var {
         self.push(
             value,
             vec![a.0, b.0, c.0],
-            Some(Box::new(move |g| {
-                let (ga, gb, gc) = backward(g);
+            Some(Box::new(move |g, xs, _| {
+                let (ga, gb, gc) = backward(g, xs[0], xs[1], xs[2]);
                 vec![ga, gb, gc]
             })),
             None,
@@ -199,6 +214,7 @@ impl Tape {
         );
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[root.0] = Some(seed);
+        let mut operands: Vec<&Tensor> = Vec::with_capacity(3);
 
         for i in (0..=root.0).rev() {
             let Some(grad) = grads[i].take() else {
@@ -206,7 +222,9 @@ impl Tape {
             };
             let node = &self.nodes[i];
             if let Some(backward) = &node.backward {
-                let parent_grads = backward(&grad);
+                operands.clear();
+                operands.extend(node.parents.iter().map(|&p| &self.nodes[p].value));
+                let parent_grads = backward(&grad, &operands, &node.value);
                 assert_eq!(
                     parent_grads.len(),
                     node.parents.len(),
@@ -294,7 +312,7 @@ mod tests {
         let mut tape = Tape::new();
         assert!(tape.is_empty());
         let a = tape.constant(Tensor::ones(&[1]));
-        let _ = tape.push_unary(a, Tensor::ones(&[1]), |g| g.clone());
+        let _ = tape.push_unary(a, Tensor::ones(&[1]), |g, _, _| g.clone());
         assert_eq!(tape.len(), 2);
     }
 }

@@ -128,11 +128,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the single element of a scalar (or one-element) tensor.
     ///
     /// # Panics
@@ -297,13 +292,6 @@ impl Tensor {
             *a += b;
         }
         Ok(())
-    }
-
-    /// In-place scaling: `self *= s`.
-    pub fn scale_assign(&mut self, s: f32) {
-        for a in self.data.iter_mut() {
-            *a *= s;
-        }
     }
 
     /// Fills the tensor with `value`.
