@@ -5,11 +5,10 @@ use crate::scale::{ExperimentScale, SeedKind};
 use pit_baselines::{ProxylessConfig, ProxylessOutcome, ProxylessSearch, ProxylessSupernet};
 use pit_datasets::{NottinghamConfig, NottinghamGenerator, PpgDaliaConfig, PpgDaliaGenerator};
 use pit_hw::{Deployment, Gap8Config};
-use pit_models::{NetworkDescriptor, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig};
+use pit_models::{NetworkDescriptor, ResTcnConfig, Tcn, TempoNetConfig};
 use pit_nas::pareto::{pareto_front, pick_small_medium_large, ParetoPoint};
-use pit_nas::{PitConfig, PitConv1d, PitOutcome, PitSearch, SearchSpace, SearchableNetwork};
-use pit_nn::{Adam, Dataset, Layer, LossKind, Mode, TrainConfig, Trainer};
-use pit_tensor::{Param, Tape, Var};
+use pit_nas::{PitConfig, PitOutcome, PitSearch, SearchSpace, SearchableNetwork};
+use pit_nn::{Adam, Dataset, Layer, LossKind, TrainConfig, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -30,46 +29,6 @@ pub struct Benchmark {
     pub test: Dataset,
     /// Task loss.
     pub loss: LossKind,
-}
-
-/// A seed network of either kind, usable uniformly by the experiments.
-pub enum SeedNetwork {
-    /// ResTCN for the polyphonic-music benchmark.
-    ResTcn(ResTcn),
-    /// TEMPONet for the heart-rate benchmark.
-    TempoNet(TempoNet),
-}
-
-impl Layer for SeedNetwork {
-    fn forward(&self, tape: &mut Tape, input: Var, mode: Mode) -> Var {
-        match self {
-            SeedNetwork::ResTcn(n) => n.forward(tape, input, mode),
-            SeedNetwork::TempoNet(n) => n.forward(tape, input, mode),
-        }
-    }
-
-    fn params(&self) -> Vec<Param> {
-        match self {
-            SeedNetwork::ResTcn(n) => n.params(),
-            SeedNetwork::TempoNet(n) => n.params(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            SeedNetwork::ResTcn(n) => n.describe(),
-            SeedNetwork::TempoNet(n) => n.describe(),
-        }
-    }
-}
-
-impl SearchableNetwork for SeedNetwork {
-    fn pit_layers(&self) -> Vec<&PitConv1d> {
-        match self {
-            SeedNetwork::ResTcn(n) => n.pit_layers(),
-            SeedNetwork::TempoNet(n) => n.pit_layers(),
-        }
-    }
 }
 
 /// The scaled ResTCN configuration for a given experiment scale.
@@ -135,52 +94,30 @@ pub fn build_benchmark(kind: SeedKind, scale: &ExperimentScale) -> Benchmark {
 }
 
 /// Builds a freshly initialised seed network of the given kind.
-pub fn build_network(kind: SeedKind, scale: &ExperimentScale, seed: u64) -> SeedNetwork {
+pub fn build_network(kind: SeedKind, scale: &ExperimentScale, seed: u64) -> Tcn {
     let mut rng = StdRng::seed_from_u64(seed);
     match kind {
-        SeedKind::ResTcn => SeedNetwork::ResTcn(ResTcn::new(&mut rng, &restcn_config(scale))),
-        SeedKind::TempoNet => {
-            SeedNetwork::TempoNet(TempoNet::new(&mut rng, &temponet_config(scale)))
-        }
+        SeedKind::ResTcn => Tcn::new(&mut rng, &restcn_config(scale)),
+        SeedKind::TempoNet => Tcn::new(&mut rng, &temponet_config(scale)),
     }
 }
 
-/// Builds a **paper-scale** descriptor of the given kind with explicit
-/// dilations, used by the GAP8 deployment study (Table III) so that latency
-/// and energy refer to the architecture the paper deploys even when the
-/// training runs were scaled down.
-pub fn paper_descriptor(kind: SeedKind, dilations: &[usize]) -> NetworkDescriptor {
+/// The **paper-scale** network of the given kind with explicit dilations:
+/// its descriptor (at the input length it deploys at) and its deployable
+/// weight count. The GAP8 deployment study (Table III) uses it so that
+/// latency and energy refer to the architecture the paper deploys even
+/// when the training runs were scaled down.
+pub fn paper_scale(kind: SeedKind, dilations: &[usize]) -> (NetworkDescriptor, usize) {
     let mut rng = StdRng::seed_from_u64(0);
-    match kind {
-        SeedKind::ResTcn => {
-            let net = ResTcn::new(&mut rng, &ResTcnConfig::paper());
-            net.set_dilations(dilations);
-            net.descriptor(128)
-        }
+    let (net, t) = match kind {
+        SeedKind::ResTcn => (Tcn::new(&mut rng, &ResTcnConfig::paper()), 128),
         SeedKind::TempoNet => {
-            let net = TempoNet::new(&mut rng, &TempoNetConfig::paper());
-            net.set_dilations(dilations);
-            net.descriptor()
+            let cfg = TempoNetConfig::paper();
+            (Tcn::new(&mut rng, &cfg), cfg.input_length)
         }
-    }
-}
-
-/// Number of deployable weights of the **paper-scale** architecture with the
-/// given dilations.
-pub fn paper_scale_params(kind: SeedKind, dilations: &[usize]) -> usize {
-    let mut rng = StdRng::seed_from_u64(0);
-    match kind {
-        SeedKind::ResTcn => {
-            let net = ResTcn::new(&mut rng, &ResTcnConfig::paper());
-            net.set_dilations(dilations);
-            net.effective_weights()
-        }
-        SeedKind::TempoNet => {
-            let net = TempoNet::new(&mut rng, &TempoNetConfig::paper());
-            net.set_dilations(dilations);
-            net.effective_weights()
-        }
-    }
+    };
+    net.set_dilations(dilations);
+    (net.descriptor(t), net.effective_weights())
 }
 
 /// The PIT search configuration derived from an experiment scale.
@@ -490,7 +427,7 @@ pub fn fig5(scale: &ExperimentScale) -> (Vec<SearchCostRow>, Table) {
         // Plain training of the architecture PIT found (deployable network,
         // true dilated convolutions), for the same schedule length.
         let mut rng = StdRng::seed_from_u64(run_seed.wrapping_add(2));
-        let concrete = TempoNet::concrete(&mut rng, &cfg, &outcome.dilations);
+        let concrete = Tcn::concrete(&mut rng, &cfg, &outcome.dilations);
         let plain_start = Instant::now();
         let trainer = Trainer::new(TrainConfig {
             epochs: scale.warmup_epochs + scale.search_epochs + scale.finetune_epochs,
@@ -573,11 +510,11 @@ pub fn table3(result: &Fig4Result, scale: &ExperimentScale) -> Table {
         ],
     );
     let mut push = |name: String, dilations: &[usize], loss: f32| {
-        let desc = paper_descriptor(result.kind, dilations);
+        let (desc, params) = paper_scale(result.kind, dilations);
         let report = deployment.analyze(&desc);
         table.row(&[
             name,
-            format_params(paper_scale_params(result.kind, dilations)),
+            format_params(params),
             format!("{loss:.4}"),
             format!("{:.1}", report.latency_ms),
             format!("{:.1}", report.energy_mj),
@@ -654,12 +591,9 @@ mod tests {
     fn paper_descriptor_and_params_track_dilations() {
         let hand = TempoNetConfig::paper().hand_tuned_dilations();
         let seed = vec![1usize; 7];
-        assert!(
-            paper_scale_params(SeedKind::TempoNet, &hand)
-                < paper_scale_params(SeedKind::TempoNet, &seed)
-        );
-        let d_hand = paper_descriptor(SeedKind::TempoNet, &hand);
-        let d_seed = paper_descriptor(SeedKind::TempoNet, &seed);
+        let (d_hand, p_hand) = paper_scale(SeedKind::TempoNet, &hand);
+        let (d_seed, p_seed) = paper_scale(SeedKind::TempoNet, &seed);
+        assert!(p_hand < p_seed);
         assert!(d_hand.total_macs() < d_seed.total_macs());
     }
 

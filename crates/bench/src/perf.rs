@@ -361,7 +361,7 @@ pub fn search_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 /// `stream/step` beats `offline_replay/step` by well over an order of
 /// magnitude.
 pub fn infer_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
-    use pit_infer::{compile_temponet, Session, SessionPool};
+    use pit_infer::{compile, Session, SessionPool};
     use pit_models::{TempoNet, TempoNetConfig};
     use pit_nas::SearchableNetwork;
     use std::sync::Arc;
@@ -372,7 +372,7 @@ pub fn infer_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     let net = TempoNet::new(&mut rng, &cfg);
     // Stand-in for a search result: the paper's hand-tuned dilations.
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, cfg.input_channels, t], 1.0);
     // Column-major sample stream for the stateful paths.
     let columns: Vec<Vec<f32>> = (0..t)
@@ -449,9 +449,7 @@ pub fn infer_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 /// committed `BENCH_int8.json` catches the int8 paths drifting relative to
 /// the f32 step.
 pub fn quant_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
-    use pit_infer::{
-        compile_temponet, QuantizedPlan, QuantizedSession, QuantizedSessionPool, Session,
-    };
+    use pit_infer::{compile, QuantizedPlan, QuantizedSession, QuantizedSessionPool, Session};
     use pit_models::{TempoNet, TempoNetConfig};
     use pit_nas::SearchableNetwork;
     use std::sync::Arc;
@@ -461,7 +459,7 @@ pub fn quant_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     let mut rng = StdRng::seed_from_u64(9);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, cfg.input_channels, t], 1.0);
     let qplan = Arc::new(
         QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("benchmark plan quantizes"),
@@ -551,7 +549,7 @@ pub fn quant_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 ///   streams with seeded counters and histograms: what a Prometheus
 ///   scrape costs.
 pub fn serve_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
-    use pit_infer::{compile_temponet, QuantizedPlan};
+    use pit_infer::{compile, QuantizedPlan};
     use pit_models::{TempoNet, TempoNetConfig};
     use pit_nas::SearchableNetwork;
     use pit_serve::{Client, ServeEngine, Server, ServerConfig, ServerFrame, StatsSnapshot};
@@ -565,7 +563,7 @@ pub fn serve_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     let mut rng = StdRng::seed_from_u64(9);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, c_in, cfg.input_length], 1.0);
     let qplan = Arc::new(
         QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("benchmark plan quantizes"),
@@ -810,7 +808,7 @@ pub fn serve_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
 ///   On a single-core recording host the two land close together; the gap
 ///   opens with physical cores.
 pub fn scale_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
-    use pit_infer::{compile_temponet, QuantizedPlan};
+    use pit_infer::{compile, QuantizedPlan};
     use pit_models::{TempoNet, TempoNetConfig};
     use pit_nas::SearchableNetwork;
     use pit_serve::{Client, ServeEngine, Server, ServerConfig, ServerFrame};
@@ -821,7 +819,7 @@ pub fn scale_suite(opts: &MeasureOpts) -> Vec<BenchRecord> {
     let mut rng = StdRng::seed_from_u64(9);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, c_in, cfg.input_length], 1.0);
     let qplan = Arc::new(
         QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("benchmark plan quantizes"),

@@ -186,11 +186,6 @@ impl PitConv1d {
         self.gamma.set_trainable(false);
     }
 
-    /// Re-enables training of the γ parameters (undoes [`PitConv1d::freeze`]).
-    pub fn unfreeze(&self) {
-        self.gamma.set_trainable(true);
-    }
-
     /// Returns `true` when γ is frozen (fine-tuning phase).
     pub fn is_frozen(&self) -> bool {
         !self.gamma.trainable()
@@ -374,9 +369,7 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(99);
         let plain = CausalConv1d::new(&mut rng2, 2, 2, 5, 1);
         plain.weight().set_value(c.weight_param().value());
-        if let Some(b) = plain.bias() {
-            b.set_value(c.bias_param().value());
-        }
+        plain.bias().set_value(c.bias_param().value());
         let x = init::uniform(&mut rng, &[1, 2, 10], 1.0);
         let mut t1 = Tape::new();
         let v1 = t1.constant(x.clone());
@@ -429,8 +422,6 @@ mod tests {
         c.freeze();
         assert!(c.is_frozen());
         assert_eq!(c.gamma_param().value().data(), &[1.0, 0.0, 1.0]);
-        c.unfreeze();
-        assert!(!c.is_frozen());
     }
 
     #[test]

@@ -68,13 +68,6 @@ pub trait SearchableNetwork: Layer {
         }
     }
 
-    /// Unfreezes every searchable layer.
-    fn unfreeze_all(&self) {
-        for layer in self.pit_layers() {
-            layer.unfreeze();
-        }
-    }
-
     /// One-line summary of the architecture and its current dilations.
     fn architecture_summary(&self) -> String {
         format!(
@@ -162,8 +155,6 @@ mod tests {
         let net = TinyNet::new();
         net.freeze_all();
         assert!(net.pit_layers().iter().all(|l| l.is_frozen()));
-        net.unfreeze_all();
-        assert!(net.pit_layers().iter().all(|l| !l.is_frozen()));
     }
 
     #[test]

@@ -214,14 +214,14 @@ mod tests {
         let cfg = TempoNetConfig::paper();
         let net = TempoNet::new(&mut rng, &cfg);
         let dep = Deployment::new(Gap8Config::paper());
-        let seed_report = dep.analyze(&net.descriptor());
+        let seed_report = dep.analyze(&net.descriptor(cfg.input_length));
         assert!(
             (50.0..250.0).contains(&seed_report.latency_ms),
             "seed latency {} ms",
             seed_report.latency_ms
         );
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let hand_report = dep.analyze(&net.descriptor());
+        let hand_report = dep.analyze(&net.descriptor(cfg.input_length));
         let speedup = seed_report.latency_ms / hand_report.latency_ms;
         assert!(speedup > 1.3, "speed-up {speedup}");
         assert!(hand_report.weight_bytes < seed_report.weight_bytes);

@@ -759,7 +759,7 @@ impl PlanArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::compile_temponet;
+    use crate::plan::compile;
     use crate::{QuantizedSession, Session};
     use pit_models::{TempoNet, TempoNetConfig};
     use pit_nas::SearchableNetwork;
@@ -773,7 +773,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = TempoNet::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        compile_temponet(&net)
+        compile(&net)
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! crates express that network through the autograd [`pit_tensor::Tape`];
 //! this crate is the other half of the story — what actually serves traffic:
 //!
-//! * **Compile** ([`plan`]): binarised γ masks fold into real dilations (only
-//!   alive taps stored, packed contiguously), batch normalisation fuses into
-//!   convolution weights, and the result is an [`InferencePlan`] executed
-//!   through the tiled kernels of [`pit_tensor::kernels`] — no tape, no
-//!   gradient bookkeeping. Plans round-trip their geometry through
+//! * **Compile** ([`plan`]): [`compile`] lowers any [`pit_models::Tcn`].
+//!   Binarised γ masks fold into real dilations (only alive taps stored,
+//!   packed contiguously), batch normalisation fuses into convolution
+//!   weights, and the result is an [`InferencePlan`] executed through the
+//!   tiled kernels of [`pit_tensor::kernels`] — no tape, no gradient
+//!   bookkeeping. Plans round-trip their geometry through
 //!   [`pit_models::NetworkDescriptor`] JSON, so a searched architecture can
 //!   be persisted and re-compiled without re-running the search.
 //! * **Quantize** ([`quant`]): [`Calibration`] records max-abs activation
@@ -50,17 +51,17 @@
 //!   hand-off from `pit-search` to a multi-model daemon.
 //!
 //! ```
-//! use pit_infer::{compile_generic, Session};
-//! use pit_models::{GenericTcn, GenericTcnConfig};
+//! use pit_infer::{compile, Session};
+//! use pit_models::{GenericTcnConfig, Tcn};
 //! use pit_nas::SearchableNetwork;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
+//! let net = Tcn::new(&mut rng, &GenericTcnConfig::tiny());
 //! net.set_dilations(&[4, 8]); // "the search result"
-//! let plan = Arc::new(compile_generic(&net));
+//! let plan = Arc::new(compile(&net));
 //! let mut session = Session::new(plan);
 //! let out = session.push(&[0.5]).expect("per-step head emits every step");
 //! assert_eq!(out.len(), 1);
@@ -76,9 +77,11 @@ pub mod stream_pool;
 pub mod zoo;
 
 pub use artifact::{PlanArtifact, ARTIFACT_SCHEMA};
+/// [`compile`] under the name of the former TEMPONet-only lowering, which
+/// the benchmark package still calls.
+pub use plan::compile as compile_temponet;
 pub use plan::{
-    compile_concrete, compile_generic, compile_restcn, compile_temponet, Block, CompiledConv,
-    Dense, Head, InferencePlan, Plan, PlanBlock, PlanHead, PoolSpec,
+    compile, Block, CompiledConv, Dense, Head, InferencePlan, Plan, PlanBlock, PlanHead, PoolSpec,
 };
 pub use precision::{ConvOp, LinearOp, PoolOp, Precision};
 pub use quant::{

@@ -8,10 +8,10 @@
 //! tiled kernels of [`pit_tensor`] — no [`pit_tensor::Tape`], no gradient
 //! bookkeeping, no per-op allocations beyond the output.
 //!
-//! Plans are built from any of the model families of `pit-models`
-//! ([`compile_temponet`], [`compile_restcn`], [`compile_generic`],
-//! [`compile_concrete`]) or — geometry only — from a persisted
-//! [`NetworkDescriptor`] via [`InferencePlan::from_descriptor`].
+//! Plans are built from any network of `pit-models` — searchable or truly
+//! dilated, every seed is one [`Tcn`] — by [`compile`], or (geometry only)
+//! from a persisted [`NetworkDescriptor`] via
+//! [`InferencePlan::from_descriptor`].
 //!
 //! The plan tree ([`Plan`], [`Block`], [`Head`]) is generic over its
 //! [`Precision`]: [`InferencePlan`] is the f32 instantiation built here, and
@@ -20,10 +20,7 @@
 //! written once for both.
 
 use crate::precision::{ConvOp, LinearOp, PoolOp, Precision};
-use pit_models::{
-    ConcreteBlock, ConcreteHead, ConcreteTcn, GenericTcn, LayerDesc, NetworkDescriptor, ResTcn,
-    TempoNet,
-};
+use pit_models::{Block as TcnBlock, Conv, Head as TcnHead, LayerDesc, NetworkDescriptor, Tcn};
 use pit_nas::PitConv1d;
 use pit_nn::layers::{BatchNorm1d, CausalConv1d, Linear};
 use pit_tensor::{Result, Tensor};
@@ -82,14 +79,9 @@ impl CompiledConv {
         )
     }
 
-    /// Compiles a fixed-dilation convolution (a bias of zeros is synthesised
-    /// when the layer has none).
+    /// Compiles a fixed-dilation convolution.
     pub fn from_causal(conv: &CausalConv1d) -> Self {
-        let bias = conv
-            .bias()
-            .map(|b| b.value())
-            .unwrap_or_else(|| Tensor::zeros(&[conv.out_channels()]));
-        Self::new(conv.weight().value(), bias, conv.dilation())
+        Self::new(conv.weight().value(), conv.bias().value(), conv.dilation())
     }
 
     /// Folds an (inference-mode) batch normalisation into the weights and
@@ -951,144 +943,75 @@ impl InferencePlan {
 // Compilers
 // ---------------------------------------------------------------------------
 
-/// Compiles a searched TEMPONet: γ masks fold into true dilations, every
-/// batch norm fuses into its convolution (inference mode, running stats).
-pub fn compile_temponet(net: &TempoNet) -> InferencePlan {
-    let mut blocks = Vec::new();
-    for view in net.block_views() {
-        let mut convs = Vec::with_capacity(view.convs.len());
-        for (conv, norm) in view.convs.iter().zip(view.norms.iter()) {
-            let mut cc = CompiledConv::from_searchable(conv);
-            cc.fold_batchnorm(norm);
-            convs.push(cc);
-        }
-        blocks.push(PlanBlock::Plain {
-            convs,
-            pool: Some(PoolSpec {
-                kernel: view.pool.kernel(),
-                stride: view.pool.stride(),
-            }),
-        });
-    }
-    let (hidden, output) = net.fc_layers();
-    let channels = *net.config().channels.last().expect("seven channel counts");
-    let hidden = Dense::from_linear(hidden);
-    let window = hidden.in_features / channels;
-    InferencePlan::new(
-        "TEMPONet-plan",
-        net.config().input_channels,
-        blocks,
-        PlanHead::Fc {
-            hidden,
-            output: Dense::from_linear(output),
-            channels,
-            window,
-        },
-    )
-}
-
-/// Compiles a searched ResTCN into residual plan blocks with a per-time-step
-/// head.
-pub fn compile_restcn(net: &ResTcn) -> InferencePlan {
-    let blocks = net
-        .block_views()
-        .into_iter()
-        .map(|view| PlanBlock::Residual {
-            conv1: CompiledConv::from_searchable(view.conv1),
-            conv2: CompiledConv::from_searchable(view.conv2),
-            downsample: view.downsample.map(CompiledConv::from_causal),
-        })
-        .collect();
-    InferencePlan::new(
-        "ResTCN-plan",
-        net.config().input_channels,
-        blocks,
-        PlanHead::PerStep(CompiledConv::from_causal(net.head())),
-    )
-}
-
-/// Compiles a searched [`GenericTcn`] (conv chain → global average pool →
-/// linear head).
-pub fn compile_generic(net: &GenericTcn) -> InferencePlan {
-    let convs = net
-        .conv_layers()
-        .iter()
-        .map(CompiledConv::from_searchable)
-        .collect();
-    InferencePlan::new(
-        "GenericTcn-plan",
-        net.config().input_channels,
-        vec![PlanBlock::Plain { convs, pool: None }],
-        PlanHead::GlobalPoolFc(Dense::from_linear(net.head())),
-    )
-}
-
-/// Compiles an already-concrete (truly dilated) network; batch norms fold
-/// with their running statistics, dropout disappears (identity at inference).
-pub fn compile_concrete(net: &ConcreteTcn) -> InferencePlan {
+/// Lowers any [`Tcn`] into a plan named `<name>-plan`: searchable
+/// convolutions keep only their alive taps (γ masks fold into true
+/// dilations), every batch norm fuses into its convolution with its running
+/// statistics, and dropout disappears (identity at inference).
+pub fn compile(net: &Tcn) -> InferencePlan {
+    let conv = |conv: &Conv| match conv {
+        Conv::Pit(c) => CompiledConv::from_searchable(c),
+        Conv::Causal(c) => CompiledConv::from_causal(c),
+    };
     let blocks: Vec<PlanBlock> = net
         .blocks()
         .iter()
         .map(|block| match block {
-            ConcreteBlock::Residual {
+            TcnBlock::Plain { layers, pool } => PlanBlock::Plain {
+                convs: layers
+                    .iter()
+                    .map(|(c, norm)| {
+                        let mut cc = conv(c);
+                        if let Some(norm) = norm {
+                            cc.fold_batchnorm(norm);
+                        }
+                        cc
+                    })
+                    .collect(),
+                pool: pool.as_ref().map(|p| PoolSpec {
+                    kernel: p.kernel(),
+                    stride: p.stride(),
+                }),
+            },
+            TcnBlock::Residual {
                 conv1,
                 conv2,
                 downsample,
                 ..
             } => PlanBlock::Residual {
-                conv1: CompiledConv::from_causal(conv1),
-                conv2: CompiledConv::from_causal(conv2),
+                conv1: conv(conv1),
+                conv2: conv(conv2),
                 downsample: downsample.as_ref().map(CompiledConv::from_causal),
             },
-            ConcreteBlock::Plain { convs, norms, pool } => {
-                let convs = convs
-                    .iter()
-                    .zip(norms.iter())
-                    .map(|(conv, norm)| {
-                        let mut cc = CompiledConv::from_causal(conv);
-                        cc.fold_batchnorm(norm);
-                        cc
-                    })
-                    .collect();
-                PlanBlock::Plain {
-                    convs,
-                    pool: pool.map(|p| PoolSpec {
-                        kernel: p.kernel(),
-                        stride: p.stride(),
-                    }),
-                }
-            }
         })
         .collect();
-    let input_channels = blocks
-        .first()
-        .map(|b| match b {
-            PlanBlock::Residual { conv1, .. } => conv1.c_in,
-            PlanBlock::Plain { convs, .. } => convs.first().map(|c| c.c_in).unwrap_or(0),
-        })
-        .unwrap_or(0);
-    let final_channels = blocks
-        .iter()
-        .rev()
-        .find_map(|b| match b {
-            PlanBlock::Residual { conv2, .. } => Some(conv2.c_out),
-            PlanBlock::Plain { convs, .. } => convs.last().map(|c| c.c_out),
-        })
-        .unwrap_or(input_channels);
     let head = match net.head() {
-        ConcreteHead::PerStep(conv) => PlanHead::PerStep(CompiledConv::from_causal(conv)),
-        ConcreteHead::Fc { hidden, output } => {
+        TcnHead::PerStep(c) => PlanHead::PerStep(CompiledConv::from_causal(c)),
+        TcnHead::Fc { hidden, output } => {
+            // Channels of the final feature map, whose trailing window the
+            // head flattens.
+            let channels = blocks
+                .iter()
+                .fold(net.input_channels(), |width, block| match block {
+                    PlanBlock::Plain { convs, .. } => convs.last().map_or(width, |c| c.c_out),
+                    PlanBlock::Residual { conv2, .. } => conv2.c_out,
+                });
             let hidden = Dense::from_linear(hidden);
-            let window = hidden.in_features / final_channels.max(1);
+            let window = hidden.in_features / channels;
             PlanHead::Fc {
                 hidden,
                 output: Dense::from_linear(output),
-                channels: final_channels,
+                channels,
                 window,
             }
         }
+        TcnHead::GlobalPoolFc(dense) => PlanHead::GlobalPoolFc(Dense::from_linear(dense)),
     };
-    InferencePlan::new(format!("{}-plan", net.name()), input_channels, blocks, head)
+    InferencePlan::new(
+        format!("{}-plan", net.name()),
+        net.input_channels(),
+        blocks,
+        head,
+    )
 }
 
 #[cfg(test)]
@@ -1141,88 +1064,97 @@ mod tests {
         assert!(tape.value(reference).approx_eq(&folded, 1e-5));
     }
 
+    /// Checks the plan `compile` lowers from `net` against the network's
+    /// Eval forward on a `dims` batch. A Train forward first moves the
+    /// batch-norm running statistics the plan folds.
+    fn assert_plan_matches_eval(
+        rng: &mut StdRng,
+        net: &Tcn,
+        dims: &[usize],
+        out_dims: &[usize],
+        tol: f32,
+    ) -> InferencePlan {
+        let name = net.name();
+        let mut tape = Tape::new();
+        let warm = tape.constant(init::uniform(rng, dims, 1.0));
+        let _ = net.forward(&mut tape, warm, Mode::Train);
+
+        let x = init::uniform(rng, dims, 1.0);
+        let mut tape = Tape::new();
+        let vx = tape.constant(x.clone());
+        let reference = net.forward(&mut tape, vx, Mode::Eval);
+        let plan = compile(net);
+        assert_eq!(plan.name(), format!("{name}-plan"));
+        let out = plan.forward(&x).unwrap();
+        assert_eq!(out.dims(), out_dims, "{name}");
+        assert!(tape.value(reference).approx_eq(&out, tol), "{name}");
+        // The plan stores only alive taps, no γ and no batch norm.
+        assert!(plan.num_weights() <= net.num_weights(), "{name}");
+        plan
+    }
+
+    fn small_restcn() -> ResTcnConfig {
+        ResTcnConfig {
+            hidden_channels: 8,
+            input_channels: 6,
+            output_channels: 6,
+            dropout: 0.0,
+            ..ResTcnConfig::paper()
+        }
+    }
+
     #[test]
     fn temponet_plan_matches_eval_forward() {
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = TempoNetConfig::scaled(8, 64);
-        let net = TempoNet::new(&mut rng, &cfg);
+        let net = Tcn::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        // Warm the batch-norm running statistics.
-        let mut tape = Tape::new();
-        let warm = tape.constant(init::uniform(&mut rng, &[4, 4, 64], 1.0));
-        let _ = net.forward(&mut tape, warm, Mode::Train);
-
-        let x = init::uniform(&mut rng, &[3, 4, 64], 1.0);
-        let mut tape = Tape::new();
-        let vx = tape.constant(x.clone());
-        let reference = net.forward(&mut tape, vx, Mode::Eval);
-
-        let plan = compile_temponet(&net);
-        let out = plan.forward(&x).unwrap();
-        assert_eq!(out.dims(), &[3, 1]);
-        assert!(tape.value(reference).approx_eq(&out, 1e-4));
-        // The plan stores only alive taps: strictly fewer weights than the
-        // dense searchable network (which keeps masked taps and gammas).
+        let plan = assert_plan_matches_eval(&mut rng, &net, &[3, 4, 64], &[3, 1], 1e-4);
+        // Strictly fewer weights than the dense searchable network, which
+        // keeps masked taps and gammas.
         assert!(plan.num_weights() < net.num_weights());
     }
 
     #[test]
     fn restcn_plan_matches_eval_forward() {
         let mut rng = StdRng::seed_from_u64(3);
-        let cfg = ResTcnConfig {
-            hidden_channels: 8,
-            input_channels: 6,
-            output_channels: 6,
-            dropout: 0.0,
-            ..ResTcnConfig::paper()
-        };
-        let net = ResTcn::new(&mut rng, &cfg);
+        let cfg = small_restcn();
+        let net = Tcn::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let x = init::uniform(&mut rng, &[2, 6, 24], 1.0);
-        let mut tape = Tape::new();
-        let vx = tape.constant(x.clone());
-        let reference = net.forward(&mut tape, vx, Mode::Eval);
-        let plan = compile_restcn(&net);
-        let out = plan.forward(&x).unwrap();
-        assert_eq!(out.dims(), &[2, 6, 24]);
-        assert!(tape.value(reference).approx_eq(&out, 1e-4));
+        assert_plan_matches_eval(&mut rng, &net, &[2, 6, 24], &[2, 6, 24], 1e-4);
     }
 
     #[test]
     fn generic_plan_matches_eval_forward() {
         let mut rng = StdRng::seed_from_u64(4);
-        let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
+        let net = Tcn::new(&mut rng, &GenericTcnConfig::tiny());
         net.set_dilations(&[4, 8]);
-        let x = init::uniform(&mut rng, &[2, 1, 32], 1.0);
-        let mut tape = Tape::new();
-        let vx = tape.constant(x.clone());
-        let reference = net.forward(&mut tape, vx, Mode::Eval);
-        let plan = compile_generic(&net);
-        let out = plan.forward(&x).unwrap();
-        assert!(tape.value(reference).approx_eq(&out, 1e-5));
+        assert_plan_matches_eval(&mut rng, &net, &[2, 1, 32], &[2, 1], 1e-5);
     }
 
     #[test]
     fn concrete_plan_matches_eval_forward() {
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = TempoNetConfig::scaled(8, 64);
-        let concrete = TempoNet::concrete(&mut rng, &cfg, &cfg.hand_tuned_dilations());
-        let x = init::uniform(&mut rng, &[2, 4, 64], 1.0);
-        let mut tape = Tape::new();
-        let vx = tape.constant(x.clone());
-        let reference = concrete.forward(&mut tape, vx, Mode::Eval);
-        let plan = compile_concrete(&concrete);
-        let out = plan.forward(&x).unwrap();
-        assert!(tape.value(reference).approx_eq(&out, 1e-4));
+        let net = Tcn::concrete(&mut rng, &cfg, &cfg.hand_tuned_dilations());
+        assert_plan_matches_eval(&mut rng, &net, &[2, 4, 64], &[2, 1], 1e-4);
+    }
+
+    #[test]
+    fn concrete_restcn_plan_matches_eval_forward() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let cfg = small_restcn();
+        let net = Tcn::concrete(&mut rng, &cfg, &cfg.hand_tuned_dilations());
+        assert_plan_matches_eval(&mut rng, &net, &[2, 6, 24], &[2, 6, 24], 1e-4);
     }
 
     #[test]
     fn descriptor_roundtrip_preserves_geometry() {
         let mut rng = StdRng::seed_from_u64(6);
         let cfg = TempoNetConfig::scaled(8, 64);
-        let net = TempoNet::new(&mut rng, &cfg);
+        let net = Tcn::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let plan = compile_temponet(&net);
+        let plan = compile(&net);
         let desc = plan.descriptor(64);
         let text = desc.to_json_string();
         let parsed = NetworkDescriptor::from_json_str(&text).unwrap();
@@ -1343,7 +1275,7 @@ mod tests {
             output_channels: 5,
             ..ResTcnConfig::paper()
         };
-        let net = ResTcn::new(&mut rng, &cfg);
+        let net = Tcn::new(&mut rng, &cfg);
         let err = InferencePlan::from_descriptor(&net.descriptor(24)).unwrap_err();
         assert!(err.contains("skip"), "{err}");
     }
@@ -1352,9 +1284,9 @@ mod tests {
     fn state_bytes_and_receptive_field_are_plausible() {
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = TempoNetConfig::scaled(8, 64);
-        let net = TempoNet::new(&mut rng, &cfg);
+        let net = Tcn::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let plan = compile_temponet(&net);
+        let plan = compile(&net);
         // State is bounded by (weights are the dominant cost, state is
         // per-stream and small).
         assert!(plan.session_state_bytes() > 0);

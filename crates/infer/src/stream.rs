@@ -517,7 +517,7 @@ impl<P: Precision> Session<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{compile_generic, compile_restcn, compile_temponet};
+    use crate::plan::compile;
     use pit_models::{
         GenericTcn, GenericTcnConfig, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig,
     };
@@ -553,7 +553,7 @@ mod tests {
         };
         let net = ResTcn::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let plan = Arc::new(compile_restcn(&net));
+        let plan = Arc::new(compile(&net));
         let x = init::uniform(&mut rng, &[1, 5, 40], 1.0);
         let offline = plan.forward(&x).unwrap();
 
@@ -579,7 +579,7 @@ mod tests {
         let cfg = TempoNetConfig::scaled(8, 64);
         let net = TempoNet::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let plan = Arc::new(compile_temponet(&net));
+        let plan = Arc::new(compile(&net));
         let x = init::uniform(&mut rng, &[1, 4, 64], 1.0);
         let offline = plan.forward(&x).unwrap();
 
@@ -601,7 +601,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
         net.set_dilations(&[2, 4]);
-        let plan = Arc::new(compile_generic(&net));
+        let plan = Arc::new(compile(&net));
         let x = init::uniform(&mut rng, &[1, 1, 24], 1.0);
         let mut session = Session::new(Arc::clone(&plan));
         let outputs = stream_all(&mut session, &x);
@@ -621,7 +621,7 @@ mod tests {
     fn reset_restores_the_zero_state() {
         let mut rng = StdRng::seed_from_u64(13);
         let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-        let plan = Arc::new(compile_generic(&net));
+        let plan = Arc::new(compile(&net));
         let x = init::uniform(&mut rng, &[1, 1, 10], 1.0);
         let mut session = Session::new(Arc::clone(&plan));
         let first = stream_all(&mut session, &x);
@@ -635,7 +635,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let cfg = TempoNetConfig::scaled(8, 64);
         let net = TempoNet::new(&mut rng, &cfg);
-        let plan = Arc::new(compile_temponet(&net));
+        let plan = Arc::new(compile(&net));
         let mut a = Session::new(Arc::clone(&plan));
         let mut b = Session::new(Arc::clone(&plan));
         let mut out = vec![0.0f32; plan.output_dim()];

@@ -122,7 +122,7 @@ impl<P: Precision> StreamPool for SessionPool<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::compile_generic;
+    use crate::plan::compile;
     use crate::quant::QuantizedPlan;
     use pit_models::{GenericTcn, GenericTcnConfig};
     use pit_nas::SearchableNetwork;
@@ -166,7 +166,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(40);
         let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
         net.set_dilations(&[2, 4]);
-        let plan = Arc::new(compile_generic(&net));
+        let plan = Arc::new(compile(&net));
         let x = init::uniform(&mut rng, &[1, 1, 32], 1.0);
         let qplan = Arc::new(
             QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("plan quantizes"),

@@ -4,9 +4,7 @@
 //! channels, lengths that don't divide the kernel tiling, columns wider than
 //! the ring gather's fixed-copy pad).
 
-use pit_infer::{
-    compile_restcn, compile_temponet, CompiledConv, InferencePlan, PlanHead, Session, SessionPool,
-};
+use pit_infer::{compile, CompiledConv, InferencePlan, PlanHead, Session, SessionPool};
 use pit_models::{ResTcn, ResTcnConfig, TempoNet, TempoNetConfig};
 use pit_nas::{PitConv1d, SearchableNetwork};
 use pit_nn::{Layer, Mode};
@@ -114,7 +112,7 @@ fn wide_columns_stream_like_offline() {
     };
     let net = ResTcn::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_restcn(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 20, 32], 1.0);
     let offline = plan.forward(&x).unwrap();
     assert_columns_match(&offline, &stream_plan(&plan, &x), 1e-5, "wide restcn");
@@ -123,7 +121,7 @@ fn wide_columns_stream_like_offline() {
     assert!(cfg.channels.iter().any(|&c| c > 16));
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, cfg.input_channels, 64], 1.0);
     let offline = plan.forward(&x).unwrap();
     let last = stream_plan(&plan, &x).pop().expect("the head emits");

@@ -7,8 +7,8 @@
 //! on.
 
 use pit_infer::{
-    compile_temponet, InferencePlan, Plan, Precision, QuantizedPlan, QuantizedSession,
-    QuantizedSessionPool, Session, SessionPool,
+    compile, InferencePlan, Plan, Precision, QuantizedPlan, QuantizedSession, QuantizedSessionPool,
+    Session, SessionPool,
 };
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
@@ -22,7 +22,7 @@ fn searched_plan(seed: u64) -> InferencePlan {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    compile_temponet(&net)
+    compile(&net)
 }
 
 fn quantized_plan(seed: u64) -> QuantizedPlan {

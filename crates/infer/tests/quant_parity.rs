@@ -10,8 +10,8 @@
 //! float noise).
 
 use pit_infer::{
-    compile_generic, compile_restcn, compile_temponet, Calibration, CompiledConv, InferencePlan,
-    PlanHead, QuantizedPlan, QuantizedSession, QuantizedSessionPool, Session,
+    compile, Calibration, CompiledConv, InferencePlan, PlanHead, QuantizedPlan, QuantizedSession,
+    QuantizedSessionPool, Session,
 };
 use pit_models::{GenericTcn, GenericTcnConfig, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
@@ -190,7 +190,7 @@ fn quantized_temponet_streams_within_bound_and_shrinks_state() {
     let cfg = TempoNetConfig::scaled(8, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 4, 64], 1.0);
     let qplan =
         Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes"));
@@ -219,7 +219,7 @@ fn quantized_wide_temponet_streams_within_bound() {
     let cfg = TempoNetConfig::scaled(2, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 4, 64], 1.0);
     let qplan =
         Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes"));
@@ -264,7 +264,7 @@ fn quantized_restcn_streams_within_bound() {
     };
     let net = ResTcn::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = Arc::new(compile_restcn(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 5, 40], 1.0);
     let qplan =
         Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes"));
@@ -276,7 +276,7 @@ fn quantized_generic_streams_within_bound() {
     let mut rng = StdRng::seed_from_u64(43);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
-    let plan = Arc::new(compile_generic(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 1, 32], 1.0);
     let qplan =
         Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes"));
@@ -320,7 +320,7 @@ fn fc_head_mid_fill_emissions_respect_the_bound() {
 fn quantized_session_reset_restores_the_zero_state() {
     let mut rng = StdRng::seed_from_u64(44);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-    let plan = Arc::new(compile_generic(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 1, 12], 1.0);
     let qplan =
         Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantizes"));
@@ -338,7 +338,7 @@ fn quantized_session_reset_restores_the_zero_state() {
 fn calibration_must_match_the_plan_it_lowers() {
     let mut rng = StdRng::seed_from_u64(45);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
-    let plan = Arc::new(compile_generic(&net));
+    let plan = Arc::new(compile(&net));
     let x = init::uniform(&mut rng, &[1, 1, 8], 1.0);
     let cal = Calibration::collect(&plan, std::slice::from_ref(&x)).unwrap();
     assert_eq!(cal.len(), plan.num_seams());

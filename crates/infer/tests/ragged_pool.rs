@@ -5,10 +5,7 @@
 //! else. The pool runs every stream through the solo step, so pooled and
 //! solo emissions are bit-identical in both precisions.
 
-use pit_infer::{
-    compile_generic, compile_restcn, compile_temponet, InferencePlan, Plan, Precision,
-    QuantizedPlan, Session, SessionPool,
-};
+use pit_infer::{compile, InferencePlan, Plan, Precision, QuantizedPlan, Session, SessionPool};
 use pit_models::{GenericTcn, GenericTcnConfig, ResTcn, ResTcnConfig, TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
 use pit_tensor::{init, Tensor};
@@ -108,7 +105,7 @@ fn restcn_plan(rng: &mut StdRng) -> InferencePlan {
     };
     let net = ResTcn::new(rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = compile_restcn(&net);
+    let plan = compile(&net);
     assert!(
         plan.blocks().iter().any(|b| matches!(
             b,
@@ -130,7 +127,7 @@ fn ragged_temponet_pool_matches_solo_sessions() {
     let cfg = TempoNetConfig::scaled(8, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    assert_ragged_parity(Arc::new(compile_temponet(&net)), 6, 48, 51);
+    assert_ragged_parity(Arc::new(compile(&net)), 6, 48, 51);
 }
 
 #[test]
@@ -145,7 +142,7 @@ fn ragged_generic_pool_matches_solo_sessions() {
     let mut rng = StdRng::seed_from_u64(54);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
-    assert_ragged_parity(Arc::new(compile_generic(&net)), 7, 25, 55);
+    assert_ragged_parity(Arc::new(compile(&net)), 7, 25, 55);
 }
 
 #[test]
@@ -154,7 +151,7 @@ fn ragged_quantized_temponet_pool_is_bit_exact() {
     let cfg = TempoNetConfig::scaled(8, 64);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let qplan = quantized(&mut rng, &compile_temponet(&net), 64);
+    let qplan = quantized(&mut rng, &compile(&net), 64);
     assert_ragged_parity(qplan, 6, 48, 57);
 }
 
@@ -173,7 +170,7 @@ fn ragged_quantized_generic_pool_is_bit_exact() {
     let mut rng = StdRng::seed_from_u64(58);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[4, 8]);
-    let qplan = quantized(&mut rng, &compile_generic(&net), 32);
+    let qplan = quantized(&mut rng, &compile(&net), 32);
     assert_ragged_parity(qplan, 7, 25, 59);
 }
 
@@ -186,7 +183,7 @@ fn wide_columns_pool_matches_solo_in_both_precisions() {
     assert!(cfg.channels.iter().any(|&c| c > 16));
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = compile_temponet(&net);
+    let plan = compile(&net);
     let qplan = quantized(&mut rng, &plan, 64);
     assert_ragged_parity(Arc::new(plan), 4, 40, 65);
     assert_ragged_parity(qplan, 4, 40, 66);
@@ -201,7 +198,7 @@ fn burst_flush_returns_each_stream_together_in_slot_order() {
     let mut rng = StdRng::seed_from_u64(60);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[2, 4]);
-    let plan = Arc::new(compile_generic(&net));
+    let plan = Arc::new(compile(&net));
     let mut pool = SessionPool::new(Arc::clone(&plan), 3);
     let samples: Vec<f32> = (0..4).map(|i| 0.1 * i as f32 - 0.15).collect();
     for (sid, n) in [(0usize, 4usize), (1, 2), (2, 1)] {

@@ -1,10 +1,7 @@
 //! A small configurable searchable TCN for examples and tests.
 
-use crate::descriptor::{LayerDesc, NetworkDescriptor};
-use pit_nas::{PitConv1d, SearchableNetwork};
+use crate::tcn::{slot_dilations, Block, Conv, Head, Seed, Tcn};
 use pit_nn::layers::Linear;
-use pit_nn::{Layer, Mode};
-use pit_tensor::{Param, Tape, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -35,117 +32,49 @@ impl GenericTcnConfig {
 }
 
 /// A stack of searchable convolutions with ReLU activations, global average
-/// pooling over time and a linear regression head.
+/// pooling over time and a linear regression head, built by [`Tcn::new`]
+/// from a [`GenericTcnConfig`].
 ///
 /// Input `[N, input_channels, T]`, output `[N, outputs]`.
-pub struct GenericTcn {
-    convs: Vec<PitConv1d>,
-    head: Linear,
-    config: GenericTcnConfig,
-}
+pub type GenericTcn = Tcn;
 
-impl GenericTcn {
-    /// Builds the network.
+impl Seed for GenericTcnConfig {
+    /// Builds one plain block of convolutions (no batch norm, no pooling)
+    /// and a global-pool linear head.
     ///
     /// # Panics
     ///
     /// Panics if `channels` and `rf_max` have different lengths or are empty.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R, config: &GenericTcnConfig) -> Self {
+    fn build<R: Rng + ?Sized>(&self, rng: &mut R, dilations: Option<&[usize]>) -> Tcn {
         assert_eq!(
-            config.channels.len(),
-            config.rf_max.len(),
+            self.channels.len(),
+            self.rf_max.len(),
             "channels and rf_max lengths differ"
         );
         assert!(
-            !config.channels.is_empty(),
+            !self.channels.is_empty(),
             "at least one convolution is required"
         );
-        let mut convs = Vec::with_capacity(config.channels.len());
-        let mut in_ch = config.input_channels;
-        for (i, (&out_ch, &rf)) in config.channels.iter().zip(config.rf_max.iter()).enumerate() {
-            convs.push(PitConv1d::new(rng, in_ch, out_ch, rf, format!("conv{i}")));
+        let slots = slot_dilations(dilations, self.channels.len());
+        let mut layers = Vec::with_capacity(self.channels.len());
+        let mut in_ch = self.input_channels;
+        for (i, (&out_ch, &rf)) in self.channels.iter().zip(self.rf_max.iter()).enumerate() {
+            let conv = Conv::new(rng, in_ch, out_ch, rf, slots[i], format!("conv{i}"));
+            layers.push((conv, None));
             in_ch = out_ch;
         }
-        let head = Linear::new(rng, in_ch, config.outputs);
-        Self {
-            convs,
-            head,
-            config: config.clone(),
-        }
-    }
-
-    /// The configuration used to build the network.
-    pub fn config(&self) -> &GenericTcnConfig {
-        &self.config
-    }
-
-    /// The searchable convolutions in network order (for plan lowering).
-    pub fn conv_layers(&self) -> &[PitConv1d] {
-        &self.convs
-    }
-
-    /// The linear regression head applied after global average pooling.
-    pub fn head(&self) -> &Linear {
-        &self.head
-    }
-
-    /// Static per-layer description for an input of length `t`.
-    pub fn descriptor(&self, t: usize) -> NetworkDescriptor {
-        let mut d = NetworkDescriptor::new("GenericTcn");
-        for conv in &self.convs {
-            d.push(LayerDesc::Conv1d {
-                c_in: conv.in_channels(),
-                c_out: conv.out_channels(),
-                kernel: conv.alive_taps(),
-                dilation: conv.dilation(),
-                t_in: t,
-                t_out: t,
-            });
-        }
-        d.push(LayerDesc::Linear {
-            in_features: self.head.in_features(),
-            out_features: self.head.out_features(),
-        });
-        d
-    }
-}
-
-impl Layer for GenericTcn {
-    fn forward(&self, tape: &mut Tape, input: Var, mode: Mode) -> Var {
-        let mut x = input;
-        for conv in &self.convs {
-            x = conv.forward(tape, x, mode);
-            x = tape.relu(x);
-        }
-        let pooled = tape.global_avg_pool_time(x);
-        self.head.forward(tape, pooled, mode)
-    }
-
-    fn params(&self) -> Vec<Param> {
-        let mut p: Vec<Param> = self.convs.iter().flat_map(|c| c.params()).collect();
-        p.extend(self.head.params());
-        p
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "GenericTcn(layers={}, dilations={:?})",
-            self.convs.len(),
-            self.dilations()
-        )
-    }
-}
-
-impl SearchableNetwork for GenericTcn {
-    fn pit_layers(&self) -> Vec<&PitConv1d> {
-        self.convs.iter().collect()
+        let blocks = vec![Block::Plain { layers, pool: None }];
+        let head = Head::GlobalPoolFc(Linear::new(rng, in_ch, self.outputs));
+        Tcn::assemble("GenericTcn", dilations, self.input_channels, blocks, head)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pit_tensor::Tensor;
+    use pit_nas::SearchableNetwork;
+    use pit_nn::{Layer, Mode};
+    use pit_tensor::{Tape, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,11 +1,7 @@
 //! The residual TCN (Bai et al.) seed used for the Nottingham benchmark.
 
-use crate::concrete::{ConcreteBlock, ConcreteHead, ConcreteTcn};
-use crate::descriptor::{LayerDesc, NetworkDescriptor};
-use pit_nas::{PitConv1d, SearchableNetwork};
+use crate::tcn::{slot_dilations, Block, Conv, Head, Seed, Tcn};
 use pit_nn::layers::{CausalConv1d, Dropout};
-use pit_nn::{Layer, Mode};
-use pit_tensor::{Param, Tape, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -15,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// residual blocks of two dilated convolutions each (hand-tuned dilations
 /// `1, 1, 2, 2, 4, 4, 8, 8`, kernel 5, 150 hidden channels, 88-key
 /// per-time-step output). The PIT seed keeps the receptive field of every
-/// convolution but sets `d = 1`, which is exactly what [`ResTcn::new`]
+/// convolution but sets `d = 1`, which is exactly what [`Tcn::new`]
 /// builds: each searchable convolution has `rf_max = (k − 1) · d_hand + 1`
 /// dense taps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,247 +89,76 @@ impl Default for ResTcnConfig {
     }
 }
 
-struct ResBlock {
-    conv1: PitConv1d,
-    conv2: PitConv1d,
-    downsample: Option<CausalConv1d>,
-    dropout: Dropout,
-}
-
-impl ResBlock {
-    fn forward(&self, tape: &mut Tape, input: Var, mode: Mode) -> Var {
-        let h = self.conv1.forward(tape, input, mode);
-        let h = tape.relu(h);
-        let h = self.dropout.forward(tape, h, mode);
-        let h = self.conv2.forward(tape, h, mode);
-        let h = tape.relu(h);
-        let h = self.dropout.forward(tape, h, mode);
-        let residual = match &self.downsample {
-            Some(proj) => proj.forward(tape, input, mode),
-            None => input,
-        };
-        let sum = tape.add(h, residual);
-        tape.relu(sum)
-    }
-
-    fn params(&self) -> Vec<Param> {
-        let mut p = self.conv1.params();
-        p.extend(self.conv2.params());
-        if let Some(proj) = &self.downsample {
-            p.extend(proj.params());
-        }
-        p
-    }
-}
-
-/// Immutable view of one residual block's layers, exposed for lowering the
-/// searched network into a deployable inference plan.
-pub struct ResBlockView<'a> {
-    /// First searchable convolution of the block.
-    pub conv1: &'a PitConv1d,
-    /// Second searchable convolution of the block.
-    pub conv2: &'a PitConv1d,
-    /// Optional 1×1 projection on the skip path.
-    pub downsample: Option<&'a CausalConv1d>,
-}
-
-/// The searchable ResTCN network: four residual blocks of two [`PitConv1d`]
-/// layers each, followed by a per-time-step 1×1 output convolution.
+/// The searchable ResTCN network, built by [`Tcn::new`] from a
+/// [`ResTcnConfig`] (the truly dilated one by [`Tcn::concrete`]).
 ///
 /// Input `[N, input_channels, T]`, output `[N, output_channels, T]` logits.
-pub struct ResTcn {
-    blocks: Vec<ResBlock>,
-    head: CausalConv1d,
-    config: ResTcnConfig,
-}
+pub type ResTcn = Tcn;
 
-impl ResTcn {
-    /// Builds the seed network (maximally sized filters, dilation 1).
-    pub fn new<R: Rng + ?Sized>(rng: &mut R, config: &ResTcnConfig) -> Self {
-        let rf = config.rf_max_per_layer();
-        let mut blocks = Vec::with_capacity(config.num_blocks);
-        for b in 0..config.num_blocks {
+impl Seed for ResTcnConfig {
+    /// Builds ResTCN: residual blocks of two searchable (or truly dilated)
+    /// convolutions with dropout, a 1×1 skip projection where the channel
+    /// count changes, then a per-time-step 1×1 output convolution. Block
+    /// `b` seeds its dropout stream `seed + b` in the searchable network and
+    /// `seed + 100 + b` in the truly dilated one.
+    fn build<R: Rng + ?Sized>(&self, rng: &mut R, dilations: Option<&[usize]>) -> Tcn {
+        let slots = slot_dilations(dilations, self.num_searchable_layers());
+        let rf = self.rf_max_per_layer();
+        let dropout_offset = if dilations.is_some() { 100 } else { 0 };
+        let mut blocks = Vec::with_capacity(self.num_blocks);
+        for b in 0..self.num_blocks {
             let in_ch = if b == 0 {
-                config.input_channels
+                self.input_channels
             } else {
-                config.hidden_channels
+                self.hidden_channels
             };
-            let out_ch = config.hidden_channels;
-            let conv1 = PitConv1d::new(rng, in_ch, out_ch, rf[2 * b], format!("block{b}.conv1"));
-            let conv2 = PitConv1d::new(
+            let out_ch = self.hidden_channels;
+            let (l1, l2) = (2 * b, 2 * b + 1);
+            let conv1 = Conv::new(
+                rng,
+                in_ch,
+                out_ch,
+                rf[l1],
+                slots[l1],
+                format!("block{b}.conv1"),
+            );
+            let conv2 = Conv::new(
                 rng,
                 out_ch,
                 out_ch,
-                rf[2 * b + 1],
+                rf[l2],
+                slots[l2],
                 format!("block{b}.conv2"),
             );
-            let downsample = if in_ch != out_ch {
-                Some(CausalConv1d::new(rng, in_ch, out_ch, 1, 1))
-            } else {
-                None
-            };
-            let dropout = Dropout::new(config.dropout, config.seed.wrapping_add(b as u64));
-            blocks.push(ResBlock {
+            let downsample = (in_ch != out_ch).then(|| CausalConv1d::new(rng, in_ch, out_ch, 1, 1));
+            let dropout = Dropout::new(
+                self.dropout,
+                self.seed.wrapping_add(dropout_offset + b as u64),
+            );
+            blocks.push(Block::Residual {
                 conv1,
                 conv2,
                 downsample,
                 dropout,
             });
         }
-        let head = CausalConv1d::new(rng, config.hidden_channels, config.output_channels, 1, 1);
-        Self {
-            blocks,
-            head,
-            config: config.clone(),
-        }
-    }
-
-    /// The configuration used to build the network.
-    pub fn config(&self) -> &ResTcnConfig {
-        &self.config
-    }
-
-    /// Per-block views of the layers, in network order (for plan lowering).
-    pub fn block_views(&self) -> Vec<ResBlockView<'_>> {
-        self.blocks
-            .iter()
-            .map(|b| ResBlockView {
-                conv1: &b.conv1,
-                conv2: &b.conv2,
-                downsample: b.downsample.as_ref(),
-            })
-            .collect()
-    }
-
-    /// The per-time-step 1×1 output convolution.
-    pub fn head(&self) -> &CausalConv1d {
-        &self.head
-    }
-
-    /// Static per-layer description of the *currently pruned* network for an
-    /// input of length `t`, suitable for the GAP8 deployment model.
-    pub fn descriptor(&self, t: usize) -> NetworkDescriptor {
-        let mut d = NetworkDescriptor::new("ResTCN");
-        for block in &self.blocks {
-            for conv in [&block.conv1, &block.conv2] {
-                d.push(LayerDesc::Conv1d {
-                    c_in: conv.in_channels(),
-                    c_out: conv.out_channels(),
-                    kernel: conv.alive_taps(),
-                    dilation: conv.dilation(),
-                    t_in: t,
-                    t_out: t,
-                });
-            }
-            if let Some(proj) = &block.downsample {
-                d.push(LayerDesc::Conv1d {
-                    c_in: proj.in_channels(),
-                    c_out: proj.out_channels(),
-                    kernel: 1,
-                    dilation: 1,
-                    t_in: t,
-                    t_out: t,
-                });
-            }
-        }
-        d.push(LayerDesc::Conv1d {
-            c_in: self.head.in_channels(),
-            c_out: self.head.out_channels(),
-            kernel: 1,
-            dilation: 1,
-            t_in: t,
-            t_out: t,
-        });
-        d
-    }
-
-    /// Builds the deployable, truly dilated network equivalent to the given
-    /// dilation assignment (kernel of each convolution shrunk to its alive
-    /// taps). Weights are freshly initialised — this constructor is used for
-    /// training-cost comparisons and deployment studies, not weight export.
-    pub fn concrete<R: Rng + ?Sized>(
-        rng: &mut R,
-        config: &ResTcnConfig,
-        dilations: &[usize],
-    ) -> ConcreteTcn {
-        assert_eq!(
-            dilations.len(),
-            config.num_searchable_layers(),
-            "expected {} dilations",
-            config.num_searchable_layers()
-        );
-        let rf = config.rf_max_per_layer();
-        let mut blocks = Vec::with_capacity(config.num_blocks);
-        for b in 0..config.num_blocks {
-            let in_ch = if b == 0 {
-                config.input_channels
-            } else {
-                config.hidden_channels
-            };
-            let out_ch = config.hidden_channels;
-            let k1 = (rf[2 * b] - 1) / dilations[2 * b] + 1;
-            let k2 = (rf[2 * b + 1] - 1) / dilations[2 * b + 1] + 1;
-            blocks.push(ConcreteBlock::Residual {
-                conv1: CausalConv1d::new(rng, in_ch, out_ch, k1, dilations[2 * b]),
-                conv2: CausalConv1d::new(rng, out_ch, out_ch, k2, dilations[2 * b + 1]),
-                downsample: if in_ch != out_ch {
-                    Some(CausalConv1d::new(rng, in_ch, out_ch, 1, 1))
-                } else {
-                    None
-                },
-                dropout: Dropout::new(config.dropout, config.seed.wrapping_add(100 + b as u64)),
-            });
-        }
-        let head = ConcreteHead::PerStep(CausalConv1d::new(
+        let head = Head::PerStep(CausalConv1d::new(
             rng,
-            config.hidden_channels,
-            config.output_channels,
+            self.hidden_channels,
+            self.output_channels,
             1,
             1,
         ));
-        ConcreteTcn::new("ResTCN-concrete", blocks, head)
-    }
-}
-
-impl Layer for ResTcn {
-    fn forward(&self, tape: &mut Tape, input: Var, mode: Mode) -> Var {
-        let mut x = input;
-        for block in &self.blocks {
-            x = block.forward(tape, x, mode);
-        }
-        self.head.forward(tape, x, mode)
-    }
-
-    fn params(&self) -> Vec<Param> {
-        let mut p: Vec<Param> = self.blocks.iter().flat_map(|b| b.params()).collect();
-        p.extend(self.head.params());
-        p
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "ResTCN(blocks={}, hidden={}, dilations={:?})",
-            self.config.num_blocks,
-            self.config.hidden_channels,
-            self.dilations()
-        )
-    }
-}
-
-impl SearchableNetwork for ResTcn {
-    fn pit_layers(&self) -> Vec<&PitConv1d> {
-        self.blocks
-            .iter()
-            .flat_map(|b| [&b.conv1, &b.conv2])
-            .collect()
+        Tcn::assemble("ResTCN", dilations, self.input_channels, blocks, head)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pit_nas::SearchSpace;
-    use pit_tensor::Tensor;
+    use pit_nas::{SearchSpace, SearchableNetwork};
+    use pit_nn::{Layer, Mode};
+    use pit_tensor::{Tape, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,11 +1,7 @@
 //! The TEMPONet seed (Zanghieri et al.) used for the PPG-Dalia benchmark.
 
-use crate::concrete::{ConcreteBlock, ConcreteHead, ConcreteTcn};
-use crate::descriptor::{LayerDesc, NetworkDescriptor};
-use pit_nas::{PitConv1d, SearchableNetwork};
-use pit_nn::layers::{AvgPool1d, BatchNorm1d, CausalConv1d, Linear};
-use pit_nn::{Layer, Mode};
-use pit_tensor::{Param, Tape, Var};
+use crate::tcn::{slot_dilations, Block, Conv, Head, Seed, Tcn};
+use pit_nn::layers::{AvgPool1d, BatchNorm1d, Linear};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -32,8 +28,6 @@ pub struct TempoNetConfig {
     pub fc_hidden: usize,
     /// Input window length in samples (8 s at 32 Hz = 256).
     pub input_length: usize,
-    /// Seed for dropout masks (reserved; TEMPONet blocks use batch norm).
-    pub seed: u64,
 }
 
 impl TempoNetConfig {
@@ -45,7 +39,6 @@ impl TempoNetConfig {
             kernel_sizes: vec![3, 3, 5, 3, 3, 3, 3],
             fc_hidden: 64,
             input_length: 256,
-            seed: 0,
         }
     }
 
@@ -108,254 +101,73 @@ impl Default for TempoNetConfig {
     }
 }
 
-struct TempoBlock {
-    convs: Vec<PitConv1d>,
-    norms: Vec<BatchNorm1d>,
-    pool: AvgPool1d,
-}
-
-impl TempoBlock {
-    fn forward(&self, tape: &mut Tape, input: Var, mode: Mode) -> Var {
-        let mut h = input;
-        for (conv, norm) in self.convs.iter().zip(self.norms.iter()) {
-            h = conv.forward(tape, h, mode);
-            h = norm.forward(tape, h, mode);
-            h = tape.relu(h);
-        }
-        self.pool.forward(tape, h, mode)
-    }
-
-    fn params(&self) -> Vec<Param> {
-        let mut p: Vec<Param> = self.convs.iter().flat_map(|c| c.params()).collect();
-        p.extend(self.norms.iter().flat_map(|n| n.params()));
-        p
-    }
-}
-
-/// Immutable view of one TEMPONet block's layers, exposed for lowering the
-/// searched network into a deployable inference plan.
-pub struct TempoBlockView<'a> {
-    /// The searchable convolutions of the block, in order.
-    pub convs: &'a [PitConv1d],
-    /// The batch norms following each convolution (same length as `convs`).
-    pub norms: &'a [BatchNorm1d],
-    /// The pooling stage closing the block.
-    pub pool: &'a AvgPool1d,
-}
-
-/// The searchable TEMPONet network.
+/// The searchable TEMPONet network, built by [`Tcn::new`] from a
+/// [`TempoNetConfig`] (the truly dilated one by [`Tcn::concrete`]).
 ///
 /// Input `[N, 4, input_length]`, output `[N, 1]` heart-rate estimates.
-pub struct TempoNet {
-    blocks: Vec<TempoBlock>,
-    fc_hidden: Linear,
-    fc_out: Linear,
-    config: TempoNetConfig,
-}
+pub type TempoNet = Tcn;
 
-impl TempoNet {
-    /// Builds the seed network (maximally sized filters, dilation 1).
+impl Seed for TempoNetConfig {
+    /// Builds TEMPONet: three plain blocks of searchable (or truly dilated)
+    /// convolutions, each followed by batch norm and ReLU and closed by
+    /// stride-2 average pooling, then the two-layer regression head.
     ///
     /// # Panics
     ///
-    /// Panics if `config.input_length` is not divisible by 8 (three pooling
-    /// stages of stride 2).
-    pub fn new<R: Rng + ?Sized>(rng: &mut R, config: &TempoNetConfig) -> Self {
+    /// Panics unless there are seven channel counts, and if `input_length`
+    /// is not divisible by 8 (three pooling stages of stride 2).
+    fn build<R: Rng + ?Sized>(&self, rng: &mut R, dilations: Option<&[usize]>) -> Tcn {
         assert_eq!(
-            config.channels.len(),
+            self.channels.len(),
             7,
             "TEMPONet needs exactly 7 channel counts"
         );
         assert_eq!(
-            config.input_length % 8,
+            self.input_length % 8,
             0,
             "input_length must be divisible by 8 (three stride-2 pooling stages)"
         );
-        let rf = config.rf_max_per_layer();
+        let slots = slot_dilations(dilations, 7);
+        let rf = self.rf_max_per_layer();
         let mut blocks = Vec::with_capacity(3);
         let mut layer_idx = 0usize;
-        let mut in_ch = config.input_channels;
-        for (b, &block_len) in config.block_sizes().iter().enumerate() {
-            let mut convs = Vec::with_capacity(block_len);
-            let mut norms = Vec::with_capacity(block_len);
+        let mut in_ch = self.input_channels;
+        for (b, &block_len) in self.block_sizes().iter().enumerate() {
+            let mut layers = Vec::with_capacity(block_len);
             for _ in 0..block_len {
-                let out_ch = config.channels[layer_idx];
-                convs.push(PitConv1d::new(
+                let out_ch = self.channels[layer_idx];
+                let conv = Conv::new(
                     rng,
                     in_ch,
                     out_ch,
                     rf[layer_idx],
+                    slots[layer_idx],
                     format!("block{b}.conv{layer_idx}"),
-                ));
-                norms.push(BatchNorm1d::new(out_ch));
+                );
+                layers.push((conv, Some(BatchNorm1d::new(out_ch))));
                 in_ch = out_ch;
                 layer_idx += 1;
             }
-            blocks.push(TempoBlock {
-                convs,
-                norms,
-                pool: AvgPool1d::new(2, 2),
-            });
-        }
-        let flat = config.channels[6] * config.final_length();
-        let fc_hidden = Linear::new(rng, flat, config.fc_hidden);
-        let fc_out = Linear::new(rng, config.fc_hidden, 1);
-        Self {
-            blocks,
-            fc_hidden,
-            fc_out,
-            config: config.clone(),
-        }
-    }
-
-    /// The configuration used to build the network.
-    pub fn config(&self) -> &TempoNetConfig {
-        &self.config
-    }
-
-    /// Per-block views of the layers, in network order (for plan lowering).
-    pub fn block_views(&self) -> Vec<TempoBlockView<'_>> {
-        self.blocks
-            .iter()
-            .map(|b| TempoBlockView {
-                convs: &b.convs,
-                norms: &b.norms,
-                pool: &b.pool,
-            })
-            .collect()
-    }
-
-    /// The two dense layers of the regression head (hidden, output).
-    pub fn fc_layers(&self) -> (&Linear, &Linear) {
-        (&self.fc_hidden, &self.fc_out)
-    }
-
-    /// Static per-layer description of the currently pruned network for the
-    /// configured input length.
-    pub fn descriptor(&self) -> NetworkDescriptor {
-        let mut d = NetworkDescriptor::new("TEMPONet");
-        let mut t = self.config.input_length;
-        for block in &self.blocks {
-            for conv in &block.convs {
-                d.push(LayerDesc::Conv1d {
-                    c_in: conv.in_channels(),
-                    c_out: conv.out_channels(),
-                    kernel: conv.alive_taps(),
-                    dilation: conv.dilation(),
-                    t_in: t,
-                    t_out: t,
-                });
-                d.push(LayerDesc::BatchNorm {
-                    channels: conv.out_channels(),
-                    t,
-                });
-            }
-            let t_out = (t - 2) / 2 + 1;
-            d.push(LayerDesc::AvgPool {
-                channels: block.convs.last().expect("non-empty block").out_channels(),
-                kernel: 2,
-                stride: 2,
-                t_in: t,
-                t_out,
-            });
-            t = t_out;
-        }
-        d.push(LayerDesc::Linear {
-            in_features: self.fc_hidden.in_features(),
-            out_features: self.fc_hidden.out_features(),
-        });
-        d.push(LayerDesc::Linear {
-            in_features: self.fc_out.in_features(),
-            out_features: self.fc_out.out_features(),
-        });
-        d
-    }
-
-    /// Builds the deployable, truly dilated network for a dilation assignment.
-    pub fn concrete<R: Rng + ?Sized>(
-        rng: &mut R,
-        config: &TempoNetConfig,
-        dilations: &[usize],
-    ) -> ConcreteTcn {
-        assert_eq!(dilations.len(), 7, "TEMPONet needs exactly 7 dilations");
-        let rf = config.rf_max_per_layer();
-        let mut blocks = Vec::with_capacity(3);
-        let mut layer_idx = 0usize;
-        let mut in_ch = config.input_channels;
-        for &block_len in config.block_sizes().iter() {
-            let mut convs = Vec::with_capacity(block_len);
-            let mut norms = Vec::with_capacity(block_len);
-            for _ in 0..block_len {
-                let out_ch = config.channels[layer_idx];
-                let k = (rf[layer_idx] - 1) / dilations[layer_idx] + 1;
-                convs.push(CausalConv1d::new(
-                    rng,
-                    in_ch,
-                    out_ch,
-                    k,
-                    dilations[layer_idx],
-                ));
-                norms.push(BatchNorm1d::new(out_ch));
-                in_ch = out_ch;
-                layer_idx += 1;
-            }
-            blocks.push(ConcreteBlock::Plain {
-                convs,
-                norms,
+            blocks.push(Block::Plain {
+                layers,
                 pool: Some(AvgPool1d::new(2, 2)),
             });
         }
-        let flat = config.channels[6] * config.final_length();
-        ConcreteTcn::new(
-            "TEMPONet-concrete",
-            blocks,
-            ConcreteHead::Fc {
-                hidden: Linear::new(rng, flat, config.fc_hidden),
-                output: Linear::new(rng, config.fc_hidden, 1),
-            },
-        )
-    }
-}
-
-impl Layer for TempoNet {
-    fn forward(&self, tape: &mut Tape, input: Var, mode: Mode) -> Var {
-        let mut x = input;
-        for block in &self.blocks {
-            x = block.forward(tape, x, mode);
-        }
-        let flat = tape.flatten_batch(x);
-        let h = self.fc_hidden.forward(tape, flat, mode);
-        let h = tape.relu(h);
-        self.fc_out.forward(tape, h, mode)
-    }
-
-    fn params(&self) -> Vec<Param> {
-        let mut p: Vec<Param> = self.blocks.iter().flat_map(|b| b.params()).collect();
-        p.extend(self.fc_hidden.params());
-        p.extend(self.fc_out.params());
-        p
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "TEMPONet(channels={:?}, dilations={:?})",
-            self.config.channels,
-            self.dilations()
-        )
-    }
-}
-
-impl SearchableNetwork for TempoNet {
-    fn pit_layers(&self) -> Vec<&PitConv1d> {
-        self.blocks.iter().flat_map(|b| b.convs.iter()).collect()
+        let flat = self.channels[6] * self.final_length();
+        let head = Head::Fc {
+            hidden: Linear::new(rng, flat, self.fc_hidden),
+            output: Linear::new(rng, self.fc_hidden, 1),
+        };
+        Tcn::assemble("TEMPONet", dilations, self.input_channels, blocks, head)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pit_nas::SearchSpace;
-    use pit_tensor::Tensor;
+    use pit_nas::{SearchSpace, SearchableNetwork};
+    use pit_nn::{Layer, Mode};
+    use pit_tensor::{Tape, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -427,7 +239,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let cfg = small_config();
         let net = TempoNet::new(&mut rng, &cfg);
-        let desc = net.descriptor();
+        let desc = net.descriptor(cfg.input_length);
         // 7 convs + 7 bns + 3 pools + 2 linears
         assert_eq!(desc.len(), 19);
         assert!(desc.total_macs() > 0);

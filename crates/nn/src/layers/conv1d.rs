@@ -26,7 +26,7 @@ use rand::Rng;
 /// ```
 pub struct CausalConv1d {
     weight: Param,
-    bias: Option<Param>,
+    bias: Param,
     in_channels: usize,
     out_channels: usize,
     kernel_size: usize,
@@ -63,25 +63,12 @@ impl CausalConv1d {
         );
         Self {
             weight,
-            bias: Some(bias),
+            bias,
             in_channels,
             out_channels,
             kernel_size,
             dilation,
         }
-    }
-
-    /// Creates a convolution without a bias term.
-    pub fn new_without_bias<R: Rng + ?Sized>(
-        rng: &mut R,
-        in_channels: usize,
-        out_channels: usize,
-        kernel_size: usize,
-        dilation: usize,
-    ) -> Self {
-        let mut conv = Self::new(rng, in_channels, out_channels, kernel_size, dilation);
-        conv.bias = None;
-        conv
     }
 
     /// The dilation factor currently used by the layer.
@@ -114,25 +101,21 @@ impl CausalConv1d {
         &self.weight
     }
 
-    /// The bias parameter, if present.
-    pub fn bias(&self) -> Option<&Param> {
-        self.bias.as_ref()
+    /// The bias parameter (`[C_out]`).
+    pub fn bias(&self) -> &Param {
+        &self.bias
     }
 }
 
 impl Layer for CausalConv1d {
     fn forward(&self, tape: &mut Tape, input: Var, _mode: Mode) -> Var {
         let w = tape.param(&self.weight);
-        let b = self.bias.as_ref().map(|b| tape.param(b));
-        tape.conv1d_causal(input, w, b, self.dilation)
+        let b = tape.param(&self.bias);
+        tape.conv1d_causal(input, w, Some(b), self.dilation)
     }
 
     fn params(&self) -> Vec<Param> {
-        let mut p = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            p.push(b.clone());
-        }
-        p
+        vec![self.weight.clone(), self.bias.clone()]
     }
 
     fn describe(&self) -> String {
@@ -165,8 +148,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let conv = CausalConv1d::new(&mut rng, 2, 4, 3, 1);
         assert_eq!(conv.num_weights(), 4 * 2 * 3 + 4);
-        let no_bias = CausalConv1d::new_without_bias(&mut rng, 2, 4, 3, 1);
-        assert_eq!(no_bias.num_weights(), 4 * 2 * 3);
     }
 
     #[test]

@@ -246,7 +246,7 @@ fn probe_cadence(model: &OracleModel, max_steps: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use pit_infer::quant::QuantizedPlan;
-    use pit_infer::{compile_temponet, InferencePlan};
+    use pit_infer::{compile, InferencePlan};
     use pit_models::{TempoNet, TempoNetConfig};
     use pit_nas::SearchableNetwork;
     use pit_tensor::init;
@@ -260,7 +260,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = TempoNet::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        compile_temponet(&net)
+        compile(&net)
     }
 
     fn table(seed: u64) -> (ModelTable, tempdir::TempDir) {

@@ -3,7 +3,7 @@
 //! oracle verdicts that make the run trustworthy.
 
 use pit_infer::quant::QuantizedPlan;
-use pit_infer::{compile_temponet, InferencePlan, ZooEntry, ZooManifest};
+use pit_infer::{compile, InferencePlan, ZooEntry, ZooManifest};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
 use pit_replay::{run_replay, ReplayOptions};
@@ -53,12 +53,12 @@ fn build_zoo(tag: &str) -> TempZoo {
     let mut rng = StdRng::seed_from_u64(71);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan = compile_temponet(&net);
+    let plan = compile(&net);
 
     let mut rng = StdRng::seed_from_u64(72);
     let net2 = TempoNet::new(&mut rng, &cfg);
     net2.set_dilations(&cfg.hand_tuned_dilations());
-    let plan2 = compile_temponet(&net2);
+    let plan2 = compile(&net2);
     let x = init::uniform(&mut rng, &[1, C, 64], 1.0);
     let qplan = QuantizedPlan::quantize(&plan2, std::slice::from_ref(&x)).unwrap();
 

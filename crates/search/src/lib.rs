@@ -19,7 +19,7 @@
 //! keeps the dense kernels; large λ prunes towards dilated, smaller models
 //! — the spread that makes the Pareto front non-trivial.
 
-use pit_infer::{compile_generic, InferencePlan, QuantizedPlan, ZooEntry, ZooManifest};
+use pit_infer::{compile, InferencePlan, QuantizedPlan, ZooEntry, ZooManifest};
 use pit_models::{GenericTcn, GenericTcnConfig};
 use pit_nas::{pareto_front, PitConfig, PitOutcome, PitSearch};
 use pit_nn::{Dataset, LossKind};
@@ -183,7 +183,7 @@ pub fn run_library_search(cfg: &LibraryConfig) -> Vec<SearchPoint> {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = GenericTcn::new(&mut rng, &tcn_config());
         let outcome = PitSearch::new(pit_cfg).run(&net, &train, &val, LossKind::Mse);
-        let plan = compile_generic(&net).with_name(point_name(seed, lambda));
+        let plan = compile(&net).with_name(point_name(seed, lambda));
         slots.lock().expect("search slot lock")[i] = Some(SearchPoint {
             seed,
             lambda,

@@ -21,7 +21,7 @@
 mod common;
 
 use common::expect_error;
-use pit_infer::{compile_temponet, QuantizedPlan, QuantizedSession};
+use pit_infer::{compile, QuantizedPlan, QuantizedSession};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::chaos::{self, ChaosRng, FaultPlan};
@@ -53,7 +53,7 @@ fn fixture() -> Arc<QuantizedPlan> {
         let mut rng = StdRng::seed_from_u64(61);
         let net = TempoNet::new(&mut rng, &cfg);
         net.set_dilations(&cfg.hand_tuned_dilations());
-        let plan = compile_temponet(&net);
+        let plan = compile(&net);
         let mut rng = StdRng::seed_from_u64(62);
         let x = init::uniform(&mut rng, &[1, C, 64], 1.0);
         Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).expect("quantize"))

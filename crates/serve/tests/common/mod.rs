@@ -3,7 +3,7 @@
 //! the receive helpers wait up to the including suite's `RECV_TIMEOUT`.
 #![allow(dead_code)]
 
-use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan};
+use pit_infer::{compile, InferencePlan, QuantizedPlan};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::{Client, ErrorCode, ServerFrame};
@@ -21,7 +21,7 @@ pub fn searched_plan(seed: u64) -> Arc<InferencePlan> {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    Arc::new(compile_temponet(&net))
+    Arc::new(compile(&net))
 }
 
 /// `plan` lowered to int8, calibrated on one seeded 64-step window.

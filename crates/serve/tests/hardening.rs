@@ -6,7 +6,7 @@
 mod common;
 
 use common::expect_error;
-use pit_infer::{compile_generic, InferencePlan};
+use pit_infer::{compile, InferencePlan};
 use pit_models::{GenericTcn, GenericTcnConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::{
@@ -26,7 +26,7 @@ fn tiny_plan() -> Arc<InferencePlan> {
     let mut rng = StdRng::seed_from_u64(0);
     let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
     net.set_dilations(&[2, 4]);
-    Arc::new(compile_generic(&net))
+    Arc::new(compile(&net))
 }
 
 fn spawn_server() -> (SocketAddr, ServerHandle) {

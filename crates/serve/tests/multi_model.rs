@@ -7,7 +7,7 @@
 mod common;
 
 use common::{collect_emissions, quantized_plan, searched_plan};
-use pit_infer::{compile_generic, QuantizedSession, Session};
+use pit_infer::{compile, QuantizedSession, Session};
 use pit_models::{GenericTcn, GenericTcnConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::{
@@ -182,7 +182,7 @@ fn push_channel_validation_follows_each_streams_model() {
         let mut rng = StdRng::seed_from_u64(3);
         let net = GenericTcn::new(&mut rng, &GenericTcnConfig::tiny());
         net.set_dilations(&[2, 4]);
-        Arc::new(compile_generic(&net))
+        Arc::new(compile(&net))
     };
     assert_eq!(narrow.input_channels(), 1);
     let wide = searched_plan(45);

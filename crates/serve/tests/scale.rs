@@ -4,7 +4,7 @@
 //! against a solo int8 session. No per-connection server threads exist to
 //! make this cheap; the edge multiplexes all 32 sockets in one poll loop.
 
-use pit_infer::{compile_temponet, InferencePlan, QuantizedPlan, QuantizedSession};
+use pit_infer::{compile, InferencePlan, QuantizedPlan, QuantizedSession};
 use pit_models::{TempoNet, TempoNetConfig};
 use pit_nas::SearchableNetwork;
 use pit_serve::protocol::entry_runs;
@@ -27,7 +27,7 @@ fn quantized_fixture() -> Arc<QuantizedPlan> {
     let mut rng = StdRng::seed_from_u64(61);
     let net = TempoNet::new(&mut rng, &cfg);
     net.set_dilations(&cfg.hand_tuned_dilations());
-    let plan: InferencePlan = compile_temponet(&net);
+    let plan: InferencePlan = compile(&net);
     let x = init::uniform(&mut rng, &[1, C, 64], 1.0);
     Arc::new(QuantizedPlan::quantize(&plan, std::slice::from_ref(&x)).unwrap())
 }

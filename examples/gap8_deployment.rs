@@ -60,7 +60,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(0);
         let net = TempoNet::new(&mut rng, &tcfg);
         net.set_dilations(dilations);
-        let report = deployment.analyze(&net.descriptor());
+        let report = deployment.analyze(&net.descriptor(tcfg.input_length));
         println!(
             "{:<22} {:>10} {:>12.1} {:>10.1} {:>8}",
             name,

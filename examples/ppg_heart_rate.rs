@@ -109,7 +109,7 @@ fn main() {
         let mut prng = StdRng::seed_from_u64(1);
         let net = TempoNet::new(&mut prng, &paper);
         net.set_dilations(&dils);
-        let report = deployment.analyze(&net.descriptor());
+        let report = deployment.analyze(&net.descriptor(paper.input_length));
         println!(
             "GAP8 {name:<10}: {:>8} weights, {:>6.1} ms, {:>5.1} mJ",
             net.effective_weights(),

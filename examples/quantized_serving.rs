@@ -19,7 +19,7 @@
 //! Run with: `cargo run --release --example quantized_serving`
 
 use pit::prelude::*;
-use pit_infer::{compile_temponet, QuantizedPlan, QuantizedSession, QuantizedSessionPool};
+use pit_infer::{compile, QuantizedPlan, QuantizedSession, QuantizedSessionPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -36,7 +36,7 @@ fn main() {
     net.set_dilations(&searched);
 
     // 1. Architecture round trip through pit-arch/1 JSON.
-    let json = net.descriptor().to_json_string();
+    let json = net.descriptor(config.input_length).to_json_string();
     let loaded = NetworkDescriptor::from_json_str(&json).expect("descriptor parses back");
     println!(
         "searched architecture : dilations {searched:?} ({} layers, {} bytes of JSON)",
@@ -45,7 +45,7 @@ fn main() {
     );
 
     // 2. Compile to the f32 plan.
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
 
     // 3. Calibrate on representative PPG windows, then lower to int8.
     let generator = PpgDaliaGenerator::new(PpgDaliaConfig {

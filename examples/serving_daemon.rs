@@ -21,7 +21,7 @@
 //! Run with: `cargo run --release --example serving_daemon`
 
 use pit::prelude::*;
-use pit_infer::{compile_temponet, QuantizedPlan, QuantizedSession};
+use pit_infer::{compile, QuantizedPlan, QuantizedSession};
 use pit_serve::protocol::entry_runs;
 use pit_serve::{Client, ClientBuilder, ClientFrame, ServerConfig, ServerFrame, StatsSnapshot};
 use rand::rngs::StdRng;
@@ -61,7 +61,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0);
     let net = TempoNet::new(&mut rng, &config);
     net.set_dilations(&[2, 4, 4, 8, 8, 16, 16]);
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     let calibration = pit_tensor::init::uniform(&mut rng, &[1, C, 64], 1.0);
     let qplan = Arc::new(
         QuantizedPlan::quantize(&plan, std::slice::from_ref(&calibration)).expect("plan quantizes"),

@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release --example streaming_inference`
 
 use pit::prelude::*;
-use pit_infer::compile_temponet;
+use pit_infer::compile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ fn main() {
     println!("searched architecture : dilations {searched:?}");
 
     // 1. Architecture round trip: save as JSON, load, re-validate.
-    let json = net.descriptor().to_json_string();
+    let json = net.descriptor(config.input_length).to_json_string();
     let loaded = NetworkDescriptor::from_json_str(&json).expect("descriptor parses back");
     let geometry = InferencePlan::from_descriptor(&loaded).expect("geometry compiles");
     println!(
@@ -43,7 +43,7 @@ fn main() {
     );
 
     // 2. Compile the trained network: masks -> true dilations, BN folded.
-    let plan = Arc::new(compile_temponet(&net));
+    let plan = Arc::new(compile(&net));
     println!(
         "compiled plan         : {} weights (searchable net stores {}), {} state floats/stream",
         plan.num_weights(),

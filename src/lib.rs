@@ -9,7 +9,8 @@
 //! * [`nn`] — layers, losses, optimizers and the training loop;
 //! * [`nas`] — the PIT optimizer itself (searchable convolution, size
 //!   regulariser, three-phase search, Pareto tooling);
-//! * [`models`] — the ResTCN and TEMPONet seed architectures;
+//! * [`models`] — the ResTCN and TEMPONet seed architectures, every one a
+//!   [`models::Tcn`];
 //! * [`infer`] — the streaming inference engine (compiled plans, stateful
 //!   sessions, batch-of-sessions serving);
 //! * [`datasets`] — synthetic Nottingham and PPG-Dalia workloads;
@@ -49,8 +50,8 @@ pub mod prelude {
     pub use pit_hw::{Deployment, DeploymentReport, Gap8Config};
     pub use pit_infer::{InferencePlan, Session, SessionPool};
     pub use pit_models::{
-        ConcreteTcn, GenericTcn, GenericTcnConfig, NetworkDescriptor, ResTcn, ResTcnConfig,
-        TempoNet, TempoNetConfig,
+        GenericTcn, GenericTcnConfig, NetworkDescriptor, ResTcn, ResTcnConfig, Tcn, TempoNet,
+        TempoNetConfig,
     };
     pub use pit_nas::{
         pareto_front, ParetoPoint, PitConfig, PitConv1d, PitOutcome, PitSearch, SearchSpace,

@@ -79,8 +79,9 @@ fn searched_architecture_deploys_on_gap8() {
     let seed_net = TempoNet::new(&mut prng, &TempoNetConfig::paper());
 
     let deployment = Deployment::new(Gap8Config::paper());
-    let found = deployment.analyze(&paper_net.descriptor());
-    let dense = deployment.analyze(&seed_net.descriptor());
+    let t = TempoNetConfig::paper().input_length;
+    let found = deployment.analyze(&paper_net.descriptor(t));
+    let dense = deployment.analyze(&seed_net.descriptor(t));
     assert!(found.latency_ms > 0.0);
     assert!(found.latency_ms <= dense.latency_ms);
     assert!(found.energy_mj <= dense.energy_mj);
