@@ -15,11 +15,30 @@ use pit_serve::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const C: usize = 4;
 const RECV_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A scratch directory that is removed when dropped, so a failing test
+/// cleans up too.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn random_stream(rng: &mut StdRng, steps: usize, channels: usize) -> Vec<f32> {
     (0..steps * channels)
@@ -275,9 +294,8 @@ fn push_channel_validation_follows_each_streams_model() {
 fn load_model_during_live_traffic_leaves_streams_bit_exact() {
     let plan = searched_plan(46);
     let qplan = quantized_plan(&plan, 47);
-    let dir = std::env::temp_dir().join(format!("pit-serve-chaos-load-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let i8_path = dir.join("model_i8.json");
+    let dir = TempDir::new("pit-serve-chaos-load");
+    let i8_path = dir.0.join("model_i8.json");
     std::fs::write(&i8_path, qplan.to_artifact_string()).expect("write i8 artifact");
 
     let server = Server::bind_models(

@@ -1,25 +1,62 @@
-//! Flattened im2col/GEMM kernels behind the causal-convolution tensor ops.
+//! Causal-convolution kernels behind the tensor ops, and the register-tiled
+//! GEMM behind [`crate::Tensor::matmul`].
 //!
-//! The original seed kernels walked `(batch, c_out, c_in, tap)` nests with a
-//! scalar AXPY over time per tap — one fused multiply-add per load *and* store
-//! of the output row. These kernels restructure the work the way a BLAS GEMM
-//! does:
+//! The seed kernels walked `(batch, c_out, c_in, tap)` nests with a scalar
+//! AXPY over time per tap. These kernels restructure that work:
 //!
-//! 1. **im2col pack** (`pack_im2col`): each alive `(c_in, tap)` pair becomes
-//!    one contiguous, pre-shifted row of a patch matrix, so the causal left
-//!    padding is paid once per row as a `fill`/`copy_from_slice` instead of a
-//!    per-element bounds decision in the hot loop;
-//! 2. **register-tiled GEMM** ([`gemm`], [`gemm_nt`]): `MR` output rows are
-//!    produced together over a `TILE`-wide time slab held in accumulator
-//!    registers, so every packed input value is reused `MR` times and the
-//!    output is touched once per slab instead of once per tap;
-//! 3. **mask fusion**: the PIT time mask `M` is folded into the weight pack
-//!    (`pack_weights`) and fully masked taps are dropped from the im2col
-//!    plan (`plan_rows`), so masked training does one pass over the data and
-//!    skips the work a dilated deployment convolution would skip — without
-//!    ever materialising `W ⊙ M`;
-//! 4. **batch parallelism**: every kernel fans the batch axis out through
-//!    [`crate::pool`] when the tensor is large enough to amortise threads.
+//! 1. **Live reduction rows**: every `(channel, tap)` pair is one reduction
+//!    row, read through its causal shift `tap · dilation`. Rows whose shift
+//!    reaches past `T`, and taps the PIT time mask `M` zeroes, are dropped
+//!    before any arithmetic (`live_rows`), and the mask is folded into the
+//!    weight pack (`pack_weights`). So masked training skips the work the
+//!    dilated deployment convolution would skip, without ever materialising
+//!    `W ⊙ M`.
+//! 2. **Padded slabs** (forward and input gradient): each sample's source
+//!    rows are copied once into scratch, zero-padded by the largest live
+//!    shift (on the left for the forward, where the causal pad is; on the
+//!    right for the input gradient, past the sequence end) and out to whole
+//!    `TILE`-wide slabs. `MR` output rows accumulate one slab in registers
+//!    over every row live for it, each row loading the whole slab: one loop,
+//!    with no per-lane path for rows that straddle the pad. Rows are sorted by
+//!    shift, so the live ones are a prefix and rows lying wholly in the pad
+//!    are skipped.
+//! 3. **Blocked patch** (weight gradient): each sample is packed once into a
+//!    time-major patch `[⌈R/8⌉][T][8]` of its `R` live rows, zero where
+//!    `t < shift`. For each block of 8 columns and each output channel, the 8
+//!    lane-class partial sums (`t mod 8`) of all 8 columns stay in registers,
+//!    so every multiply-add is 8 wide and no output needs a horizontal sum.
+//! 4. **Batch parallelism**: every kernel fans the batch axis out through
+//!    [`crate::pool`] when the tensor is large enough to amortise threads,
+//!    one contiguous group of samples per thread, with its scratch allocated
+//!    once per group.
+//!
+//! # Reduction order
+//!
+//! Which products are summed, and in what order, is part of each kernel's
+//! contract; `tests::*_keeps_the_reduction_order` spell it out as scalar
+//! loops and compare bit for bit.
+//!
+//! * Forward: `out[co, t]` is the bias (or zero) plus a sum that starts at
+//!   0.0 and adds `(w ⊙ m)[co, ci, k] · x[ci, t − k·d]` over the live
+//!   `(c_in, tap)` rows in shift order (stable, so channel order within a
+//!   shift), skipping rows with `k·d > t`.
+//! * Input gradient: `gx[ci, τ]` is zero plus a sum that starts at 0.0 and
+//!   adds `(w ⊙ m)[co, ci, k] · g[co, τ + k·d]` over the live
+//!   `(c_out, tap)` rows in the same order, skipping rows with
+//!   `τ + k·d ≥ T`.
+//! * Weight gradient: per sample, 8 lane classes sum `g[co, t] · x[ci, t − k·d]`
+//!   (zero for `t < k·d`) over `t mod 8`, the tail past the last whole group
+//!   of 8 going to class 0; the classes are added in order, and the sample's
+//!   value is added to its group's batch sum. Group sums are added in group
+//!   order (`pool::map_accumulate`), so a weight gradient split across
+//!   threads sums in another order than a serial one.
+//!
+//! A pad lane changes no sum: it adds `w · 0.0 = ±0.0` to an accumulator
+//! that starts at `+0.0` and so is never `−0.0`. Outputs are therefore
+//! bit-identical to the sums above for finite weights only: a NaN or ∞
+//! weight turns the pad lanes of its row into NaN too. The kernels are safe
+//! Rust written to autovectorise; Rust never contracts `a + x · w` into a
+//! fused multiply-add, so the order above is the order the hardware runs.
 //!
 //! The seed's naive nests are preserved verbatim at the bottom of this module
 //! (gated behind `cfg(test)` and the `reference` feature) as the oracle the
@@ -33,10 +70,14 @@
 
 use crate::pool;
 
-/// Number of output rows each GEMM microkernel iteration produces.
+/// Number of output rows each microkernel iteration produces.
 const MR: usize = 4;
 /// Width (in `f32` lanes) of the time slab held in accumulators.
 const TILE: usize = 16;
+/// Columns of one weight-gradient patch block: one 8-lane vector.
+const COLS: usize = 8;
+/// Lane classes (`t mod 8`) of a weight-gradient dot product.
+const CLASSES: usize = 8;
 
 /// Geometry of one causal-convolution call.
 #[derive(Debug, Clone, Copy)]
@@ -62,233 +103,280 @@ impl ConvShape {
     }
 }
 
-/// One row of the im2col patch matrix: which flat weight column feeds it and
-/// how far along time its input channel is delayed.
+/// One reduction row: a source channel read through a tap's time shift.
 #[derive(Debug, Clone, Copy)]
 struct TapRow {
-    /// Flat column into the `[C_out, C_in·K]` weight matrix (`ci * K + kk`).
-    col: usize,
-    /// Source channel `ci`.
+    /// Source channel: `c_in` for the forward and the weight gradient,
+    /// `c_out` for the input gradient.
     src: usize,
-    /// Causal delay `kk * dilation`.
+    /// Kernel tap.
+    tap: usize,
+    /// Causal delay `tap · dilation`.
     shift: usize,
 }
 
-/// Builds the im2col plan: one row per `(c_in, tap)` pair whose tap is alive.
-///
-/// Taps whose shift falls outside the sequence (`kk·d >= T`) contribute
-/// nothing and are dropped; when a mask is given, taps it zeroes are dropped
-/// too — this is where masked training recovers the sparsity of the dilated
-/// network it will deploy as.
-fn plan_rows(s: &ConvShape, mask: Option<&[f32]>) -> Vec<TapRow> {
-    let mut rows = Vec::with_capacity(s.c_in * s.k);
-    for ci in 0..s.c_in {
-        for kk in 0..s.k {
-            let shift = kk * s.dilation;
-            if shift >= s.t {
+/// The live reduction rows over `channels` source channels, channel-major:
+/// one per `(channel, tap)` pair whose shift is below `T` and whose tap the
+/// mask (if any) keeps.
+fn live_rows(channels: usize, s: &ConvShape, mask: Option<&[f32]>) -> Vec<TapRow> {
+    let mut rows = Vec::with_capacity(channels * s.k);
+    for src in 0..channels {
+        for tap in 0..s.k {
+            let shift = tap * s.dilation;
+            if shift >= s.t || mask.is_some_and(|m| m[tap] == 0.0) {
                 continue;
             }
-            if let Some(m) = mask {
-                if m[kk] == 0.0 {
-                    continue;
-                }
-            }
-            rows.push(TapRow {
-                col: ci * s.k + kk,
-                src: ci,
-                shift,
-            });
+            rows.push(TapRow { src, tap, shift });
         }
     }
     rows
 }
 
-/// Gathers the alive columns of the `[C_out, C_in·K]` weight matrix into a
-/// dense `[C_out, rows.len()]` matrix, folding the time mask in as it goes.
-fn pack_weights(w: &[f32], s: &ConvShape, rows: &[TapRow], mask: Option<&[f32]>) -> Vec<f32> {
-    let ck = s.c_in * s.k;
-    let nr = rows.len();
-    let mut wp = vec![0.0f32; s.c_out * nr];
-    for co in 0..s.c_out {
-        let src = &w[co * ck..(co + 1) * ck];
-        let dst = &mut wp[co * nr..(co + 1) * nr];
-        for (j, row) in rows.iter().enumerate() {
-            let mv = mask.map(|m| m[row.col % s.k]).unwrap_or(1.0);
-            dst[j] = src[row.col] * mv;
-        }
+/// Gathers `weight(i, row)` for every reduction row and output row `i` into
+/// a dense row-major `[rows.len(), rows_out]` matrix, folding the time mask
+/// in, so the weights one reduction row gives `MR` output rows are adjacent.
+fn pack_weights(
+    rows_out: usize,
+    rows: &[TapRow],
+    mask: Option<&[f32]>,
+    weight: impl Fn(usize, &TapRow) -> f32,
+) -> Vec<f32> {
+    let mut wp = Vec::with_capacity(rows.len() * rows_out);
+    for row in rows {
+        let m = mask.map_or(1.0, |m| m[row.tap]);
+        wp.extend((0..rows_out).map(|i| weight(i, row) * m));
     }
     wp
 }
 
-/// Packs one batch sample `[C_in, T]` into the `[rows.len(), T]` patch
-/// matrix: row `j` is its source channel delayed by `shift` with zero fill.
-fn pack_im2col(xb: &[f32], s: &ConvShape, rows: &[TapRow], xcol: &mut [f32]) {
-    let t = s.t;
-    for (j, row) in rows.iter().enumerate() {
-        let src = &xb[row.src * t..(row.src + 1) * t];
-        let dst = &mut xcol[j * t..(j + 1) * t];
-        dst[..row.shift].fill(0.0);
-        dst[row.shift..].copy_from_slice(&src[..t - row.shift]);
-    }
-}
-
-/// One reduction row of the virtual-slab convolution microkernel: a source
-/// channel read through a time shift, without materialising the shifted copy.
-#[derive(Debug, Clone, Copy)]
-struct MacRow {
-    /// Row of the `[C_src, T]` source buffer this reduction reads.
-    src: usize,
-    /// Time shift of the read.
-    shift: usize,
-}
-
-/// Multiply-accumulate driver over virtual shifted rows:
-/// dispatches `mac_rows` in blocks of `MR` output rows.
-///
-/// * `LEFT = false` (forward): `out[i, tt] += wp[i, j] · src[row_j, tt − shift_j]`
-///   (reads before the start of the row contribute zero — the causal pad);
-/// * `LEFT = true` (input gradient): `out[i, τ] += wp[i, j] · src[row_j, τ + shift_j]`
-///   (reads past the end contribute zero).
-///
-/// `out` must be pre-initialised (zeros or bias); values are accumulated.
-fn conv_mac<const LEFT: bool>(
-    rows_out: usize,
+/// One forward or input-gradient call: shift-sorted reduction rows read
+/// from a zero-padded per-sample copy of the source rows.
+struct SlabConv {
+    /// Samples in the batch.
+    n: usize,
+    /// Source rows per sample.
+    c_src: usize,
+    /// Sequence length.
     t: usize,
-    wp: &[f32],
-    src: &[f32],
-    rows: &[MacRow],
-    out: &mut [f32],
-) {
-    let mut i = 0;
-    while i + MR <= rows_out {
-        mac_rows::<MR, LEFT>(i, t, wp, src, rows, out);
-        i += MR;
+    /// Floats between two rows of the padded copy.
+    stride: usize,
+    /// Offset of the sequence inside each padded row.
+    lead: usize,
+    /// Offset of each reduction row's read at slab 0; at time `tb` it reads
+    /// the `TILE` floats from `base + tb`.
+    bases: Vec<usize>,
+    /// For each slab, how many rows (a prefix) read anything but pad.
+    live: Vec<usize>,
+}
+
+impl SlabConv {
+    /// The forward's reads, `x[ci, t − shift]`: padded on the left by the
+    /// largest shift.
+    fn forward(rows: &[TapRow], s: &ConvShape) -> Self {
+        debug_assert!(rows.is_sorted_by_key(|r| r.shift));
+        let pad = rows.last().map_or(0, |r| r.shift);
+        let slabs = s.t.div_ceil(TILE);
+        let stride = pad + slabs * TILE;
+        Self {
+            n: s.n,
+            c_src: s.c_in,
+            t: s.t,
+            stride,
+            lead: pad,
+            bases: rows
+                .iter()
+                .map(|r| r.src * stride + pad - r.shift)
+                .collect(),
+            live: (0..slabs)
+                .map(|sl| rows.partition_point(|r| r.shift < (sl + 1) * TILE))
+                .collect(),
+        }
     }
-    match rows_out - i {
-        0 => {}
-        1 => mac_rows::<1, LEFT>(i, t, wp, src, rows, out),
-        2 => mac_rows::<2, LEFT>(i, t, wp, src, rows, out),
-        3 => mac_rows::<3, LEFT>(i, t, wp, src, rows, out),
-        // A silent fall-through here would drop output rows; keep this
-        // exhaustive relative to MR so raising MR cannot corrupt results.
-        rem => unreachable!("conv_mac remainder {rem} not covered (MR = {MR})"),
+
+    /// The input gradient's reads, `g[co, τ + shift]`: padded on the right
+    /// by the largest shift.
+    fn grad_input(rows: &[TapRow], s: &ConvShape) -> Self {
+        debug_assert!(rows.is_sorted_by_key(|r| r.shift));
+        let pad = rows.last().map_or(0, |r| r.shift);
+        let slabs = s.t.div_ceil(TILE);
+        let stride = slabs * TILE + pad;
+        Self {
+            n: s.n,
+            c_src: s.c_out,
+            t: s.t,
+            stride,
+            lead: 0,
+            bases: rows.iter().map(|r| r.src * stride + r.shift).collect(),
+            live: (0..slabs)
+                .map(|sl| rows.partition_point(|r| r.shift + sl * TILE < s.t))
+                .collect(),
+        }
+    }
+
+    /// Runs the call over the batch: for every sample, `init` sets its
+    /// `[rows_out, t]` block of `out` (bias or zeros), the sample's source
+    /// rows are copied into the padded scratch, and `slab_rows` adds
+    /// `wp · source` to the block.
+    ///
+    /// The samples are split into one contiguous group per thread, so the
+    /// scratch is allocated once per group.
+    fn run(
+        &self,
+        src: &[f32],
+        wp: &[f32],
+        rows_out: usize,
+        threads: usize,
+        init: impl Fn(&mut [f32]) + Sync,
+        out: &mut [f32],
+    ) {
+        let (n, c_src, t) = (self.n, self.c_src, self.t);
+        let sample_out = rows_out * t;
+        let per = n.div_ceil(threads);
+        let out = &mut out[..n * sample_out];
+        pool::for_each_chunk(out, per * sample_out, threads, |g, group| {
+            if self.bases.is_empty() {
+                group.chunks_mut(sample_out).for_each(&init);
+                return;
+            }
+            let mut padded = vec![0.0f32; c_src * self.stride];
+            for (i, out_b) in group.chunks_mut(sample_out).enumerate() {
+                init(out_b);
+                let bn = g * per + i;
+                let sb = &src[bn * c_src * t..(bn + 1) * c_src * t];
+                for (dst, row) in padded.chunks_exact_mut(self.stride).zip(sb.chunks_exact(t)) {
+                    dst[self.lead..self.lead + t].copy_from_slice(row);
+                }
+                let mut i0 = 0;
+                while i0 + MR <= rows_out {
+                    slab_rows::<MR>(i0, wp, &padded, self, out_b);
+                    i0 += MR;
+                }
+                match rows_out - i0 {
+                    0 => {}
+                    1 => slab_rows::<1>(i0, wp, &padded, self, out_b),
+                    2 => slab_rows::<2>(i0, wp, &padded, self, out_b),
+                    3 => slab_rows::<3>(i0, wp, &padded, self, out_b),
+                    // A silent fall-through here would drop output rows; keep
+                    // this exhaustive relative to MR so raising MR cannot
+                    // corrupt results.
+                    rem => unreachable!("slab remainder {rem} not covered (MR = {MR})"),
+                }
+            }
+        });
     }
 }
 
-/// Produces output rows `i0..i0 + R` of `conv_mac`, register-tiling
-/// `TILE`-wide time slabs.
+/// Produces output rows `i0..i0 + R` of one sample: for each `TILE`-wide
+/// slab, `R × TILE` accumulators start at zero, add `wp[j, i] · slab_j` over
+/// the rows live for the slab (in row order), and are added to `out`.
 ///
-/// `rows` must be sorted by `shift`: for any slab the rows then split into a
-/// *full* prefix (whole slab valid — the hot, branch-free loop), a *partial*
-/// middle (slab straddles the causal pad / sequence end) and a dead suffix,
-/// found by two `partition_point` probes per slab instead of a branch per
-/// row. Interior slabs are contiguous loads of the unpacked source row, so
-/// the input never needs an im2col copy.
-fn mac_rows<const R: usize, const LEFT: bool>(
-    i0: usize,
-    t: usize,
-    wp: &[f32],
-    src: &[f32],
-    rows: &[MacRow],
-    out: &mut [f32],
-) {
-    debug_assert!(rows.windows(2).all(|w| w[0].shift <= w[1].shift));
-    let nr = rows.len();
-    let mut tb = 0;
-    while tb + TILE <= t {
-        // Forward reads srow[tb + l − s] (valid once s <= tb); the input
-        // gradient reads srow[tb + l + s] (valid while tb + s + TILE <= t).
-        let (full_end, live_end) = if !LEFT {
-            (
-                rows.partition_point(|r| r.shift <= tb),
-                rows.partition_point(|r| r.shift < tb + TILE),
-            )
-        } else {
-            (
-                rows.partition_point(|r| r.shift + tb + TILE <= t),
-                rows.partition_point(|r| r.shift + tb < t),
-            )
-        };
+/// Every read is a whole slab of the padded source, so the one loop covers
+/// rows inside the sequence and rows straddling its pad alike; the last slab
+/// may run past `t`, and only its first `t − tb` lanes are stored.
+fn slab_rows<const R: usize>(i0: usize, wp: &[f32], src: &[f32], conv: &SlabConv, out: &mut [f32]) {
+    let t = conv.t;
+    let rows_out = wp.len() / conv.bases.len();
+    for (sl, &live) in conv.live.iter().enumerate() {
+        let tb = sl * TILE;
         let mut acc = [[0.0f32; TILE]; R];
-        for (j, row) in rows[..full_end].iter().enumerate() {
-            let off = if !LEFT {
-                row.src * t + tb - row.shift
-            } else {
-                row.src * t + tb + row.shift
-            };
-            let xs: &[f32; TILE] = src[off..off + TILE].try_into().expect("slab");
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = wp[(i0 + r) * nr + j];
+        for (&base, wrow) in conv.bases[..live].iter().zip(wp.chunks_exact(rows_out)) {
+            let xs: &[f32; TILE] = src[base + tb..base + tb + TILE].try_into().expect("slab");
+            let ws: &[f32; R] = wrow[i0..i0 + R].try_into().expect("weights");
+            for (accr, &av) in acc.iter_mut().zip(ws) {
                 for l in 0..TILE {
                     accr[l] += av * xs[l];
                 }
             }
         }
-        for (j, row) in rows[full_end..live_end].iter().enumerate() {
-            let j = j + full_end;
-            let s = row.shift;
-            let srow = &src[row.src * t..(row.src + 1) * t];
-            if !LEFT {
-                let start = s - tb;
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = wp[(i0 + r) * nr + j];
-                    for l in start..TILE {
-                        accr[l] += av * srow[tb + l - s];
-                    }
+        for (r, accr) in acc.iter().enumerate() {
+            let orow = &mut out[(i0 + r) * t..(i0 + r + 1) * t];
+            // Whole slabs store at a fixed width, which keeps `acc` in
+            // vector registers.
+            if let Ok(o) = <&mut [f32; TILE]>::try_from(&mut orow[tb..(tb + TILE).min(t)]) {
+                for l in 0..TILE {
+                    o[l] += accr[l];
                 }
             } else {
-                let end = t - s - tb;
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = wp[(i0 + r) * nr + j];
-                    for l in 0..end {
-                        accr[l] += av * srow[tb + l + s];
-                    }
+                for (o, a) in orow[tb..].iter_mut().zip(accr) {
+                    *o += a;
                 }
             }
         }
-        for (r, accr) in acc.iter().enumerate() {
-            let orow = &mut out[(i0 + r) * t + tb..(i0 + r) * t + tb + TILE];
-            for l in 0..TILE {
-                orow[l] += accr[l];
-            }
-        }
-        tb += TILE;
     }
-    // Ragged tail shorter than a slab: scalar lanes with explicit bounds.
-    if tb < t {
-        let rem = t - tb;
-        let mut acc = [[0.0f32; TILE]; R];
-        for (j, row) in rows.iter().enumerate() {
-            let s = row.shift;
-            let srow = &src[row.src * t..(row.src + 1) * t];
-            let (start, end) = if !LEFT {
-                (s.saturating_sub(tb).min(rem), rem)
-            } else {
-                (0, t.saturating_sub(s).saturating_sub(tb).min(rem))
-            };
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = wp[(i0 + r) * nr + j];
-                if !LEFT {
-                    for l in start..end {
-                        accr[l] += av * srow[tb + l - s];
-                    }
-                } else {
-                    for l in start..end {
-                        accr[l] += av * srow[tb + l + s];
-                    }
+}
+
+/// Packs one sample `[C_in, T]` into the blocked weight-gradient patch
+/// `[⌈R/8⌉][T][8]`: column `j % 8` of block `j / 8` is reduction row `j`'s
+/// source channel delayed by its shift. Entries with `t < shift`, and the
+/// columns of a last block past `R`, are never written, so the zeros the
+/// patch was allocated with stay.
+fn pack_patch(xb: &[f32], t: usize, rows: &[TapRow], patch: &mut [f32]) {
+    for (j, row) in rows.iter().enumerate() {
+        let block = &mut patch[(j / COLS) * t * COLS..(j / COLS + 1) * t * COLS];
+        let src = &xb[row.src * t..(row.src + 1) * t];
+        for (dst, &v) in block[row.shift * COLS..].chunks_exact_mut(COLS).zip(src) {
+            dst[j % COLS] = v;
+        }
+    }
+}
+
+/// `acc += a · x` over one 8-wide row.
+#[inline(always)]
+fn axpy(acc: [f32; COLS], a: f32, x: &[f32; COLS]) -> [f32; COLS] {
+    let mut out = acc;
+    for c in 0..COLS {
+        out[c] += a * x[c];
+    }
+    out
+}
+
+/// `acc[co, j] += Σ_t gb[co, t] · patch[j, t]` for one sample, in the
+/// lane-class order of the module docs: per 8-column block and output
+/// channel, the `CLASSES` partial sums of all 8 columns stay in registers
+/// and each timestep is one 8-wide multiply-add. `acc` rows are
+/// `⌈R/8⌉·8` wide, so every block stores whole.
+fn patch_gemm(c_out: usize, t: usize, gb: &[f32], patch: &[f32], acc: &mut [f32]) {
+    let width = patch.len() / t;
+    for (b, block) in patch.chunks_exact(t * COLS).enumerate() {
+        let (steps, _) = block.as_chunks::<COLS>();
+        let (groups, _) = steps.as_chunks::<CLASSES>();
+        for co in 0..c_out {
+            let (g8, g_tail) = gb[co * t..(co + 1) * t].as_chunks::<CLASSES>();
+            // One variable per lane class: held in an array, the classes
+            // get vectorised across the wrong axis.
+            let [mut c0, mut c1, mut c2, mut c3, mut c4, mut c5, mut c6, mut c7] =
+                [[0.0f32; COLS]; CLASSES];
+            for (gs, ps) in g8.iter().zip(groups) {
+                c0 = axpy(c0, gs[0], &ps[0]);
+                c1 = axpy(c1, gs[1], &ps[1]);
+                c2 = axpy(c2, gs[2], &ps[2]);
+                c3 = axpy(c3, gs[3], &ps[3]);
+                c4 = axpy(c4, gs[4], &ps[4]);
+                c5 = axpy(c5, gs[5], &ps[5]);
+                c6 = axpy(c6, gs[6], &ps[6]);
+                c7 = axpy(c7, gs[7], &ps[7]);
+            }
+            for (&gv, prow) in g_tail.iter().zip(&steps[g8.len() * CLASSES..]) {
+                c0 = axpy(c0, gv, prow);
+            }
+            let mut sum = c0;
+            for class in [c1, c2, c3, c4, c5, c6, c7] {
+                for c in 0..COLS {
+                    sum[c] += class[c];
                 }
             }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            for (l, &av) in accr.iter().enumerate().take(rem) {
-                out[(i0 + r) * t + tb + l] += av;
+            let dst: &mut [f32; COLS] = (&mut acc[co * width + b * COLS..][..COLS])
+                .try_into()
+                .expect("block");
+            for c in 0..COLS {
+                dst[c] += sum[c];
             }
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// GEMM microkernels
+// GEMM microkernel
 // ----------------------------------------------------------------------
 
 /// `out[m, n] += a[m, kd] · b[kd, n]`, producing `MR` output rows at a time
@@ -365,65 +453,6 @@ fn gemm_rows<const R: usize>(i: usize, kd: usize, n: usize, a: &[f32], b: &[f32]
     }
 }
 
-/// `out[m, n] += a[m, kd] · bt[n, kd]ᵀ` — inner-product form, for gradients
-/// where both operands are stored row-major along the shared `kd` axis.
-///
-/// Each `a` row slab is loaded once per `MR` `bt` rows.
-///
-/// # Panics
-///
-/// Panics (by slice indexing) if `a`, `bt` or `out` are shorter than
-/// `m·kd`, `n·kd` and `m·n` respectively.
-pub fn gemm_nt(m: usize, n: usize, kd: usize, a: &[f32], bt: &[f32], out: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * kd..(i + 1) * kd];
-        let mut j = 0;
-        while j + MR <= n {
-            let d = dot_rows::<MR>(arow, bt, j, kd);
-            for (r, dv) in d.iter().enumerate() {
-                out[i * n + j + r] += dv;
-            }
-            j += MR;
-        }
-        while j < n {
-            let d = dot_rows::<1>(arow, bt, j, kd);
-            out[i * n + j] += d[0];
-            j += 1;
-        }
-    }
-}
-
-/// Dot products of `a` with `R` consecutive rows of `bt`, vectorised over
-/// 8-lane slabs.
-fn dot_rows<const R: usize>(a: &[f32], bt: &[f32], j0: usize, kd: usize) -> [f32; R] {
-    const LANES: usize = 8;
-    let mut acc = [[0.0f32; LANES]; R];
-    let slabs = kd / LANES;
-    for c in 0..slabs {
-        let av: &[f32; LANES] = a[c * LANES..(c + 1) * LANES].try_into().expect("a slab");
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let brow: &[f32; LANES] = bt
-                [(j0 + r) * kd + c * LANES..(j0 + r) * kd + (c + 1) * LANES]
-                .try_into()
-                .expect("b slab");
-            for l in 0..LANES {
-                accr[l] += av[l] * brow[l];
-            }
-        }
-    }
-    let tail = slabs * LANES;
-    for (r, accr) in acc.iter_mut().enumerate() {
-        for p in tail..kd {
-            accr[0] += a[p] * bt[(j0 + r) * kd + p];
-        }
-    }
-    let mut out = [0.0f32; R];
-    for (r, accr) in acc.iter().enumerate() {
-        out[r] = accr.iter().sum();
-    }
-    out
-}
-
 // ----------------------------------------------------------------------
 // Convolution drivers
 // ----------------------------------------------------------------------
@@ -431,9 +460,10 @@ fn dot_rows<const R: usize>(a: &[f32], bt: &[f32], j0: usize, kd: usize) -> [f32
 /// Forward causal convolution: `out[n, co, t] = Σ (w ⊙ m)[co, ci, k] · x[n, ci, t − k·d]`
 /// plus bias, batch-parallel over `n`.
 ///
-/// Tape-free, allocation-free into `out` apart from the internal weight pack;
-/// this is the kernel both [`crate::Tensor::conv1d_causal`] and the compiled
-/// inference plans execute through.
+/// Tape-free into `out`, apart from the internal weight pack and one padded
+/// source copy per thread; this is the kernel both
+/// [`crate::Tensor::conv1d_causal`] and the compiled inference plans execute
+/// through. The summation order is the one in the module docs.
 ///
 /// # Panics
 ///
@@ -448,40 +478,27 @@ pub fn conv1d_forward(
     s: &ConvShape,
     out: &mut [f32],
 ) {
-    let mut rows = plan_rows(s, mask);
-    // Sorted by shift so the microkernel's full/partial/dead split is a
-    // prefix partition per slab.
+    let mut rows = live_rows(s.c_in, s, mask);
+    // Stable: rows of one shift keep their channel order.
     rows.sort_by_key(|r| r.shift);
-    let wp = pack_weights(w, s, &rows, mask);
-    let mac: Vec<MacRow> = rows
-        .iter()
-        .map(|r| MacRow {
-            src: r.src,
-            shift: r.shift,
-        })
-        .collect();
-    let threads = pool::plan_threads(s.n, s.work_per_batch());
-    let (c_in, t, c_out) = (s.c_in, s.t, s.c_out);
-    pool::for_each_chunk(out, c_out * t, threads, |bn, out_b| {
-        match bias {
-            Some(bv) => {
-                for (co, orow) in out_b.chunks_mut(t).enumerate() {
-                    orow.fill(bv[co]);
-                }
-            }
-            None => out_b.fill(0.0),
-        }
-        if mac.is_empty() {
-            return;
-        }
-        let xb = &x[bn * c_in * t..(bn + 1) * c_in * t];
-        conv_mac::<false>(c_out, t, &wp, xb, &mac, out_b);
+    let wp = pack_weights(s.c_out, &rows, mask, |co, r| {
+        w[(co * s.c_in + r.src) * s.k + r.tap]
     });
+    let t = s.t;
+    let init = |out_b: &mut [f32]| match bias {
+        Some(bv) => {
+            for (orow, &b) in out_b.chunks_mut(t).zip(bv) {
+                orow.fill(b);
+            }
+        }
+        None => out_b.fill(0.0),
+    };
+    let threads = pool::plan_threads(s.n, s.work_per_batch());
+    SlabConv::forward(&rows, s).run(x, &wp, s.c_out, threads, init, out);
 }
 
-/// Input gradient: `gx[n, ci, τ] += Σ (w ⊙ m)[co, ci, k] · g[n, co, τ + k·d]`,
-/// computed as `Wᵀ · dY` into patch rows followed by a shifted col2im
-/// scatter-add. Batch-parallel over `n`.
+/// Input gradient: `gx[n, ci, τ] = Σ (w ⊙ m)[co, ci, k] · g[n, co, τ + k·d]`,
+/// batch-parallel over `n`, in the summation order of the module docs.
 pub(crate) fn conv1d_grad_input(
     g: &[f32],
     w: &[f32],
@@ -490,86 +507,53 @@ pub(crate) fn conv1d_grad_input(
     gx: &mut [f32],
 ) {
     // Reduction rows seen from an input channel: every alive `(c_out, tap)`
-    // pair, reading dY through a forward (left) shift. The weight giving
-    // output row `ci` its coefficient for reduction row `(co, kk)` is
-    // `w[co, ci, kk]`, gathered into `wt[ci, j]` with the mask folded in.
-    let mut mac = Vec::with_capacity(s.c_out * s.k);
-    let mut taps = Vec::with_capacity(s.c_out * s.k);
-    for co in 0..s.c_out {
-        for kk in 0..s.k {
-            let shift = kk * s.dilation;
-            if shift >= s.t {
-                continue;
-            }
-            if let Some(m) = mask {
-                if m[kk] == 0.0 {
-                    continue;
-                }
-            }
-            mac.push(MacRow { src: co, shift });
-            taps.push((co, kk));
-        }
-    }
-    // Shift-sorted for the microkernel's prefix partition (see `mac_rows`).
-    let mut order: Vec<usize> = (0..mac.len()).collect();
-    order.sort_by_key(|&j| mac[j].shift);
-    let mac: Vec<MacRow> = order.iter().map(|&j| mac[j]).collect();
-    let taps: Vec<(usize, usize)> = order.iter().map(|&j| taps[j]).collect();
-    let nr = mac.len();
-    let ck = s.c_in * s.k;
-    let mut wt = vec![0.0f32; s.c_in * nr];
-    for ci in 0..s.c_in {
-        for (j, &(co, kk)) in taps.iter().enumerate() {
-            let mv = mask.map(|m| m[kk]).unwrap_or(1.0);
-            wt[ci * nr + j] = w[co * ck + ci * s.k + kk] * mv;
-        }
-    }
-    let threads = pool::plan_threads(s.n, s.work_per_batch());
-    let (c_in, t, c_out) = (s.c_in, s.t, s.c_out);
-    pool::for_each_chunk(gx, c_in * t, threads, |bn, gx_b| {
-        gx_b.fill(0.0);
-        if nr == 0 {
-            return;
-        }
-        let gb = &g[bn * c_out * t..(bn + 1) * c_out * t];
-        conv_mac::<true>(c_in, t, &wt, gb, &mac, gx_b);
+    // pair, reading dY through a forward shift; output row `ci` weighs row
+    // `(co, kk)` by `w[co, ci, kk]`.
+    let mut rows = live_rows(s.c_out, s, mask);
+    rows.sort_by_key(|r| r.shift);
+    let wt = pack_weights(s.c_in, &rows, mask, |ci, r| {
+        w[(r.src * s.c_in + ci) * s.k + r.tap]
     });
+    let threads = pool::plan_threads(s.n, s.work_per_batch());
+    let zero = |gx_b: &mut [f32]| gx_b.fill(0.0);
+    SlabConv::grad_input(&rows, s).run(g, &wt, s.c_in, threads, zero, gx);
 }
 
 /// Weight gradient: `gw[co, ci, k] = Σ_{n, t} g[n, co, t] · x[n, ci, t − k·d]`,
-/// computed per batch as `dY · X_colᵀ` and reduced over the batch through
-/// per-worker accumulators.
+/// computed per sample from the blocked patch (`patch_gemm`) and reduced
+/// over the batch through per-group accumulators, in the summation order of
+/// the module docs.
 ///
 /// Never masked: the fused masked op needs the gradient of the *dense*
 /// product `W ⊙ M`, because the straight-through estimator sends gradient to
 /// γ through currently-masked taps too.
 pub(crate) fn conv1d_grad_weight(x: &[f32], g: &[f32], s: &ConvShape, gw: &mut [f32]) {
-    let rows = plan_rows(s, None);
-    let nr = rows.len();
+    let rows = live_rows(s.c_in, s, None);
     gw.fill(0.0);
-    if nr == 0 {
+    if rows.is_empty() {
         return;
     }
+    let width = rows.len().div_ceil(COLS) * COLS;
     let threads = pool::plan_threads(s.n, s.work_per_batch());
     let (c_in, t, c_out) = (s.c_in, s.t, s.c_out);
-    let gwp = pool::map_accumulate(s.n, c_out * nr, threads, |bn, acc| {
-        let mut xcol = vec![0.0f32; nr * t];
-        pack_im2col(&x[bn * c_in * t..(bn + 1) * c_in * t], s, &rows, &mut xcol);
-        gemm_nt(
-            c_out,
-            nr,
-            t,
-            &g[bn * c_out * t..(bn + 1) * c_out * t],
-            &xcol,
-            acc,
-        );
+    let gwp = pool::map_accumulate(s.n, c_out * width, threads, |samples, acc| {
+        let mut patch = vec![0.0f32; width * t];
+        for bn in samples {
+            pack_patch(&x[bn * c_in * t..(bn + 1) * c_in * t], t, &rows, &mut patch);
+            patch_gemm(
+                c_out,
+                t,
+                &g[bn * c_out * t..(bn + 1) * c_out * t],
+                &patch,
+                acc,
+            );
+        }
     });
-    // Scatter the packed columns back to [C_out, C_in, K]; taps dropped from
-    // the plan (shift >= T) correctly stay zero.
-    let ck = c_in * s.k;
+    // Scatter the live columns back to [C_out, C_in, K]; taps whose shift
+    // reaches past T stay zero.
     for co in 0..c_out {
         for (j, row) in rows.iter().enumerate() {
-            gw[co * ck + row.col] = gwp[co * nr + j];
+            gw[(co * c_in + row.src) * s.k + row.tap] = gwp[co * width + j];
         }
     }
 }
@@ -808,6 +792,217 @@ mod tests {
         }
     }
 
+    /// Geometries for the reduction-order tests, each with the case it covers,
+    /// and small enough (`n·c_out·c_in·k·t < 2^19`) that `pool::plan_threads`
+    /// keeps the weight-gradient batch reduction on one thread.
+    fn order_shapes() -> Vec<ConvShape> {
+        vec![
+            shape(2, 3, 10, 4, 3, 2),   // T mod 8 ≠ 0, dilation > 1
+            shape(2, 2, 5, 3, 9, 4),    // T below the largest shift
+            shape(3, 5, 37, 7, 17, 1),  // T mod 16 ≠ 0, C_out mod 4 ≠ 0
+            shape(2, 3, 24, 6, 5, 3),   // T mod 16 ≠ 0, T mod 8 = 0
+            shape(2, 4, 64, 5, 5, 2),   // whole slabs, C_in·K mod 8 ≠ 0
+            shape(1, 7, 3, 2, 2, 1),    // T shorter than a lane class
+            shape(2, 2, 128, 9, 17, 8), // TEMPONet's longest window
+            shape(1, 1, 1, 1, 1, 1),    // everything degenerate
+        ]
+    }
+
+    /// The masks of the reduction-order tests: none, all taps live, and one
+    /// with zero taps.
+    fn order_masks(k: usize) -> [Option<Vec<f32>>; 3] {
+        [
+            None,
+            Some(vec![1.0; k]),
+            Some(
+                (0..k)
+                    .map(|kk| if kk % 3 == 1 { 0.0 } else { 1.0 })
+                    .collect(),
+            ),
+        ]
+    }
+
+    /// Inputs with exact zeros in them, as after a ReLU, so products of ±0
+    /// take part in the sums.
+    fn relu_uniform(rng: &mut StdRng, dims: &[usize]) -> Vec<f32> {
+        let v = init::uniform(rng, dims, 1.0);
+        v.data()
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| if i % 2 == 0 { u.max(0.0) } else { u })
+            .collect()
+    }
+
+    fn assert_same_bits(fast: &[f32], order: &[f32], what: &str) {
+        assert_eq!(fast.len(), order.len());
+        for (i, (f, o)) in fast.iter().zip(order).enumerate() {
+            assert_eq!(f.to_bits(), o.to_bits(), "{what}: element {i}: {f} vs {o}");
+        }
+    }
+
+    /// The live `(channel, tap)` reduction rows of the forward (channel =
+    /// `c_in`) or the input gradient (channel = `c_out`): shift below `T`,
+    /// mask non-zero, stably sorted by shift.
+    fn order_rows(channels: usize, s: &ConvShape, mask: Option<&[f32]>) -> Vec<(usize, usize)> {
+        let mut rows: Vec<(usize, usize)> = (0..channels)
+            .flat_map(|c| (0..s.k).map(move |kk| (c, kk)))
+            .filter(|&(_, kk)| kk * s.dilation < s.t && mask.is_none_or(|m| m[kk] != 0.0))
+            .collect();
+        rows.sort_by_key(|&(_, kk)| kk * s.dilation);
+        rows
+    }
+
+    /// Forward order: each output sums the live rows in shift order from
+    /// 0.0, skipping lanes before the sequence start, then adds the sum to
+    /// the bias (or to zero).
+    fn order_forward(
+        x: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        mask: Option<&[f32]>,
+        s: &ConvShape,
+    ) -> Vec<f32> {
+        let rows = order_rows(s.c_in, s, mask);
+        let mut out = vec![0.0f32; s.n * s.c_out * s.t];
+        for bn in 0..s.n {
+            for co in 0..s.c_out {
+                for tt in 0..s.t {
+                    let mut acc = 0.0f32;
+                    for &(ci, kk) in &rows {
+                        let shift = kk * s.dilation;
+                        if shift > tt {
+                            continue;
+                        }
+                        let wv = w[(co * s.c_in + ci) * s.k + kk] * mask.map_or(1.0, |m| m[kk]);
+                        acc += wv * x[(bn * s.c_in + ci) * s.t + tt - shift];
+                    }
+                    out[(bn * s.c_out + co) * s.t + tt] = bias.map_or(0.0, |b| b[co]) + acc;
+                }
+            }
+        }
+        out
+    }
+
+    /// Input-gradient order: each output sums the live `(c_out, tap)` rows
+    /// in shift order from 0.0, skipping lanes past the sequence end, then
+    /// adds the sum to zero.
+    fn order_grad_input(g: &[f32], w: &[f32], mask: Option<&[f32]>, s: &ConvShape) -> Vec<f32> {
+        let rows = order_rows(s.c_out, s, mask);
+        let mut gx = vec![0.0f32; s.n * s.c_in * s.t];
+        for bn in 0..s.n {
+            for ci in 0..s.c_in {
+                for tau in 0..s.t {
+                    let mut acc = 0.0f32;
+                    for &(co, kk) in &rows {
+                        let shift = kk * s.dilation;
+                        if tau + shift >= s.t {
+                            continue;
+                        }
+                        let wv = w[(co * s.c_in + ci) * s.k + kk] * mask.map_or(1.0, |m| m[kk]);
+                        acc += wv * g[(bn * s.c_out + co) * s.t + tau + shift];
+                    }
+                    gx[(bn * s.c_in + ci) * s.t + tau] = 0.0 + acc;
+                }
+            }
+        }
+        gx
+    }
+
+    /// Weight-gradient order: per sample, 8 lane classes sum `g · x` over
+    /// `t mod 8` (the tail past the last whole group of 8 in class 0, zero
+    /// input before the shift), the classes are added in order, and that is
+    /// added to the batch sum. Taps whose shift reaches past `T` stay zero.
+    fn order_grad_weight(x: &[f32], g: &[f32], s: &ConvShape) -> Vec<f32> {
+        let mut gw = vec![0.0f32; s.c_out * s.c_in * s.k];
+        let t8 = s.t / 8 * 8;
+        for co in 0..s.c_out {
+            for ci in 0..s.c_in {
+                for kk in 0..s.k {
+                    let shift = kk * s.dilation;
+                    if shift >= s.t {
+                        continue;
+                    }
+                    let mut batch = 0.0f32;
+                    for bn in 0..s.n {
+                        let xv = |tt: usize| {
+                            if tt >= shift {
+                                x[(bn * s.c_in + ci) * s.t + tt - shift]
+                            } else {
+                                0.0
+                            }
+                        };
+                        let gv = |tt: usize| g[(bn * s.c_out + co) * s.t + tt];
+                        let mut classes = [0.0f32; 8];
+                        for tt in 0..t8 {
+                            classes[tt % 8] += gv(tt) * xv(tt);
+                        }
+                        for tt in t8..s.t {
+                            classes[0] += gv(tt) * xv(tt);
+                        }
+                        let mut sample = classes[0];
+                        for &c in &classes[1..] {
+                            sample += c;
+                        }
+                        batch += sample;
+                    }
+                    gw[(co * s.c_in + ci) * s.k + kk] = batch;
+                }
+            }
+        }
+        gw
+    }
+
+    #[test]
+    fn forward_keeps_the_reduction_order() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for s in order_shapes() {
+            let x = relu_uniform(&mut rng, &[s.n, s.c_in, s.t]);
+            let w = init::uniform(&mut rng, &[s.c_out, s.c_in, s.k], 1.0);
+            let b = init::uniform(&mut rng, &[s.c_out], 1.0);
+            for mask in order_masks(s.k) {
+                for bias in [None, Some(b.data())] {
+                    let mut fast = vec![f32::NAN; s.n * s.c_out * s.t];
+                    conv1d_forward(&x, w.data(), bias, mask.as_deref(), &s, &mut fast);
+                    let order = order_forward(&x, w.data(), bias, mask.as_deref(), &s);
+                    let what = format!("forward {s:?} mask {mask:?} bias {}", bias.is_some());
+                    assert_same_bits(&fast, &order, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grad_input_keeps_the_reduction_order() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for s in order_shapes() {
+            let g = relu_uniform(&mut rng, &[s.n, s.c_out, s.t]);
+            let w = init::uniform(&mut rng, &[s.c_out, s.c_in, s.k], 1.0);
+            for mask in order_masks(s.k) {
+                let mut fast = vec![f32::NAN; s.n * s.c_in * s.t];
+                conv1d_grad_input(&g, w.data(), mask.as_deref(), &s, &mut fast);
+                let order = order_grad_input(&g, w.data(), mask.as_deref(), &s);
+                assert_same_bits(&fast, &order, &format!("grad_input {s:?} mask {mask:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn grad_weight_keeps_the_reduction_order() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for s in order_shapes() {
+            assert!(
+                s.n * s.work_per_batch() < 1 << 19,
+                "{s:?} could go parallel"
+            );
+            let x = relu_uniform(&mut rng, &[s.n, s.c_in, s.t]);
+            let g = relu_uniform(&mut rng, &[s.n, s.c_out, s.t]);
+            let mut fast = vec![f32::NAN; s.c_out * s.c_in * s.k];
+            conv1d_grad_weight(&x, &g, &s, &mut fast);
+            let order = order_grad_weight(&x, &g, &s);
+            assert_same_bits(&fast, &order, &format!("grad_weight {s:?}"));
+        }
+    }
+
     #[test]
     fn gemm_matches_schoolbook() {
         let mut rng = StdRng::seed_from_u64(15);
@@ -825,26 +1020,6 @@ mod tests {
                 }
             }
             assert!(max_diff(&fast, &school) < 1e-4, "gemm {m}x{kd}x{n}");
-        }
-    }
-
-    #[test]
-    fn gemm_nt_matches_schoolbook() {
-        let mut rng = StdRng::seed_from_u64(16);
-        for (m, n, kd) in [(1, 1, 1), (4, 5, 16), (3, 9, 23), (7, 2, 64)] {
-            let a = init::uniform(&mut rng, &[m, kd], 1.0);
-            let bt = init::uniform(&mut rng, &[n, kd], 1.0);
-            let mut fast = vec![0.0f32; m * n];
-            gemm_nt(m, n, kd, a.data(), bt.data(), &mut fast);
-            let mut school = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    for p in 0..kd {
-                        school[i * n + j] += a.data()[i * kd + p] * bt.data()[j * kd + p];
-                    }
-                }
-            }
-            assert!(max_diff(&fast, &school) < 1e-4, "gemm_nt {m}x{n}x{kd}");
         }
     }
 }

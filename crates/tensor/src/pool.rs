@@ -7,8 +7,9 @@
 //!
 //! * [`for_each_chunk`] — run a closure over disjoint `&mut` chunks of an
 //!   output buffer (forward pass, input gradients);
-//! * [`map_accumulate`] — run a closure per item into per-worker accumulator
-//!   buffers and sum them (weight gradients, which reduce over the batch).
+//! * [`map_accumulate`] — run a closure per contiguous group of items into
+//!   per-group accumulator buffers and sum them (weight gradients, which
+//!   reduce over the batch).
 //!
 //! Workers are **persistent**: they are spawned once (lazily, on the first
 //! parallel call) and park on a condition variable between calls, so a
@@ -28,6 +29,7 @@
 //! forces fully deterministic serial execution and never spawns a worker).
 
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Minimum multiply-accumulate operations a thread must receive before waking
@@ -283,27 +285,26 @@ pub fn for_each_chunk(
     });
 }
 
-/// Runs `f(item_index, accumulator)` for every item in `0..items`, where each
-/// task group owns a zero-initialised accumulator of `acc_len` floats that
-/// `f` adds into; the per-group accumulators are summed into the returned
-/// buffer.
+/// Runs `f(items, accumulator)` over `0..items` split into contiguous
+/// groups, where each group owns a zero-initialised accumulator of `acc_len`
+/// floats that `f` adds into; the per-group accumulators are summed, in
+/// group order, into the returned buffer.
 ///
-/// Items are split into up to `threads` contiguous groups (one task each), so
-/// the grouping — and therefore the floating-point summation order — depends
-/// only on the thread count, not on scheduling. With `threads <= 1` a single
-/// accumulator is reused serially, which is the fully deterministic path
-/// (`PIT_NUM_THREADS=1`).
+/// Items are split into up to `threads` contiguous groups (one task each,
+/// so `f` can set up scratch once per group), so the grouping — and
+/// therefore the floating-point summation order — depends only on the
+/// thread count, not on scheduling. With `threads <= 1` a single group
+/// covers every item and its accumulator is returned as is, which is the
+/// fully deterministic path (`PIT_NUM_THREADS=1`).
 pub fn map_accumulate(
     items: usize,
     acc_len: usize,
     threads: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) -> Vec<f32> {
     if threads <= 1 || items <= 1 {
         let mut acc = vec![0.0f32; acc_len];
-        for i in 0..items {
-            f(i, &mut acc);
-        }
+        f(0..items, &mut acc);
         return acc;
     }
     let groups = threads.min(items);
@@ -312,11 +313,7 @@ pub fn map_accumulate(
         .collect();
     executor::run(groups, groups, &|g| {
         let mut acc = accs[g].lock();
-        let start = g * items / groups;
-        let end = (g + 1) * items / groups;
-        for i in start..end {
-            f(i, &mut acc);
-        }
+        f(g * items / groups..(g + 1) * items / groups, &mut acc);
     });
     let mut total = vec![0.0f32; acc_len];
     for acc in accs {
@@ -357,9 +354,11 @@ mod tests {
     #[test]
     fn accumulate_sums_every_item_once() {
         for threads in [1usize, 4] {
-            let total = map_accumulate(7, 2, threads, |i, acc| {
-                acc[0] += i as f32;
-                acc[1] += 1.0;
+            let total = map_accumulate(7, 2, threads, |items, acc| {
+                for i in items {
+                    acc[0] += i as f32;
+                    acc[1] += 1.0;
+                }
             });
             assert_eq!(total, vec![21.0, 7.0], "threads={threads}");
         }
@@ -389,8 +388,10 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..20 {
-                        let total = map_accumulate(16, 1, 4, |i, acc| {
-                            acc[0] += i as f32;
+                        let total = map_accumulate(16, 1, 4, |items, acc| {
+                            for i in items {
+                                acc[0] += i as f32;
+                            }
                         });
                         assert_eq!(total, vec![120.0]);
                     }

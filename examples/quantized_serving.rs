@@ -97,8 +97,11 @@ fn main() {
         "quantized output out of bound"
     );
 
-    // Step-time comparison (single stream, steady state).
-    let steps = 200_000usize;
+    // Step-time comparison (single stream, steady state). The two sessions
+    // take turns over several rounds and the medians are printed, so one
+    // slow round (a preempted thread, a cold cache) does not set the ratio.
+    const ROUNDS: usize = 11;
+    let steps = 20_000usize;
     let mut out = vec![0.0f32; plan.output_dim()];
     let time_steps = |f: &mut dyn FnMut(usize)| {
         let start = Instant::now();
@@ -107,21 +110,27 @@ fn main() {
         }
         start.elapsed().as_nanos() as f64 / steps as f64
     };
-    let f32_ns = time_steps(&mut |t| {
-        for (ci, slot) in sample.iter_mut().enumerate() {
-            *slot = x.data()[ci * 64 + (t % 64)];
-        }
-        f32_session.push_into(&sample, &mut out);
-    });
-    let i8_ns = time_steps(&mut |t| {
-        for (ci, slot) in sample.iter_mut().enumerate() {
-            *slot = x.data()[ci * 64 + (t % 64)];
-        }
-        i8_session.push_into(&sample, &mut out);
-    });
+    let (mut f32_ns, mut i8_ns) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        f32_ns.push(time_steps(&mut |t| {
+            for (ci, slot) in sample.iter_mut().enumerate() {
+                *slot = x.data()[ci * 64 + (t % 64)];
+            }
+            f32_session.push_into(&sample, &mut out);
+        }));
+        i8_ns.push(time_steps(&mut |t| {
+            for (ci, slot) in sample.iter_mut().enumerate() {
+                *slot = x.data()[ci * 64 + (t % 64)];
+            }
+            i8_session.push_into(&sample, &mut out);
+        }));
+    }
+    let mut ratios: Vec<f64> = i8_ns.iter().zip(&f32_ns).map(|(i, f)| i / f).collect();
     println!(
-        "step time             : f32 {f32_ns:.0} ns vs int8 {i8_ns:.0} ns (int8/f32 {:.2})",
-        i8_ns / f32_ns
+        "step time             : f32 {:.0} ns vs int8 {:.0} ns (int8/f32 {:.2}), medians of {ROUNDS} alternating rounds",
+        median(&mut f32_ns),
+        median(&mut i8_ns),
+        median(&mut ratios)
     );
 
     // 5. Batch-of-sessions int8 serving: 16 concurrent PPG streams.
@@ -146,4 +155,10 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         (STREAMS * STEPS) as f64 / elapsed.as_secs_f64()
     );
+}
+
+/// The middle value of an odd-length sample.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }

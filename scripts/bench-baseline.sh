@@ -18,13 +18,35 @@
 # every record is the whole record of its median run). The replay baseline
 # is a single run.
 #
-# Usage: scripts/bench-baseline.sh
+# Usage: scripts/bench-baseline.sh [BASELINE...]
+#
+# With no argument every baseline is re-recorded. Name baseline files
+# (e.g. `scripts/bench-baseline.sh BENCH_conv.json`) to re-record only
+# those, so a change that moves one suite leaves the other files, and the
+# host they were recorded on, alone. An unknown name exits 2.
 set -eu
+ALL="BENCH_conv.json BENCH_infer.json BENCH_int8.json BENCH_serve.json BENCH_scale.json BENCH_replay.json"
+for name in "$@"; do
+    case " $ALL " in
+    *" $name "*) ;;
+    *)
+        echo "bench-baseline.sh: unknown baseline '$name' (known: $ALL)" >&2
+        exit 2
+        ;;
+    esac
+done
 if [ "$#" -gt 0 ]; then
-    echo "bench-baseline.sh takes no arguments: the committed baselines must" >&2
-    echo "match CI's \`bench_json --quick\` record sets (see comments)." >&2
-    exit 2
+    WANT="$*"
+else
+    WANT=$ALL
 fi
+# wanted NAME: true when NAME is to be re-recorded.
+wanted() {
+    case " $WANT " in
+    *" $1 "*) return 0 ;;
+    *) return 1 ;;
+    esac
+}
 cd "$(dirname "$0")/.."
 RUNS=11
 WORK=$(mktemp -d)
@@ -46,17 +68,20 @@ record() {
     rm -f "$WORK"/run-*.json
 }
 
-record BENCH_conv.json
-record BENCH_infer.json --suites infer
-record BENCH_int8.json --suites quant
-record BENCH_serve.json --suites serve
-record BENCH_scale.json --suites scale
-# The replay baseline needs a model zoo; build the same fixed-seed quick zoo
-# the CI replay job uses into a scratch dir, then record the quick replay
-# population against an in-process daemon (no TCP daemon to babysit here —
-# the in-process and external paths drive identical traffic).
-echo "regenerating BENCH_replay.json (quick zoo + replay population, 1 thread)..."
-cargo run --locked --release -p pit-search -- --out "$WORK/zoo" --quick
-PIT_NUM_THREADS=1 cargo run --locked --release -p pit-replay --bin pit-replay -- \
-    --zoo "$WORK/zoo/zoo.json" --quick --bench-out BENCH_replay.json
-echo "done. review the diff and commit BENCH_conv.json + BENCH_infer.json + BENCH_int8.json + BENCH_serve.json + BENCH_scale.json + BENCH_replay.json."
+wanted BENCH_conv.json && record BENCH_conv.json
+wanted BENCH_infer.json && record BENCH_infer.json --suites infer
+wanted BENCH_int8.json && record BENCH_int8.json --suites quant
+wanted BENCH_serve.json && record BENCH_serve.json --suites serve
+wanted BENCH_scale.json && record BENCH_scale.json --suites scale
+if wanted BENCH_replay.json; then
+    # The replay baseline needs a model zoo; build the same fixed-seed quick
+    # zoo the CI replay job uses into a scratch dir, then record the quick
+    # replay population against an in-process daemon (no TCP daemon to
+    # babysit here — the in-process and external paths drive identical
+    # traffic).
+    echo "regenerating BENCH_replay.json (quick zoo + replay population, 1 thread)..."
+    cargo run --locked --release -p pit-search -- --out "$WORK/zoo" --quick
+    PIT_NUM_THREADS=1 cargo run --locked --release -p pit-replay --bin pit-replay -- \
+        --zoo "$WORK/zoo/zoo.json" --quick --bench-out BENCH_replay.json
+fi
+echo "done. review the diff and commit: $WANT"
